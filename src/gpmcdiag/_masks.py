@@ -27,10 +27,7 @@ class Layout:
     out_tests: tuple             # per vertex: test bits with this tester
     in_tests: tuple              # per vertex: test bits with this testee
     edge_tests: tuple            # per edge: both test bits
-    even_tests: int              # bits 2k for every edge k
     all_tests: int
-    all_vertices: int
-    all_edges: int
 
 
 def layout_of(g) -> Layout:
@@ -74,10 +71,7 @@ def layout_of(g) -> Layout:
         out_tests=tuple(out_t),
         in_tests=tuple(in_t),
         edge_tests=tuple(etests),
-        even_tests=sum(1 << (2 * k) for k in range(m)),
         all_tests=(1 << (2 * m)) - 1,
-        all_vertices=(1 << n) - 1,
-        all_edges=(1 << m) - 1,
     )
     g._layout = lay
     return lay
@@ -95,13 +89,6 @@ def vertex_mask(vertices) -> int:
     mask = 0
     for v in vertices:
         mask |= 1 << v
-    return mask
-
-
-def edge_mask(lay: Layout, edges) -> int:
-    mask = 0
-    for e in edges:
-        mask |= 1 << lay.edge_index[e]
     return mask
 
 

@@ -68,8 +68,9 @@ def distinguishable_oracle(g: Graph, p1: FaultPair, p2: FaultPair) -> bool:
     ff1, fp1 = _masks.forced_masks(lay, p1.f_mask, p1.s_mask)
     ff2, fp2 = _masks.forced_masks(lay, p2.f_mask, p2.s_mask)
     # sanity: a pattern always shares a syndrome with itself
-    assert _masks.share_syndrome(ff1, fp1, ff1, fp1)
-    assert _masks.share_syndrome(ff2, fp2, ff2, fp2)
+    for ff, fp in ((ff1, fp1), (ff2, fp2)):
+        if not _masks.share_syndrome(ff, fp, ff, fp):
+            raise AssertionError("forced outcomes of one fault pair contradict each other")
     return not _masks.share_syndrome(ff1, fp1, ff2, fp2)
 
 

@@ -258,52 +258,120 @@ def is_consistent(sig: Syndrome, fp: FaultPair) -> bool:
 def _candidate_masks(lay, fail_mask: int, t: int, s: int, limit=None):
     """(f_mask, s_mask) of every in-bound fault pair consistent with the syndrome.
 
-    Given a candidate F, the syndrome pins everything else down: a test by a
-    good tester into a faulty testee must read fail; an edge between two good
-    vertices must read the same in both directions, and reads fail exactly
-    when the edge is faulty.  So S is forced per F, there is nothing to search.
-    Results come out in (|F|, F) lexicographic order.
-    """
-    from itertools import combinations
+    Results come out in (|F|, F) lexicographic order; a positive ``limit``
+    keeps only the first ``limit`` of them.  Rather than trying every vertex
+    set of size at most t, the search decides vertices faulty (in F) or good
+    and applies four rules, each a necessary condition of the model, so no
+    consistent pair is ever lost:
 
-    n, m = lay.n, lay.m
+    - Suspects: a faulty v is failed by every good neighbour, so at most t-1
+      of its in-tests pass; any other vertex is good from the start.
+    - Pass closure: a passing test u->v with v faulty needs u faulty, so a
+      faulty v makes its passing testers faulty and a good u makes its passing
+      testees good.
+    - Covering: two good endpoints read an edge alike, so an edge whose tests
+      disagree needs an endpoint in F, and a both-fail edge between good
+      vertices is charged to S, which holds at most s edges.  Branching first
+      on disagreeing edges is a vertex-cover search tree of depth at most t.
+    - Forced S: once every vertex is decided, S is exactly the set of
+      both-fail edges between good vertices.
+
+    A fully decided assignment that passes the rules is consistent: every
+    test by a good tester then reads what the pair forces.  Each branch fixes
+    one vertex either way, so every pair is reached exactly once.
+    """
+    n = lay.n
+    nbr = lay.nbr_mask
+    fail_in = [0] * n       # per vertex: testers whose test of it fails
+    fail_out = [0] * n      # per vertex: testees its own tests fail
+    both_fail_edges = []    # (edge index, endpoint bits) of edges failed both ways
+    rest = fail_mask
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        k = i >> 1
+        a, b = lay.edges[k]
+        if i & 1:
+            a, b = b, a
+        elif rest & (low << 1):
+            both_fail_edges.append((k, lay.edge_vmask[k]))
+        fail_out[a] |= 1 << b
+        fail_in[b] |= 1 << a
+        rest ^= low
+
+    def settle(faulty, good, charged, add_faulty, add_good):
+        """Apply pass closure and covering to a fixpoint; None on conflict.
+
+        Per vertex v, nbr & ~fail_in are its passing testers, nbr & ~fail_out
+        its passing testees, fail_in ^ fail_out the far ends of its
+        disagreeing edges and fail_in & fail_out those of its both-fail edges.
+        """
+        while add_faulty or add_good:
+            if add_faulty & (good | add_good) or add_good & faulty:
+                return None
+            faulty |= add_faulty
+            if faulty.bit_count() > t:
+                return None
+            more_faulty = more_good = 0
+            while add_faulty:
+                low = add_faulty & -add_faulty
+                v = low.bit_length() - 1
+                more_faulty |= nbr[v] & ~fail_in[v]
+                add_faulty ^= low
+            while add_good:
+                low = add_good & -add_good
+                v = low.bit_length() - 1
+                fi, fo = fail_in[v], fail_out[v]
+                charged += (fi & fo & good).bit_count()
+                good |= low
+                more_good |= nbr[v] & ~fo
+                more_faulty |= fi ^ fo
+                add_good ^= low
+            if charged > s:
+                return None
+            add_faulty = more_faulty & ~faulty
+            add_good = more_good & ~good
+        return faulty, good, charged
+
+    not_suspect = 0
+    for v in range(n):
+        if (nbr[v] & ~fail_in[v]).bit_count() >= t:
+            not_suspect |= 1 << v
+    everyone = (1 << n) - 1
+    solutions = []
+    root = settle(0, 0, 0, 0, not_suspect)
+    stack = [root] if root else []
+    while stack:
+        faulty, good, charged = stack.pop()
+        undecided = everyone & ~(faulty | good)
+        if not undecided:
+            solutions.append(faulty)
+            continue
+        # prefer an undecided endpoint of a disagreeing edge between undecided
+        # vertices: either branch then adds a vertex to F
+        pick = undecided & -undecided
+        rest = undecided
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if (fail_in[v] ^ fail_out[v]) & undecided:
+                pick = low
+                break
+            rest ^= low
+        for branch in (settle(faulty, good, charged, pick, 0),
+                       settle(faulty, good, charged, 0, pick)):
+            if branch:
+                stack.append(branch)
+    solutions.sort(key=lambda f: (f.bit_count(), tuple(_masks.bits(f))))
+    if limit is not None:
+        del solutions[limit:]
     found = []
-    for fsize in range(t + 1):
-        for fverts in combinations(range(n), fsize):
-            f = 0
-            for v in fverts:
-                f |= 1 << v
-            arb = 0
-            bad_testee = 0
-            touched = 0
-            for v in fverts:
-                arb |= lay.out_tests[v]
-                bad_testee |= lay.in_tests[v]
-                touched |= lay.inc_mask[v]
-            # good tester, faulty testee: must fail
-            if bad_testee & ~arb & ~fail_mask:
-                continue
-            # edges between good vertices: both directions forced equal
-            good_edges = lay.all_edges & ~touched
-            smask = 0
-            ok = True
-            ge = good_edges
-            while ge:
-                low = ge & -ge
-                k = low.bit_length() - 1
-                r1 = (fail_mask >> (2 * k)) & 1
-                r2 = (fail_mask >> (2 * k + 1)) & 1
-                if r1 != r2:
-                    ok = False
-                    break
-                if r1:
-                    smask |= low
-                ge ^= low
-            if not ok or smask.bit_count() > s:
-                continue
-            found.append((f, smask))
-            if limit is not None and len(found) >= limit:
-                return found
+    for f in solutions:
+        smask = 0
+        for k, ends in both_fail_edges:
+            if not ends & f:
+                smask |= 1 << k
+        found.append((f, smask))
     return found
 
 

@@ -40,6 +40,56 @@ def brute_force_decode(g, sig, t, s):
     return out
 
 
+def reference_candidate_masks(lay, fail_mask: int, t: int, s: int, limit=None):
+    """The decoder's exhaustive predecessor, kept as its oracle.
+
+    Unlike the rest of this module it works over the library's mask layout,
+    because it must reproduce ``faults._candidate_masks`` output exactly:
+    (f_mask, s_mask) pairs in (|F|, F) lexicographic order, cut at ``limit``.
+    It tries every vertex set of size at most t and forces S per set.
+    """
+    n = lay.n
+    all_edges = (1 << lay.m) - 1
+    found = []
+    for fsize in range(t + 1):
+        for fverts in combinations(range(n), fsize):
+            f = 0
+            for v in fverts:
+                f |= 1 << v
+            arb = 0
+            bad_testee = 0
+            touched = 0
+            for v in fverts:
+                arb |= lay.out_tests[v]
+                bad_testee |= lay.in_tests[v]
+                touched |= lay.inc_mask[v]
+            # good tester, faulty testee: must fail
+            if bad_testee & ~arb & ~fail_mask:
+                continue
+            # edges between good vertices: both directions forced equal
+            good_edges = all_edges & ~touched
+            smask = 0
+            ok = True
+            ge = good_edges
+            while ge:
+                low = ge & -ge
+                k = low.bit_length() - 1
+                r1 = (fail_mask >> (2 * k)) & 1
+                r2 = (fail_mask >> (2 * k + 1)) & 1
+                if r1 != r2:
+                    ok = False
+                    break
+                if r1:
+                    smask |= low
+                ge ^= low
+            if not ok or smask.bit_count() > s:
+                continue
+            found.append((f, smask))
+            if limit is not None and len(found) >= limit:
+                return found
+    return found
+
+
 def sigma_set(g, fset, sset) -> frozenset:
     """All syndromes (result tuples) the circumstance can produce."""
     tests = gd.enumerate_tests(g)

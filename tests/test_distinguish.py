@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import gpmcdiag as gd
@@ -103,6 +108,29 @@ class TestOracleRoute:
         p = pair(q2, set(), {(0, 1)})
         with pytest.raises(InputError):
             gd.distinguishable_oracle(q2, p, pair(q2, set(), {(0, 1)}))
+
+    def test_sanity_checks_survive_optimized_mode(self):
+        # python -O strips assert statements; the oracle's self-consistency
+        # checks must still fire, so feed it contradictory forced outcomes
+        script = (
+            "import gpmcdiag as gd\n"
+            "from gpmcdiag import _masks\n"
+            "q2 = gd.build_hypercube(2)\n"
+            "p1 = gd.make_fault_pair(q2, {0}, set())\n"
+            "p2 = gd.make_fault_pair(q2, {1}, set())\n"
+            "print(gd.distinguishable_oracle(q2, p1, p2))\n"
+            "_masks.forced_masks = lambda lay, f, s: (1, 1)\n"
+            "try:\n"
+            "    gd.distinguishable_oracle(q2, p1, p2)\n"
+            "except AssertionError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(gd.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["True", "raised"]
 
 
 class TestLiteralEnumerationRoute:

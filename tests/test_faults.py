@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpmcdiag as gd
-from gpmcdiag import ConsistencyError, ForcedOutcome, GraphMismatchError, InputError
+from gpmcdiag import ConsistencyError, ForcedOutcome, GraphMismatchError, InputError, _masks
+from gpmcdiag.faults import _candidate_masks
 
-from brute import brute_force_decode, sigma_set
+from brute import brute_force_decode, reference_candidate_masks, sigma_set
+from gallery import full_gallery
 
 
 class TestMakeFaultPair:
@@ -259,3 +261,76 @@ def test_generated_syndromes_consistent_by_construction(n, seed, data):
     strategy = data.draw(st.sampled_from(["all-pass", "all-fail", "random"]))
     sig = gd.generate_syndrome(fp, strategy, seed=data.draw(st.integers(0, 999)))
     assert gd.is_consistent(sig, fp)
+
+
+# ---------------------------------------------------------------------------
+# the syndrome-driven decoder against its exhaustive predecessor
+# ---------------------------------------------------------------------------
+
+DECODER_GRAPHS = full_gallery() + [gd.build_hypercube(4)]   # the gallery has Q_3
+
+
+def _agrees_with_reference(g, fail_mask, t, s, limit=None):
+    lay = _masks.layout_of(g)
+    got = _candidate_masks(lay, fail_mask, t, s, limit)
+    assert got == reference_candidate_masks(lay, fail_mask, t, s, limit)
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DECODER_GRAPHS), st.integers(0, 4), st.integers(0, 3), st.data())
+def test_candidate_masks_match_exhaustive_reference(g, t, s, data):
+    # pairs up to one past each bound, so NO_CANDIDATE and foreign
+    # explanations are exercised as well as the in-bound case
+    n = g.vertex_count
+    verts = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, min(t + 1, n)))]
+    free = [e for e in g.edges if e[0] not in verts and e[1] not in verts]
+    edges = data.draw(st.permutations(free))[:data.draw(st.integers(0, min(s + 1, len(free))))]
+    fp = gd.make_fault_pair(g, verts, edges)
+    strategy = data.draw(st.sampled_from(["all-pass", "all-fail", "random"]))
+    sig = gd.generate_syndrome(fp, strategy, seed=data.draw(st.integers(0, 999)))
+    limit = data.draw(st.sampled_from([None, 1, 2]))
+    found = _agrees_with_reference(g, sig.fail_mask, t, s, limit)
+    if len(verts) <= t and len(edges) <= s and limit is None:
+        assert (fp.f_mask, fp.s_mask) in found
+
+
+class TestCandidateMasksFixedCases:
+    def test_zero_vertex_budget(self, q3):
+        lay = _masks.layout_of(q3)
+        clean = gd.generate_syndrome(gd.make_fault_pair(q3, set(), {(3, 7)}))
+        assert _agrees_with_reference(q3, clean.fail_mask, 0, 1) == [
+            (0, 1 << lay.edge_index[(3, 7)])]
+        assert _agrees_with_reference(q3, clean.fail_mask, 0, 0) == []
+        vertex = gd.generate_syndrome(gd.make_fault_pair(q3, {0}, set()), "all-fail")
+        # vertex 0's three both-fail edges fit S only when s >= 3
+        assert _agrees_with_reference(q3, vertex.fail_mask, 0, 2) == []
+        assert _agrees_with_reference(q3, vertex.fail_mask, 0, 3) == [
+            (0, sum(1 << lay.edge_index[e] for e in q3.edges if 0 in e))]
+
+    def test_budget_at_or_above_max_degree(self, q3, q4):
+        # every vertex has at most t-1 passing in-tests, so every vertex
+        # is a suspect and only the covering search prunes
+        cases = [(q3, {0, 5}, 3), (q3, {1, 2, 4}, 4), (q4, {0, 3, 5, 6, 9}, 5)]
+        for g, verts, t in cases:
+            fp = gd.make_fault_pair(g, verts, set())
+            for seed in range(4):
+                sig = gd.generate_syndrome(fp, "random", seed=seed)
+                for limit in (None, 1, 2):
+                    found = _agrees_with_reference(g, sig.fail_mask, t, 1, limit)
+                    assert found
+            for strategy in ("all-pass", "all-fail"):
+                sig = gd.generate_syndrome(fp, strategy)
+                assert _agrees_with_reference(g, sig.fail_mask, t, 1)
+
+    def test_isolated_vertex(self):
+        # vertex 4 has no tests at all: it can join any candidate F for free
+        g = gd.Graph(5, [(0, 1), (1, 2), (2, 3)])
+        fp = gd.make_fault_pair(g, {1}, set())
+        for strategy in ("all-pass", "all-fail"):
+            sig = gd.generate_syndrome(fp, strategy)
+            for t in range(4):
+                for limit in (None, 1, 2):
+                    _agrees_with_reference(g, sig.fail_mask, t, 1, limit)
+            found = _agrees_with_reference(g, sig.fail_mask, 2, 0)
+            assert (fp.f_mask | 1 << 4, 0) in found
