@@ -1,77 +1,68 @@
 """Internal bitmask machinery shared by the fault, distinguishability and search code.
 
-Vertex sets are ints with bit u set for vertex u; edge sets are ints with bit
-k set for the k-th edge of ``graph.edges``; test sets are ints over the
-canonical test order (edge k yields test bits 2k and 2k+1, see faults).
-Everything in here is exact arithmetic over those encodings, it only exists
+Encodings, for a graph with n vertices and m edges:
+
+- a vertex set is an int with bit u set for vertex u;
+- an edge set is an int with bit k set for the k-th edge of ``graph.edges``;
+- a test set is an int over 2m bits: edge k = (a, b), a < b, owns bit 2k for
+  the test a -> b and bit 2k+1 for the test b -> a (the canonical test order,
+  see ``faults.enumerate_tests``).  Both tests of edge k are ``3 << 2k``.
+
+Edge-space and test-space masks are built from these rules where they are
+used, so the layout holds no table whose entries span the edge or test space.
+Everything in here is exact arithmetic over those encodings; it only exists
 so the hot loops touch machine integers instead of frozensets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 
 @dataclass(frozen=True)
 class Layout:
-    """Precomputed mask tables for one graph."""
+    """Vertex bits and edge indices for one graph.
+
+    Memory: ``nbr_mask`` and the vertex bits shared by ``adj`` take O(n^2)
+    bits, ``edge_vmask`` O(n*m) bits (edge k's int is as wide as its larger
+    endpoint), the rest O(n + m) machine words.  ``edge_vmask`` dominates on
+    large graphs; it stays because the pair comparison reads it in its
+    hottest loop.
+    """
 
     n: int                       # vertex count
     m: int                       # edge count
     edges: tuple                 # canonical (min, max) pairs, sorted
     edge_index: dict             # (min, max) -> k
     nbr_mask: tuple              # per vertex: neighbor vertex bits
-    inc_mask: tuple              # per vertex: incident edge bits
     edge_vmask: tuple            # per edge: bits of both endpoints
-    adj_entries: tuple           # per vertex: ((vbit, ebit, v, e), ...) sorted by v
-    out_tests: tuple             # per vertex: test bits with this tester
-    in_tests: tuple              # per vertex: test bits with this testee
-    edge_tests: tuple            # per edge: both test bits
+    adj: tuple                   # per vertex: ((neighbor vertex bit, k), ...) sorted by neighbor
     all_tests: int
 
 
 def layout_of(g) -> Layout:
-    """Mask tables for g, built once and cached on the graph."""
+    """Mask layout for g, built once and cached on the graph."""
     if g._layout is not None:
         return g._layout
     n = g.vertex_count
-    m = len(g.edges)
-    edge_index = {e: k for k, e in enumerate(g.edges)}
+    vbit = [1 << v for v in range(n)]   # one int per vertex, shared by every entry
     nbr = [0] * n
-    inc = [0] * n
-    evmask = [0] * m
-    out_t = [0] * n
-    in_t = [0] * n
-    etests = [0] * m
-    entries = [[] for _ in range(n)]
+    adj = [[] for _ in range(n)]
     for k, (u, v) in enumerate(g.edges):
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-        inc[u] |= 1 << k
-        inc[v] |= 1 << k
-        evmask[k] = (1 << u) | (1 << v)
-        tb_uv = 1 << (2 * k)        # test (u, v)
-        tb_vu = 1 << (2 * k + 1)    # test (v, u)
-        etests[k] = tb_uv | tb_vu
-        out_t[u] |= tb_uv
-        in_t[v] |= tb_uv
-        out_t[v] |= tb_vu
-        in_t[u] |= tb_vu
-        entries[u].append((1 << v, 1 << k, v, (u, v)))
-        entries[v].append((1 << u, 1 << k, u, (u, v)))
+        nbr[u] |= vbit[v]
+        nbr[v] |= vbit[u]
+        adj[u].append((v, k))
+        adj[v].append((u, k))
     lay = Layout(
         n=n,
-        m=m,
+        m=len(g.edges),
         edges=g.edges,
-        edge_index=edge_index,
+        edge_index={e: k for k, e in enumerate(g.edges)},
         nbr_mask=tuple(nbr),
-        inc_mask=tuple(inc),
-        edge_vmask=tuple(evmask),
-        adj_entries=tuple(tuple(sorted(es, key=lambda t: t[2])) for es in entries),
-        out_tests=tuple(out_t),
-        in_tests=tuple(in_t),
-        edge_tests=tuple(etests),
-        all_tests=(1 << (2 * m)) - 1,
+        edge_vmask=tuple(vbit[u] | vbit[v] for u, v in g.edges),
+        adj=tuple(tuple((vbit[v], k) for v, k in sorted(es)) for es in adj),
+        all_tests=(1 << (2 * len(g.edges))) - 1,
     )
     g._layout = lay
     return lay
@@ -98,16 +89,20 @@ def forced_masks(lay: Layout, f: int, s: int) -> tuple[int, int]:
     A test is forced to fail when its tester is good and the testee or the
     test edge is faulty; forced to pass when tester, testee and edge are all
     good; tests by faulty testers are unconstrained and appear in neither mask.
+    Every test on an edge at a faulty vertex has a faulty tester or a faulty
+    testee, so those tests minus the faulty testers' ones are forced to fail.
     """
     arb = 0
-    bad_testee = 0
+    touched = 0
     for u in bits(f):
-        arb |= lay.out_tests[u]
-        bad_testee |= lay.in_tests[u]
-    bad_edge = 0
+        ubit = 1 << u
+        for vb, k in lay.adj[u]:
+            # u tests its neighbor at bit 2k when u is the smaller endpoint
+            arb |= 1 << (2 * k + (vb < ubit))
+            touched |= 3 << (2 * k)
     for k in bits(s):
-        bad_edge |= lay.edge_tests[k]
-    ff = (bad_testee | bad_edge) & ~arb
+        touched |= 3 << (2 * k)
+    ff = touched & ~arb
     fp = lay.all_tests & ~(arb | ff)
     return ff, fp
 
@@ -115,6 +110,35 @@ def forced_masks(lay: Layout, f: int, s: int) -> tuple[int, int]:
 def share_syndrome(ff1: int, fp1: int, ff2: int, fp2: int) -> bool:
     """True when no test is forced to opposite outcomes under the two patterns."""
     return (ff1 & fp2) == 0 and (fp1 & ff2) == 0
+
+
+def adversary_syndromes(lay: Layout, f: int, s: int, choose):
+    """Fail masks of the syndromes pattern (f, s) produces, one per assignment.
+
+    ``choose`` receives the indices of the tests with a faulty tester,
+    ascending, and returns the adversary's assignments: bit i of an assignment
+    fails the i-th of those tests.  Every other test gets its forced result.
+    """
+    ff, fp = forced_masks(lay, f, s)
+    free = list(bits(lay.all_tests & ~(ff | fp)))
+    for assignment in choose(free):
+        fail = ff
+        for i, pos in enumerate(free):
+            if (assignment >> i) & 1:
+                fail |= 1 << pos
+        yield fail
+
+
+def consistent_groups(lay: Layout, max_vertices: int, max_edges: int):
+    """Every consistent pattern with |F| <= max_vertices and |S| <= max_edges,
+    grouped by F: yields (f_mask, [s_mask, ...]) in (|F|, F, |S|, S)
+    lexicographic order.  S ranges over the edges with no endpoint in F."""
+    for fsize in range(min(max_vertices, lay.n) + 1):
+        for fverts in combinations(range(lay.n), fsize):
+            f = vertex_mask(fverts)
+            free = [1 << k for k, ends in enumerate(lay.edge_vmask) if not ends & f]
+            yield f, [sum(sel) for size in range(min(max_edges, len(free)) + 1)
+                      for sel in combinations(free, size)]
 
 
 def pairs_indistinguishable(lay: Layout, f1: int, s1: int, f2: int, s2: int) -> bool:
@@ -145,16 +169,16 @@ def pairs_indistinguishable(lay: Layout, f1: int, s1: int, f2: int, s2: int) -> 
     while d:
         low = d & -d
         u = low.bit_length() - 1
-        for vb, eb, _v, _e in lay.adj_entries[u]:
-            if vb & both_f == 0 and s2 & eb == 0:
+        for vb, k in lay.adj[u]:
+            if vb & both_f == 0 and (s2 >> k) & 1 == 0:
                 return False
         d ^= low
     d = f2 & ~f1
     while d:
         low = d & -d
         u = low.bit_length() - 1
-        for vb, eb, _v, _e in lay.adj_entries[u]:
-            if vb & both_f == 0 and s1 & eb == 0:
+        for vb, k in lay.adj[u]:
+            if vb & both_f == 0 and (s1 >> k) & 1 == 0:
                 return False
         d ^= low
     return True

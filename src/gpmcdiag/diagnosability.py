@@ -136,29 +136,6 @@ def _assert_witness(g: Graph, p1: FaultPair, p2: FaultPair):
 # full method: literal pair enumeration
 # ---------------------------------------------------------------------------
 
-def _candidate_groups(g: Graph, t: int, s: int):
-    """Consistent (f_mask, [s_mask, ...]) groups in lexicographic order."""
-    lay = _masks.layout_of(g)
-    groups = []
-    for fsize in range(min(t, g.vertex_count) + 1):
-        for fverts in combinations(range(g.vertex_count), fsize):
-            fmask = 0
-            touched = 0
-            for v in fverts:
-                fmask |= 1 << v
-                touched |= lay.inc_mask[v]
-            free = [k for k in range(lay.m) if not (touched >> k) & 1]
-            smasks = []
-            for ssize in range(min(s, len(free)) + 1):
-                for sel in combinations(free, ssize):
-                    sm = 0
-                    for k in sel:
-                        sm |= 1 << k
-                    smasks.append(sm)
-            groups.append((fmask, smasks))
-    return groups
-
-
 def _full_search(g: Graph, t: int, s: int):
     """First indistinguishable pair in lexicographic order, or None.
 
@@ -167,21 +144,15 @@ def _full_search(g: Graph, t: int, s: int):
     are only made across distinct vertex sets.
     """
     lay = _masks.layout_of(g)
-    groups = _candidate_groups(g, t, s)
-    flat = [(f, sm) for f, smasks in groups for sm in smasks]
-    starts = {}
-    pos = 0
-    for f, smasks in groups:
-        starts[pos] = pos + len(smasks)
-        pos += len(smasks)
+    flat = []
+    block_end = []      # per pair: index just past its vertex set's group
+    for f, smasks in _masks.consistent_groups(lay, t, s):
+        flat.extend((f, sm) for sm in smasks)
+        block_end.extend([len(flat)] * len(smasks))
     checked = 0
     indist = _masks.pairs_indistinguishable
-    i = 0
-    block_end = 0
     for i, (f1, s1) in enumerate(flat):
-        if i in starts:
-            block_end = starts[i]
-        for j in range(block_end, len(flat)):
+        for j in range(block_end[i], len(flat)):
             f2, s2 = flat[j]
             checked += 1
             if indist(lay, f1, s1, f2, s2):
@@ -281,14 +252,14 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
                     umask = xmask | cmask
                     s1 = 0
                     for v in x2:
-                        for vb, eb, _w, _e in lay.adj_entries[v]:
+                        for vb, k in lay.adj[v]:
                             if vb & umask == 0:
-                                s1 |= eb
+                                s1 |= 1 << k
                     s2 = 0
                     for v in x1:
-                        for vb, eb, _w, _e in lay.adj_entries[v]:
+                        for vb, k in lay.adj[v]:
                             if vb & umask == 0:
-                                s2 |= eb
+                                s2 |= 1 << k
                     return (f1, s1, f2, s2), examined
     return None, examined
 

@@ -16,11 +16,10 @@ Two routes are kept deliberately separate so each can check the other:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import _masks
 from .errors import GraphMismatchError, InputError
-from .faults import FaultPair
+from .faults import FaultPair, _pair_from_masks
 from .graph import Graph
 
 
@@ -79,16 +78,8 @@ ENUMERATION_TEST_LIMIT = 12
 
 def _sigma_set(lay, f_mask: int, s_mask: int) -> frozenset[int]:
     """Every syndrome (as a fail bitmask) the pattern can produce."""
-    ff, fp = _masks.forced_masks(lay, f_mask, s_mask)
-    arb_positions = list(_masks.bits(lay.all_tests & ~(ff | fp)))
-    out = set()
-    for assignment in range(1 << len(arb_positions)):
-        fail = ff
-        for i, pos in enumerate(arb_positions):
-            if (assignment >> i) & 1:
-                fail |= 1 << pos
-        out.add(fail)
-    return frozenset(out)
+    return frozenset(_masks.adversary_syndromes(
+        lay, f_mask, s_mask, lambda free: range(1 << len(free))))
 
 
 def distinguishable_enumerated(g: Graph, p1: FaultPair, p2: FaultPair) -> bool:
@@ -106,14 +97,7 @@ def distinguishable_enumerated(g: Graph, p1: FaultPair, p2: FaultPair) -> bool:
 def all_consistent_pairs(g: Graph, max_vertices: int, max_edges: int) -> list[FaultPair]:
     """Every consistent fault pair within the size bounds, in lexicographic
     (|F|, F, |S|, S) order.  Intended for exhaustive checks on small graphs."""
-    from .faults import make_fault_pair
-
-    out = []
-    for fsize in range(max_vertices + 1):
-        for fverts in combinations(range(g.vertex_count), fsize):
-            fset = set(fverts)
-            free_edges = [e for e in g.edges if e[0] not in fset and e[1] not in fset]
-            for ssize in range(max_edges + 1):
-                for sedges in combinations(free_edges, ssize):
-                    out.append(make_fault_pair(g, fverts, sedges))
-    return out
+    lay = _masks.layout_of(g)
+    return [_pair_from_masks(g, lay, f, sm)
+            for f, smasks in _masks.consistent_groups(lay, max_vertices, max_edges)
+            for sm in smasks]

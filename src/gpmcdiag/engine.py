@@ -81,20 +81,15 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int, *,
     if len(fp.faulty_vertices) > t or len(fp.faulty_edges) > s:
         raise InputError("injected pair exceeds the diagnosis bounds")
     lay = _masks.layout_of(g)
-    ff, fpm = _masks.forced_masks(lay, fp.f_mask, fp.s_mask)
-    arb_positions = list(_masks.bits(lay.all_tests & ~(ff | fpm)))
-    k = len(arb_positions)
-    if k <= EXHAUSTIVE_ADVERSARY_LIMIT:
-        assignments = range(1 << k)
-    else:
+
+    def assignments(free):
+        if len(free) <= EXHAUSTIVE_ADVERSARY_LIMIT:
+            return range(1 << len(free))
         rng = random.Random(seed)
-        assignments = [rng.getrandbits(k) for _ in range(SAMPLED_ADVERSARY_COUNT)]
+        return [rng.getrandbits(len(free)) for _ in range(SAMPLED_ADVERSARY_COUNT)]
+
     expected = (fp.f_mask, fp.s_mask)
-    for assignment in assignments:
-        fail = ff
-        for i, pos in enumerate(arb_positions):
-            if (assignment >> i) & 1:
-                fail |= 1 << pos
+    for fail in _masks.adversary_syndromes(lay, fp.f_mask, fp.s_mask, assignments):
         found = _candidate_masks(lay, fail, t, s, limit=2)
         if len(found) != 1 or found[0] != expected:
             return False

@@ -206,38 +206,37 @@ def generate_syndrome(fp: FaultPair, strategy: str = "all-pass", *,
     ``seed``; same seed, same syndrome), or "explicit" (``assignments`` maps
     every (tester, testee) with a faulty tester to 0 or 1).
     """
+    if strategy not in ADVERSARY_STRATEGIES:
+        raise InputError(f"unknown adversary strategy {strategy!r}")
+    if strategy == "random" and seed is None:
+        raise InputError("random adversary requires an explicit seed")
+    if strategy == "explicit" and assignments is None:
+        raise InputError("explicit adversary requires assignments")
     g = fp.graph
-    lay = _masks.layout_of(g)
-    ff, fp_mask = _masks.forced_masks(lay, fp.f_mask, fp.s_mask)
-    arb = lay.all_tests & ~(ff | fp_mask)
-    fail = ff
-    if strategy == "all-pass":
-        pass
-    elif strategy == "all-fail":
-        fail |= arb
-    elif strategy == "random":
-        if seed is None:
-            raise InputError("random adversary requires an explicit seed")
-        rng = random.Random(seed)
-        for i in _masks.bits(arb):
-            if rng.random() < 0.5:
-                fail |= 1 << i
-    elif strategy == "explicit":
-        if assignments is None:
-            raise InputError("explicit adversary requires assignments")
+
+    def choose(free):
+        if strategy == "all-pass":
+            return [0]
+        if strategy == "all-fail":
+            return [(1 << len(free)) - 1]
+        if strategy == "random":
+            rng = random.Random(seed)
+            return [sum(1 << i for i in range(len(free)) if rng.random() < 0.5)]
+        tests = enumerate_tests(g)
         assigned = dict(assignments)
-        for i in _masks.bits(arb):
-            t = enumerate_tests(g)[i]
-            key = (t.tester, t.testee)
+        chosen = 0
+        for i, pos in enumerate(free):
+            key = (tests[pos].tester, tests[pos].testee)
             if key not in assigned:
                 raise InputError(f"no assignment for adversary-controlled test {key}")
             if assigned.pop(key):
-                fail |= 1 << i
+                chosen |= 1 << i
         if assigned:
             extra = sorted(assigned)
             raise InputError(f"assignments given for tests not adversary-controlled: {extra}")
-    else:
-        raise InputError(f"unknown adversary strategy {strategy!r}")
+        return [chosen]
+
+    (fail,) = _masks.adversary_syndromes(_masks.layout_of(g), fp.f_mask, fp.s_mask, choose)
     return _syndrome_from_mask(g, fail)
 
 

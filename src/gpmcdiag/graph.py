@@ -13,9 +13,11 @@ from itertools import combinations
 
 from .errors import InputError
 
-#: Largest supported hypercube dimension.  2^20 vertices is already far past
-#: the exhaustive-search scale this library targets; memory grows as n * 2^n.
-HYPERCUBE_DIMENSION_CAP = 20
+#: Largest supported hypercube dimension.  The mask layout dominates memory:
+#: it keeps one vertex-wide int per edge, so Q_n takes about n * 4^n / 16
+#: bytes.  Building Q_15, one fault pair and its syndrome peaks near 0.9 GB of
+#: RSS; Q_16 needs more than 2.2 GB of address space.
+HYPERCUBE_DIMENSION_CAP = 15
 
 
 def edge(u: int, v: int) -> tuple[int, int]:
@@ -30,9 +32,10 @@ class Graph:
 
     Edges are stored canonically as (min, max) pairs; edge identity is by
     endpoints.  ``labels`` optionally attaches a text label per vertex
-    (hypercubes use their bit strings).  ``vertex_transitive`` is set by
-    builders whose output provably looks the same from every vertex; search
-    code uses it to fix a single seed vertex.
+    (hypercubes use their bit strings).  ``vertex_transitive`` is true only
+    for builders whose output provably looks the same from every vertex
+    (hypercube, cycle, complete); search code uses it to fix a single seed
+    vertex, so callers cannot set it.
     """
 
     __slots__ = (
@@ -40,14 +43,13 @@ class Graph:
         "edges",
         "labels",
         "name",
-        "vertex_transitive",
+        "_vertex_transitive",
         "_adj",
         "_edge_set",
         "_layout",
     )
 
-    def __init__(self, vertex_count, edges, labels=None, name="graph",
-                 vertex_transitive=False):
+    def __init__(self, vertex_count, edges, labels=None, name="graph"):
         if vertex_count < 0:
             raise InputError("vertex_count must be non-negative")
         canon = []
@@ -67,14 +69,18 @@ class Graph:
         self.edges = tuple(sorted(edge_set))
         self.labels = labels
         self.name = name
-        self.vertex_transitive = vertex_transitive
+        self._vertex_transitive = False
         adj = [set() for _ in range(vertex_count)]
         for (u, v) in self.edges:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = tuple(frozenset(s) for s in adj)
         self._edge_set = edge_set
-        self._layout = None  # test-layout cache, built on demand by faults
+        self._layout = None  # mask-layout cache, built on demand by _masks.layout_of
+
+    @property
+    def vertex_transitive(self) -> bool:
+        return self._vertex_transitive
 
     @property
     def edge_count(self) -> int:
@@ -163,6 +169,12 @@ def girth(g: Graph):
 # builders
 # ---------------------------------------------------------------------------
 
+def _transitive(g: Graph) -> Graph:
+    """Mark a builder's output as vertex-transitive; only for proven families."""
+    g._vertex_transitive = True
+    return g
+
+
 def build_hypercube(n: int) -> Graph:
     """The n-dimensional hypercube: 2^n vertices, adjacency = one flipped bit.
 
@@ -176,7 +188,7 @@ def build_hypercube(n: int) -> Graph:
     size = 1 << n
     edges = [(v, v ^ (1 << b)) for v in range(size) for b in range(n) if v < v ^ (1 << b)]
     labels = [format(v, f"0{n}b") for v in range(size)]
-    return Graph(size, edges, labels=labels, name=f"hypercube-{n}", vertex_transitive=True)
+    return _transitive(Graph(size, edges, labels=labels, name=f"hypercube-{n}"))
 
 
 def hypercube_neighbor(label: str, dim: int) -> str:
@@ -200,14 +212,13 @@ def build_cycle(n: int) -> Graph:
     if n < 3:
         raise InputError("cycle needs at least three vertices")
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph(n, edges, name=f"cycle-{n}", vertex_transitive=True)
+    return _transitive(Graph(n, edges, name=f"cycle-{n}"))
 
 
 def build_complete(n: int) -> Graph:
     if n < 1:
         raise InputError("complete graph needs at least one vertex")
-    return Graph(n, list(combinations(range(n), 2)), name=f"complete-{n}",
-                 vertex_transitive=True)
+    return _transitive(Graph(n, list(combinations(range(n), 2)), name=f"complete-{n}"))
 
 
 def build_random(n: int, p: float, seed: int) -> Graph:

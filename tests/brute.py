@@ -46,45 +46,32 @@ def reference_candidate_masks(lay, fail_mask: int, t: int, s: int, limit=None):
     Unlike the rest of this module it works over the library's mask layout,
     because it must reproduce ``faults._candidate_masks`` output exactly:
     (f_mask, s_mask) pairs in (|F|, F) lexicographic order, cut at ``limit``.
-    It tries every vertex set of size at most t and forces S per set.
+    It tries every vertex set of size at most t and forces S per set, reading
+    each edge's two test bits straight from ``lay.edges`` order.
     """
-    n = lay.n
-    all_edges = (1 << lay.m) - 1
     found = []
     for fsize in range(t + 1):
-        for fverts in combinations(range(n), fsize):
-            f = 0
-            for v in fverts:
-                f |= 1 << v
-            arb = 0
-            bad_testee = 0
-            touched = 0
-            for v in fverts:
-                arb |= lay.out_tests[v]
-                bad_testee |= lay.in_tests[v]
-                touched |= lay.inc_mask[v]
-            # good tester, faulty testee: must fail
-            if bad_testee & ~arb & ~fail_mask:
-                continue
-            # edges between good vertices: both directions forced equal
-            good_edges = all_edges & ~touched
+        for fverts in combinations(range(lay.n), fsize):
+            fset = set(fverts)
             smask = 0
             ok = True
-            ge = good_edges
-            while ge:
-                low = ge & -ge
-                k = low.bit_length() - 1
-                r1 = (fail_mask >> (2 * k)) & 1
-                r2 = (fail_mask >> (2 * k + 1)) & 1
-                if r1 != r2:
-                    ok = False
+            for k, (a, b) in enumerate(lay.edges):
+                a_to_b = (fail_mask >> (2 * k)) & 1
+                b_to_a = (fail_mask >> (2 * k + 1)) & 1
+                if a in fset and b in fset:
+                    continue
+                if a in fset:
+                    ok = b_to_a == 1            # good tester, faulty testee: must fail
+                elif b in fset:
+                    ok = a_to_b == 1
+                else:
+                    ok = a_to_b == b_to_a       # two good ends read the edge alike
+                    smask |= a_to_b << k        # both fail: the edge is in S
+                if not ok:
                     break
-                if r1:
-                    smask |= low
-                ge ^= low
             if not ok or smask.bit_count() > s:
                 continue
-            found.append((f, smask))
+            found.append((sum(1 << v for v in fverts), smask))
             if limit is not None and len(found) >= limit:
                 return found
     return found

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +10,7 @@ import gpmcdiag as gd
 from gpmcdiag import ConsistencyError, ForcedOutcome, GraphMismatchError, InputError, _masks
 from gpmcdiag.faults import _candidate_masks
 
-from brute import brute_force_decode, reference_candidate_masks, sigma_set
+from brute import brute_force_decode, forced_value, reference_candidate_masks, sigma_set
 from gallery import full_gallery
 
 
@@ -84,6 +89,42 @@ class TestForcedOutcome:
             for t in gd.enumerate_tests(q2):
                 arb = gd.forced_outcome(t, fp) is ForcedOutcome.ARBITRARY
                 assert arb == (t.tester in fp.faulty_vertices)
+
+
+    def test_forced_masks_match_model_bit_by_bit(self):
+        # forced_masks derives test bits from the edge index alone (2k for the
+        # smaller endpoint's test, 2k+1 for the larger's); check every bit
+        for g in full_gallery():
+            lay = _masks.layout_of(g)
+            tests = gd.enumerate_tests(g)
+            for fp in gd.all_consistent_pairs(g, 3, 2):
+                ff, fpm = _masks.forced_masks(lay, fp.f_mask, fp.s_mask)
+                assert ff & fpm == 0
+                for i, test in enumerate(tests):
+                    want = forced_value(test, fp.faulty_vertices, fp.faulty_edges)
+                    got = 1 if (ff >> i) & 1 else 0 if (fpm >> i) & 1 else None
+                    assert got == want, f"{g.name} {fp} {test}"
+
+
+def test_large_hypercube_pair_fits_in_512_mb():
+    # the mask layout must stay small enough that Q_13 (53,248 edges) fits a
+    # fault pair and its syndrome into 512 MB of address space
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "import gpmcdiag as gd\n"
+        "g = gd.build_hypercube(13)\n"
+        "fp = gd.make_fault_pair(g, {1, 5, 1000}, {(2, 3)})\n"
+        "sig = gd.generate_syndrome(fp, 'random', seed=1)\n"
+        "print(gd.is_consistent(sig, fp))\n"
+    )
+    src = str(Path(gd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.split() == ["True"]
 
 
 class TestGenerateSyndrome:

@@ -93,6 +93,8 @@ class TestHypercube:
             gd.build_hypercube(0)
         with pytest.raises(InputError):
             gd.build_hypercube(21)
+        with pytest.raises(InputError):
+            gd.build_hypercube(gd.graph.HYPERCUBE_DIMENSION_CAP + 1)
 
     def test_adjacency_is_hamming_distance_one(self, q3):
         for (u, v) in q3.edges:
@@ -207,6 +209,17 @@ class TestGraphValidation:
     def test_edges_canonical_and_sorted(self):
         g = gd.Graph(4, [(3, 1), (2, 0)])
         assert g.edges == ((0, 2), (1, 3))
+
+    def test_vertex_transitive_cannot_be_claimed(self):
+        # the flag makes the search try a single seed vertex, so a false one
+        # would inflate values; only the builders of symmetric families set it
+        with pytest.raises(TypeError):
+            gd.Graph(3, [(0, 1), (1, 2)], vertex_transitive=True)
+        g = gd.build_path(3)
+        with pytest.raises(AttributeError):
+            g.vertex_transitive = True
+        assert not g.vertex_transitive
+        assert gd.build_cycle(5).vertex_transitive
 
 
 class TestEdgeListFormat:
