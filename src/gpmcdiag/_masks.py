@@ -8,8 +8,9 @@ Encodings, for a graph with n vertices and m edges:
   the test a -> b and bit 2k+1 for the test b -> a (the canonical test order,
   see ``faults.enumerate_tests``).  Both tests of edge k are ``3 << 2k``.
 
-Edge-space and test-space masks are built from these rules where they are
-used, so the layout holds no table whose entries span the edge or test space.
+Edge-space and test-space masks, and an edge's endpoint bits, are built from
+these rules and ``Layout.edges`` where they are used, so the layout holds no
+per-edge vertex mask and no table whose entries span the edge or test space.
 Everything in here is exact arithmetic over those encodings; it only exists
 so the hot loops touch machine integers instead of frozensets.
 """
@@ -25,10 +26,8 @@ class Layout:
     """Vertex bits and edge indices for one graph.
 
     Memory: ``nbr_mask`` and the vertex bits shared by ``adj`` take O(n^2)
-    bits, ``edge_vmask`` O(n*m) bits (edge k's int is as wide as its larger
-    endpoint), the rest O(n + m) machine words.  ``edge_vmask`` dominates on
-    large graphs; it stays because the pair comparison reads it in its
-    hottest loop.
+    bits, the rest O(n + m) machine words.  An edge's endpoint bits are built
+    from ``edges`` where they are needed.
     """
 
     n: int                       # vertex count
@@ -36,7 +35,6 @@ class Layout:
     edges: tuple                 # canonical (min, max) pairs, sorted
     edge_index: dict             # (min, max) -> k
     nbr_mask: tuple              # per vertex: neighbor vertex bits
-    edge_vmask: tuple            # per edge: bits of both endpoints
     adj: tuple                   # per vertex: ((neighbor vertex bit, k), ...) sorted by neighbor
     all_tests: int
 
@@ -60,7 +58,6 @@ def layout_of(g) -> Layout:
         edges=g.edges,
         edge_index={e: k for k, e in enumerate(g.edges)},
         nbr_mask=tuple(nbr),
-        edge_vmask=tuple(vbit[u] | vbit[v] for u, v in g.edges),
         adj=tuple(tuple((vbit[v], k) for v, k in sorted(es)) for es in adj),
         all_tests=(1 << (2 * len(g.edges))) - 1,
     )
@@ -136,7 +133,8 @@ def consistent_groups(lay: Layout, max_vertices: int, max_edges: int):
     for fsize in range(min(max_vertices, lay.n) + 1):
         for fverts in combinations(range(lay.n), fsize):
             f = vertex_mask(fverts)
-            free = [1 << k for k, ends in enumerate(lay.edge_vmask) if not ends & f]
+            free = [1 << k for k, (a, b) in enumerate(lay.edges)
+                    if not (f >> a) & 1 and not (f >> b) & 1]
             yield f, [sum(sel) for size in range(min(max_edges, len(free)) + 1)
                       for sel in combinations(free, size)]
 
@@ -152,35 +150,17 @@ def pairs_indistinguishable(lay: Layout, f1: int, s1: int, f2: int, s2: int) -> 
     """
     both_f = f1 | f2
     # edge-side conditions
-    d = s1 & ~s2
-    while d:
-        low = d & -d
-        if lay.edge_vmask[low.bit_length() - 1] & f2 == 0:
-            return False
-        d ^= low
-    d = s2 & ~s1
-    while d:
-        low = d & -d
-        if lay.edge_vmask[low.bit_length() - 1] & f1 == 0:
-            return False
-        d ^= low
+    for d, other_f in ((s1 & ~s2, f2), (s2 & ~s1, f1)):
+        for k in bits(d):
+            a, b = lay.edges[k]
+            if not (other_f >> a) & 1 and not (other_f >> b) & 1:
+                return False
     # vertex-side conditions
-    d = f1 & ~f2
-    while d:
-        low = d & -d
-        u = low.bit_length() - 1
-        for vb, k in lay.adj[u]:
-            if vb & both_f == 0 and (s2 >> k) & 1 == 0:
-                return False
-        d ^= low
-    d = f2 & ~f1
-    while d:
-        low = d & -d
-        u = low.bit_length() - 1
-        for vb, k in lay.adj[u]:
-            if vb & both_f == 0 and (s1 >> k) & 1 == 0:
-                return False
-        d ^= low
+    for d, other_s in ((f1 & ~f2, s2), (f2 & ~f1, s1)):
+        for u in bits(d):
+            for vb, k in lay.adj[u]:
+                if vb & both_f == 0 and (other_s >> k) & 1 == 0:
+                    return False
     return True
 
 
@@ -205,8 +185,8 @@ def find_condition_witness(lay: Layout, f1: int, s1: int, f2: int, s2: int):
             return (1, (a, b), 1)
         if ((am & only2 and free_b) or (bm & only2 and free_a)) and s1 & eb == 0:
             return (1, (a, b), 2)
-        if sd1 & eb and lay.edge_vmask[k] & f2 == 0:
+        if sd1 & eb and (am | bm) & f2 == 0:
             return (2, (a, b), 1)
-        if sd2 & eb and lay.edge_vmask[k] & f1 == 0:
+        if sd2 & eb and (am | bm) & f1 == 0:
             return (2, (a, b), 2)
     return None

@@ -1,19 +1,17 @@
 """Exhaustive computation of the restricted diagnosability parameters.
 
 ``is_ts_diagnosable`` decides whether every two distinct in-bound consistent
-fault pairs are distinguishable.  Two exact methods are provided:
-
-- "full": enumerate every consistent pair within bounds and compare all of
-  them pairwise.  The reference method; practical up to 8-vertex graphs.
-- "local": search directly for the difference structure of an
-  indistinguishable pair.  Writing X1 = F1 - F2, X2 = F2 - F1, C = F1 & F2,
-  a witness exists exactly when disjoint (X1, X2, C) exist with X1 or X2
-  nonempty, |X1| + |C| <= t, |X2| + |C| <= t, and each of X1, X2 sends at
-  most s edges to vertices outside X1 | X2 | C.  The faulty edge sets are
-  then forced (each side's uncovered neighbors are blocked by the other
-  side's edges), so no edge subsets are ever enumerated.  This makes the
-  4-dimensional hypercube cheap while remaining exact; the test suite
-  cross-validates the two methods on every small graph in the gallery.
+fault pairs are distinguishable.  It searches directly for the difference
+structure of an indistinguishable pair (the "local" method).  Writing
+X1 = F1 - F2, X2 = F2 - F1, C = F1 & F2, a witness exists exactly when
+disjoint (X1, X2, C) exist with X1 or X2 nonempty, |X1| + |C| <= t,
+|X2| + |C| <= t, and each of X1, X2 sends at most s edges to vertices outside
+X1 | X2 | C.  The faulty edge sets are then forced (each side's uncovered
+neighbors are blocked by the other side's edges), so no edge subsets are ever
+enumerated.  This makes the 4-dimensional hypercube cheap while remaining
+exact.  The test suite checks it on every gallery graph against an oracle
+that enumerates every consistent pair within bounds and compares them
+pairwise (``full_search`` in ``tests/brute.py``).
 
 Vertex-transitive graphs are searched from the single seed vertex 0, since
 any witness can be translated to one whose smallest difference vertex is 0;
@@ -133,35 +131,7 @@ def _assert_witness(g: Graph, p1: FaultPair, p2: FaultPair):
 
 
 # ---------------------------------------------------------------------------
-# full method: literal pair enumeration
-# ---------------------------------------------------------------------------
-
-def _full_search(g: Graph, t: int, s: int):
-    """First indistinguishable pair in lexicographic order, or None.
-
-    Pairs sharing the same faulty vertex set are always distinguishable (the
-    extra faulty edge has fault-free endpoints on both sides), so comparisons
-    are only made across distinct vertex sets.
-    """
-    lay = _masks.layout_of(g)
-    flat = []
-    block_end = []      # per pair: index just past its vertex set's group
-    for f, smasks in _masks.consistent_groups(lay, t, s):
-        flat.extend((f, sm) for sm in smasks)
-        block_end.extend([len(flat)] * len(smasks))
-    checked = 0
-    indist = _masks.pairs_indistinguishable
-    for i, (f1, s1) in enumerate(flat):
-        for j in range(block_end[i], len(flat)):
-            f2, s2 = flat[j]
-            checked += 1
-            if indist(lay, f1, s1, f2, s2):
-                return (f1, s1, f2, s2), {"candidates": len(flat), "pairs_examined": checked}
-    return None, {"candidates": len(flat), "pairs_examined": checked}
-
-
-# ---------------------------------------------------------------------------
-# local method: difference-structure search
+# difference-structure search
 # ---------------------------------------------------------------------------
 
 def _cover_subset(cands, need1, need2, cmax):
@@ -296,15 +266,21 @@ def _local_search(g: Graph, t: int, s: int, audit: bool, jobs: int):
 # public entry points
 # ---------------------------------------------------------------------------
 
+# Read only by the benchmark (perfbench/workloads.py); the search ignores it.
 FULL_METHOD_VERTEX_LIMIT = 8
 
 
-def _resolve_method(g: Graph, method: str) -> str:
-    if method == "auto":
-        return "full" if g.vertex_count <= FULL_METHOD_VERTEX_LIMIT else "local"
-    if method not in ("full", "local"):
-        raise InputError(f"unknown search method {method!r}")
-    return method
+def _full_search(g: Graph, t: int, s: int):
+    """Nothing calls this; the benchmark's tracer (perfbench/tracing.py) wraps
+    the name.  The pairwise search is the test oracle ``full_search`` in
+    tests/brute.py."""
+    raise InputError("the pairwise search is not part of the library; use method='local'")
+
+
+def _check_method(method: str):
+    # one search method: "auto" and "local" both name it
+    if method not in ("auto", "local"):
+        raise InputError(f"unknown search method {method!r}; use 'auto' or 'local'")
 
 
 def _witness_pairs(g: Graph, masks) -> tuple[FaultPair, FaultPair]:
@@ -321,33 +297,42 @@ def is_ts_diagnosable(g: Graph, t: int, s: int, *, method: str = "auto",
     """Whether every two distinct consistent pairs within (t, s) are distinguishable.
 
     On failure the witness is an indistinguishable pair, re-validated against
-    both distinguishability routes before being returned.
+    both distinguishability routes before being returned.  ``method`` may be
+    "auto" or "local", which name the same search; anything else raises
+    InputError.
     """
     if t < 0 or s < 0:
         raise InputError("bounds t and s must be non-negative")
-    chosen = _resolve_method(g, method)
-    if chosen == "full":
-        masks, stats = _full_search(g, t, s)
-    else:
-        masks, stats = _local_search(g, t, s, audit, jobs)
-    stats = {"method": chosen, **stats}
+    _check_method(method)
+    masks, stats = _local_search(g, t, s, audit, jobs)
+    stats = {"method": "local", **stats}
     if masks is None:
         return TsResult(True, None, stats)
     return TsResult(False, _witness_pairs(g, masks), stats)
 
 
-def _merge_stats(total: dict, level_stats: dict):
-    for key in ("pairs_examined", "structures_examined", "candidates"):
-        if key in level_stats:
-            total[key] = total.get(key, 0) + level_stats[key]
+def _ascend(g: Graph, bounds, top: int, method: str, audit: bool, jobs: int):
+    """(value, witness, stats) of the level-ascending search over 0..top.
+
+    ``bounds(level)`` is the (t, s) pair decided at that level.  A failure at
+    (t, s) is also a failure at any larger bounds, so the walk stops at the
+    first non-diagnosable level and keeps its witness; the value is the last
+    diagnosable level, -1 when level 0 already fails.
+    """
+    stats = {"method": "local", "structures_examined": 0}
+    for level in range(top + 1):
+        result = is_ts_diagnosable(g, *bounds(level), method=method, audit=audit, jobs=jobs)
+        stats["structures_examined"] += result.stats["structures_examined"]
+        if not result.diagnosable:
+            return level - 1, result.witness, stats
+    return top, None, stats
 
 
 def edge_restricted_diagnosability(g: Graph, h: int, *, method: str = "auto",
                                    audit: bool = False, jobs: int = 1) -> DiagnosabilityReport:
     """Largest t such that the graph is (t, h)-diagnosable, by ascending search.
 
-    A failure at (t, s) is also a failure at any larger bounds, so the search
-    stops at the first non-diagnosable level and attaches its witness.  Edge
+    The witness is the indistinguishable pair found at t = value + 1.  Edge
     budgets beyond the minimum degree are computed all the same but flagged,
     since the closed-form bounds no longer apply there.
     """
@@ -356,20 +341,7 @@ def edge_restricted_diagnosability(g: Graph, h: int, *, method: str = "auto",
     if not 0 <= h <= len(g.edges):
         raise InputError(f"edge budget h={h} outside 0..{len(g.edges)}")
     started = time.perf_counter()
-    stats: dict = {}
-    value = -1
-    witness = None
-    t = 0
-    while t <= g.vertex_count:
-        result = is_ts_diagnosable(g, t, h, method=method, audit=audit, jobs=jobs)
-        stats.setdefault("method", result.stats["method"])
-        _merge_stats(stats, result.stats)
-        if result.diagnosable:
-            value = t
-            t += 1
-            continue
-        witness = result.witness
-        break
+    value, witness, stats = _ascend(g, lambda t: (t, h), g.vertex_count, method, audit, jobs)
     return DiagnosabilityReport(
         graph_name=g.name,
         kind="edge-restricted",
@@ -395,6 +367,7 @@ def vertex_restricted_edge_diagnosability(g: Graph, r: int, *, method: str = "au
         raise InputError("diagnosability of the empty graph is undefined")
     if r < 0:
         raise InputError("vertex budget r must be non-negative")
+    _check_method(method)
     started = time.perf_counter()
     if r == 0:
         return DiagnosabilityReport(
@@ -406,20 +379,7 @@ def vertex_restricted_edge_diagnosability(g: Graph, r: int, *, method: str = "au
             elapsed_seconds=time.perf_counter() - started,
             stats={"method": "analytic"},
         )
-    stats: dict = {}
-    value = -1
-    witness = None
-    s = 0
-    while s <= len(g.edges) + 1:
-        result = is_ts_diagnosable(g, r, s, method=method, audit=audit, jobs=jobs)
-        stats.setdefault("method", result.stats["method"])
-        _merge_stats(stats, result.stats)
-        if result.diagnosable:
-            value = s
-            s += 1
-            continue
-        witness = result.witness
-        break
+    value, witness, stats = _ascend(g, lambda s: (r, s), len(g.edges) + 1, method, audit, jobs)
     return DiagnosabilityReport(
         graph_name=g.name,
         kind="vertex-restricted-edge",

@@ -1,6 +1,6 @@
 """Deciding whether two fault pairs can be told apart by some syndrome.
 
-Two routes are kept deliberately separate so each can check the other:
+Three routes are kept deliberately separate so each can check the others:
 
 - ``distinguishable`` evaluates the two structural conditions (a fault-free
   vertex that can test a one-sided faulty vertex over a non-faulty edge, or a

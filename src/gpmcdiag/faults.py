@@ -64,7 +64,7 @@ class FaultPair:
             ce = g.check_edge(e)
             if ce != e:
                 raise InputError(f"edge {e} is not in canonical (min, max) form")
-            if fm & lay.edge_vmask[lay.edge_index[ce]]:
+            if ce[0] in self.faulty_vertices or ce[1] in self.faulty_vertices:
                 raise ConsistencyError(
                     f"faulty edge {ce[0]}-{ce[1]} is incident to a faulty vertex", edge=ce)
             sm |= 1 << lay.edge_index[ce]
@@ -145,12 +145,21 @@ def forced_outcome(t: Test, fp: FaultPair) -> ForcedOutcome:
 # syndromes
 # ---------------------------------------------------------------------------
 
+# results <-> binary digits, one byte per test, so conversions stay linear in m
+_DIGITS_TO_RESULTS = bytes.maketrans(b"01", b"\x00\x01")
+_RESULTS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 @dataclass(frozen=True)
 class Syndrome:
-    """A complete test-result assignment; results align with enumerate_tests."""
+    """A complete test-result assignment; results align with enumerate_tests.
+
+    ``fail_mask`` holds the failing tests as a test-set mask (bit i = test i).
+    """
 
     graph: Graph
     results: tuple[int, ...]
+    fail_mask: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         m = len(self.graph.edges)
@@ -158,14 +167,9 @@ class Syndrome:
             raise InputError(f"syndrome must assign all {2 * m} tests")
         if any(r not in (0, 1) for r in self.results):
             raise InputError("syndrome results must be 0 (pass) or 1 (fail)")
-
-    @property
-    def fail_mask(self) -> int:
-        mask = 0
-        for i, r in enumerate(self.results):
-            if r:
-                mask |= 1 << i
-        return mask
+        # bool(), so every result that passed the check above converts (1.0, numpy bools)
+        digits = bytes(map(bool, reversed(self.results))).translate(_RESULTS_TO_DIGITS)
+        object.__setattr__(self, "fail_mask", int(b"0" + digits, 2))
 
     def outcome(self, tester: int, testee: int) -> TestOutcome:
         return TestOutcome(self.results[_test_index(self.graph, tester, testee)])
@@ -191,7 +195,8 @@ def syndrome_from_triples(g: Graph, triples) -> Syndrome:
 
 def _syndrome_from_mask(g: Graph, fail_mask: int) -> Syndrome:
     m = len(g.edges)
-    return Syndrome(g, tuple((fail_mask >> i) & 1 for i in range(2 * m)))
+    digits = format(fail_mask, f"0{2 * m}b")[::-1][:2 * m]     # digit i is test i
+    return Syndrome(g, tuple(digits.encode().translate(_DIGITS_TO_RESULTS)))
 
 
 ADVERSARY_STRATEGIES = ("all-pass", "all-fail", "random", "explicit")
@@ -293,7 +298,7 @@ def _candidate_masks(lay, fail_mask: int, t: int, s: int, limit=None):
         if i & 1:
             a, b = b, a
         elif rest & (low << 1):
-            both_fail_edges.append((k, lay.edge_vmask[k]))
+            both_fail_edges.append((k, (1 << a) | (1 << b)))
         fail_out[a] |= 1 << b
         fail_in[b] |= 1 << a
         rest ^= low

@@ -14,9 +14,9 @@ from itertools import combinations
 from .errors import InputError
 
 #: Largest supported hypercube dimension.  The mask layout dominates memory:
-#: it keeps one vertex-wide int per edge, so Q_n takes about n * 4^n / 16
-#: bytes.  Building Q_15, one fault pair and its syndrome peaks near 0.9 GB of
-#: RSS; Q_16 needs more than 2.2 GB of address space.
+#: it keeps two vertex-wide ints per vertex (its neighbor bits and its own
+#: bit), about 4^n / 5 bytes for Q_n.  Building Q_15, one fault pair and its
+#: syndrome peaks near 0.4 GB of RSS.
 HYPERCUBE_DIMENSION_CAP = 15
 
 

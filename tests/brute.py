@@ -1,17 +1,22 @@
 """Independent brute-force oracles used to check the library's fast paths.
 
-Everything here works from the model's definitions with plain sets and
-tuples, deliberately avoiding the library's mask machinery and search code so
-that agreement between the two is evidence, not tautology.
+Most of this works from the model's definitions with plain sets and tuples,
+deliberately avoiding the library's mask machinery and search code so that
+agreement between the two is evidence, not tautology.  Two oracles,
+``reference_candidate_masks`` (for the decoder) and ``full_search`` (for the
+diagnosability search), work over the library's mask layout instead; the
+definitional checks here cover that layout.
 """
 
 from __future__ import annotations
 
+import time
 from itertools import combinations, product
 
 import numpy as np
 
 import gpmcdiag as gd
+from gpmcdiag import _masks
 
 
 def forced_value(test: gd.Test, fset: frozenset, sset: frozenset):
@@ -75,6 +80,65 @@ def reference_candidate_masks(lay, fail_mask: int, t: int, s: int, limit=None):
             if limit is not None and len(found) >= limit:
                 return found
     return found
+
+
+def full_search(g, t: int, s: int):
+    """First indistinguishable pair in lexicographic order, or None.
+
+    The pairwise oracle for the library's difference-structure search.  Like
+    ``reference_candidate_masks`` it works over the library's mask layout and
+    reads ``_masks.consistent_groups`` and ``_masks.pairs_indistinguishable``.
+
+    Pairs sharing the same faulty vertex set are always distinguishable (the
+    extra faulty edge has fault-free endpoints on both sides), so comparisons
+    are only made across distinct vertex sets.
+    """
+    lay = _masks.layout_of(g)
+    flat = []
+    block_end = []      # per pair: index just past its vertex set's group
+    for f, smasks in _masks.consistent_groups(lay, t, s):
+        flat.extend((f, sm) for sm in smasks)
+        block_end.extend([len(flat)] * len(smasks))
+    checked = 0
+    indist = _masks.pairs_indistinguishable
+    for i, (f1, s1) in enumerate(flat):
+        for j in range(block_end[i], len(flat)):
+            f2, s2 = flat[j]
+            checked += 1
+            if indist(lay, f1, s1, f2, s2):
+                return (f1, s1, f2, s2), {"candidates": len(flat), "pairs_examined": checked}
+    return None, {"candidates": len(flat), "pairs_examined": checked}
+
+
+def full_is_ts_diagnosable(g, t: int, s: int) -> gd.TsResult:
+    """``is_ts_diagnosable`` answered by ``full_search``; stats name "full"."""
+    masks, stats = full_search(g, t, s)
+    stats = {"method": "full", **stats}
+    if masks is None:
+        return gd.TsResult(True, None, stats)
+    lay = _masks.layout_of(g)
+    f1, s1, f2, s2 = masks
+    witness = tuple(gd.make_fault_pair(g, _masks.bits(f), [lay.edges[k] for k in _masks.bits(sm)])
+                    for f, sm in ((f1, s1), (f2, s2)))
+    return gd.TsResult(False, witness, stats)
+
+
+def full_edge_restricted_diagnosability(g, h: int) -> gd.DiagnosabilityReport:
+    """t_h by ascending ``full_search`` levels, with the counters summed."""
+    started = time.perf_counter()
+    stats = {"method": "full", "candidates": 0, "pairs_examined": 0}
+    value, witness = -1, None
+    for t in range(g.vertex_count + 1):
+        result = full_is_ts_diagnosable(g, t, h)
+        for key in ("candidates", "pairs_examined"):
+            stats[key] += result.stats[key]
+        if not result.diagnosable:
+            witness = result.witness
+            break
+        value = t
+    return gd.DiagnosabilityReport(
+        graph_name=g.name, kind="edge-restricted", level=h, value=value, witness=witness,
+        elapsed_seconds=time.perf_counter() - started, stats=stats)
 
 
 def sigma_set(g, fset, sset) -> frozenset:

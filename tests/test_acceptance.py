@@ -11,7 +11,8 @@ import math
 
 import gpmcdiag as gd
 
-from brute import all_pairs_agreement, pmc_brute_diagnosability
+from brute import all_pairs_agreement, full_edge_restricted_diagnosability, \
+    pmc_brute_diagnosability
 from gallery import full_gallery
 from gpmcdiag.cli import main as cli_main
 
@@ -28,10 +29,12 @@ def test_criterion_1_edge_restricted_closed_form():
     """t_h(Q_n) = n - h for all 1 <= h <= n: n in {2,3} by full enumeration,
     n = 4 with the pruned search; exact equality."""
     mismatches = []
-    for n, method in ((2, "full"), (3, "full"), (4, "auto")):
+    for n, search in ((2, full_edge_restricted_diagnosability),
+                      (3, full_edge_restricted_diagnosability),
+                      (4, gd.edge_restricted_diagnosability)):
         g = gd.build_hypercube(n)
         for h in range(1, n + 1):
-            rep = gd.edge_restricted_diagnosability(g, h, method=method)
+            rep = search(g, h)
             if rep.value != n - h:
                 mismatches.append(f"n={n} h={h}: computed {rep.value}, claimed {n - h}")
     ok = _verdict("criterion-1 edge-restricted closed form", not mismatches,
@@ -60,7 +63,7 @@ def test_criterion_3_classical_diagnosability():
     mismatches = []
     for n in (2, 3):
         g = gd.build_hypercube(n)
-        value = gd.pmc_diagnosability(g, method="full")
+        value = full_edge_restricted_diagnosability(g, 0).value
         independent = pmc_brute_diagnosability(g)
         assert value == independent, "library disagrees with the definitional brute force"
         if value != n:

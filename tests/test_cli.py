@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +261,30 @@ class TestDeterminism:
             assert main(args + ["--output", str(out)]) == 1
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GOLDEN_CONFIGS = {
+    "diagnosability-q4-h1.json": ["diagnosability", "--topology", "hypercube", "--n", "4",
+                                  "--edge-restricted", "1", "--format", "json"],
+    "diagnosability-q4-r1.json": ["diagnosability", "--topology", "hypercube", "--n", "4",
+                                  "--vertex-restricted", "1", "--format", "json"],
+    "diagnose-q6-random.json": ["diagnose", "--topology", "hypercube", "--n", "6",
+                                "--random-faults", "3,1", "--t", "3", "--s", "1",
+                                "--adversary", "random", "--seed", "7", "--format", "json"],
+    "inject-q3.csv": ["inject", "--topology", "hypercube", "--n", "3",
+                      "--faulty-vertices", "0,5", "--faulty-edges", "2-6",
+                      "--adversary", "random", "--seed", "3", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_output_matches_golden_bytes(tmp_path, name):
+    # the structured output is a contract: a fixed config keeps its exact bytes
+    out = tmp_path / name
+    assert main(GOLDEN_CONFIGS[name] + ["--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -3,7 +3,8 @@ import pytest
 import gpmcdiag as gd
 from gpmcdiag import InputError
 
-from brute import pmc_brute_diagnosability
+from brute import full_edge_restricted_diagnosability, full_is_ts_diagnosable, \
+    pmc_brute_diagnosability
 from gallery import full_gallery, is_connected, min_edge_max_degree
 
 # Values established by literal syndrome-set enumeration (see the brute
@@ -37,14 +38,19 @@ class TestIsTsDiagnosable:
         with pytest.raises(InputError):
             gd.is_ts_diagnosable(q2, -1, 0)
 
+    def test_full_method_is_gone(self, q2):
+        # one search method is exposed; the pairwise one is brute.full_search
+        with pytest.raises(InputError):
+            gd.is_ts_diagnosable(q2, 1, 0, method="full")
+        with pytest.raises(InputError):
+            gd.vertex_restricted_edge_diagnosability(q2, 0, method="full")
+
     def test_methods_agree_on_grid(self):
-        graphs = [gd.build_hypercube(2), gd.build_cycle(4), gd.build_cycle(6),
-                  gd.build_complete(4), gd.build_path(4),
-                  gd.build_random(6, 0.5, 61), gd.build_random(7, 0.5, 8)]
+        graphs = [gd.build_path(4)] + full_gallery()
         for g in graphs:
             for t in range(0, 4):
                 for s in range(0, 3):
-                    full = gd.is_ts_diagnosable(g, t, s, method="full")
+                    full = full_is_ts_diagnosable(g, t, s)
                     local = gd.is_ts_diagnosable(g, t, s, method="local")
                     audit = gd.is_ts_diagnosable(g, t, s, method="local", audit=True)
                     assert full.diagnosable == local.diagnosable == audit.diagnosable, \
@@ -52,15 +58,15 @@ class TestIsTsDiagnosable:
 
     def test_methods_agree_on_q3_levels(self, q3):
         for (t, s) in [(2, 1), (3, 1), (1, 2), (3, 0), (4, 0)]:
-            assert (gd.is_ts_diagnosable(q3, t, s, method="full").diagnosable
+            assert (full_is_ts_diagnosable(q3, t, s).diagnosable
                     == gd.is_ts_diagnosable(q3, t, s, method="local").diagnosable)
 
     def test_antipodal_split_defeats_the_four_cycle(self):
         # the (2,0) witness spans the whole cycle; a purely neighborhood-local
         # enumeration would miss it, the difference-structure search must not
         c4 = gd.build_cycle(4)
-        for method in ("full", "local"):
-            result = gd.is_ts_diagnosable(c4, 2, 0, method=method)
+        for result in (full_is_ts_diagnosable(c4, 2, 0),
+                       gd.is_ts_diagnosable(c4, 2, 0, method="local")):
             assert not result.diagnosable
             f1 = result.witness[0].faulty_vertices
             f2 = result.witness[1].faulty_vertices
@@ -89,7 +95,7 @@ class TestEdgeRestricted:
     def test_hypercube_values_full_enumeration(self, n):
         g = gd.build_hypercube(n)
         for h, expected in EXPECTED_EDGE_RESTRICTED[n].items():
-            rep = gd.edge_restricted_diagnosability(g, h, method="full")
+            rep = full_edge_restricted_diagnosability(g, h)
             assert rep.value == expected, (n, h)
             assert rep.stats["method"] == "full"
 
@@ -98,6 +104,18 @@ class TestEdgeRestricted:
             rep = gd.edge_restricted_diagnosability(q4, h)
             assert rep.value == expected, h
             assert rep.stats["method"] == "local"
+
+    def test_witnesses_match_the_decisions_note(self):
+        # the pairs notes/decisions.md gives for acceptance criteria 1 and 3
+        pins = {
+            (2, 1): [({0}, {(1, 3)}), ({1}, {(0, 2)})],
+            (3, 2): [({0}, {(1, 3), (1, 5)}), ({1}, {(0, 2), (0, 4)})],
+            (4, 3): [({0}, {(1, 3), (1, 5), (1, 9)}), ({1}, {(0, 2), (0, 4), (0, 8)})],
+            (2, 0): [({0, 1}, set()), ({2, 3}, set())],
+        }
+        for (n, h), pairs in pins.items():
+            witness = gd.edge_restricted_diagnosability(gd.build_hypercube(n), h).witness
+            assert [(p.faulty_vertices, p.faulty_edges) for p in witness] == pairs, (n, h)
 
     def test_witness_attached_and_revalidates(self, q3):
         rep = gd.edge_restricted_diagnosability(q3, 1)
@@ -123,9 +141,14 @@ class TestEdgeRestricted:
             gd.edge_restricted_diagnosability(gd.Graph(0, []), 0)
 
     def test_stats_accumulate(self, q3):
-        rep = gd.edge_restricted_diagnosability(q3, 1, method="full")
+        rep = full_edge_restricted_diagnosability(q3, 1)
         assert rep.stats["pairs_examined"] > 0
         assert rep.elapsed_seconds >= 0
+        # the report sums the searched levels 0..value+1
+        rep = gd.edge_restricted_diagnosability(q3, 1)
+        levels = [gd.is_ts_diagnosable(q3, t, 1) for t in range(rep.value + 2)]
+        assert rep.stats == {"method": "local", "structures_examined": sum(
+            level.stats["structures_examined"] for level in levels)}
 
 
 class TestVertexRestricted:

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import gpmcdiag as gd
 from gpmcdiag import ConsistencyError, ForcedOutcome, GraphMismatchError, InputError, _masks
-from gpmcdiag.faults import _candidate_masks
+from gpmcdiag.faults import _candidate_masks, _syndrome_from_mask
 
 from brute import brute_force_decode, forced_value, reference_candidate_masks, sigma_set
 from gallery import full_gallery
@@ -21,9 +22,10 @@ class TestMakeFaultPair:
         assert fp.faulty_edges == {(3, 7)}
 
     def test_edge_touching_faulty_vertex_rejected(self, q3):
-        with pytest.raises(ConsistencyError) as err:
-            gd.make_fault_pair(q3, {0}, {(0, 1)})
-        assert err.value.edge == (0, 1)
+        for faulty in (0, 1):
+            with pytest.raises(ConsistencyError) as err:
+                gd.make_fault_pair(q3, {faulty}, {(0, 1)})
+            assert err.value.edge == (0, 1)
 
     def test_empty_pair(self, q3):
         fp = gd.make_fault_pair(q3, set(), set())
@@ -229,6 +231,18 @@ class TestSyndromeSerialization:
     def test_non_adjacent_triple_rejected(self, q2):
         with pytest.raises(InputError):
             gd.syndrome_from_triples(q2, [(0, 3, 0)])
+
+    def test_fail_mask_roundtrips_through_results(self):
+        rng = random.Random(11)
+        for g in full_gallery() + [gd.build_hypercube(5)]:
+            width = 2 * len(g.edges)
+            masks = [0, (1 << width) - 1, 1 << (width - 1)]
+            masks += [rng.getrandbits(width) for _ in range(20)]
+            for mask in masks:
+                sig = _syndrome_from_mask(g, mask)
+                assert sig.results == tuple((mask >> i) & 1 for i in range(width)), g.name
+                assert sig.fail_mask == mask, g.name
+                assert gd.Syndrome(g, tuple(map(float, sig.results))).fail_mask == mask
 
 
 class TestEnumerateConsistentPairs:
