@@ -3,9 +3,10 @@ compute diagnosability parameters, and check the hypercube closed forms.
 
 Structured output is the contract: every command emits a report shaped as
 {"command", "config", "result", "stats", "version"} and a fixed RunConfig
-(seeds included) produces byte-identical JSON and CSV across runs and across
-worker counts.  Wall-clock timings therefore appear only in the human table
-rendering, never in structured output, and the worker count is not echoed.
+(seeds included) produces byte-identical JSON and CSV across runs.
+Wall-clock timings therefore appear only in the human table rendering, never
+in structured output.  ``--jobs N`` is accepted and ignored, so existing
+command lines still parse: every search runs in one process.
 
 Exit codes: 0 success (all checks passed), 1 verification mismatch,
 2 invalid input.
@@ -18,7 +19,6 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import sys
 from pathlib import Path
@@ -44,20 +44,10 @@ from .graph import (
 
 SCHEMA_VERSION = "1"
 
-JOBS_ENV_VAR = "GPMCDIAG_JOBS"
-
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -93,11 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--seed", type=int, default=None,
                         help="seed for random faults and the random adversary")
 
-    jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=_default_jobs(),
-                      help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)")
-    jobs.add_argument("--audit-full-enumeration", action="store_true", dest="audit",
-                      help="disable symmetry shortcuts; sweep every seed vertex")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--jobs", type=int, default=1,
+                        help="accepted and ignored; the search runs in one process")
+    search.add_argument("--audit-full-enumeration", action="store_true", dest="audit",
+                        help="disable symmetry shortcuts; sweep every seed vertex")
 
     p = sub.add_parser("topology", parents=[topo, out],
                        help="build a topology and print its structural summary")
@@ -115,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidate-cap", type=int, default=64,
                    help="max candidates listed when ambiguous (count stays exact)")
 
-    p = sub.add_parser("diagnosability", parents=[topo, jobs, out],
+    p = sub.add_parser("diagnosability", parents=[topo, search, out],
                        help="compute a restricted diagnosability parameter")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--edge-restricted", "--h", dest="h", type=int, metavar="H",
@@ -123,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--vertex-restricted", "--r", dest="r", type=int, metavar="R",
                        help="vertex budget r; computes the largest workable s")
 
-    p = sub.add_parser("verify-theorems", parents=[jobs, out],
+    p = sub.add_parser("verify-theorems", parents=[search, out],
                        help="check computed hypercube values against the closed forms")
     p.add_argument("--max-n", type=int, default=4,
                    help="largest hypercube dimension to check (default 4, cap 5)")
@@ -285,12 +275,10 @@ def cmd_diagnose(args):
 def cmd_diagnosability(args):
     g, topo_cfg = _build_graph(args)
     if args.h is not None:
-        report = edge_restricted_diagnosability(
-            g, args.h, audit=args.audit, jobs=args.jobs)
+        report = edge_restricted_diagnosability(g, args.h, audit=args.audit)
         level_key = "h"
     else:
-        report = vertex_restricted_edge_diagnosability(
-            g, args.r, audit=args.audit, jobs=args.jobs)
+        report = vertex_restricted_edge_diagnosability(g, args.r, audit=args.audit)
         level_key = "r"
     delta = min_degree(g)
     bounds = None
@@ -338,11 +326,9 @@ def cmd_verify_theorems(args):
         g = build_named_topology("hypercube", n=n)
         for kind, level, expected in _predicted_rows(n):
             if kind == "edge-restricted":
-                rep = edge_restricted_diagnosability(
-                    g, level, audit=args.audit, jobs=args.jobs)
+                rep = edge_restricted_diagnosability(g, level, audit=args.audit)
             else:
-                rep = vertex_restricted_edge_diagnosability(
-                    g, level, audit=args.audit, jobs=args.jobs)
+                rep = vertex_restricted_edge_diagnosability(g, level, audit=args.audit)
             rows.append({
                 "n": n,
                 "kind": kind,

@@ -15,13 +15,14 @@ pairwise (``full_search`` in ``tests/brute.py``).
 
 Vertex-transitive graphs are searched from the single seed vertex 0, since
 any witness can be translated to one whose smallest difference vertex is 0;
-``audit=True`` disables that shortcut and sweeps every seed.
+``audit=True`` disables that shortcut and sweeps every seed.  Seeds are
+searched one after another in-process; the public ``jobs`` keyword is
+accepted and ignored.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
@@ -220,46 +221,37 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
                     f1 = x1mask | cmask
                     f2 = x2mask | cmask
                     umask = xmask | cmask
-                    s1 = 0
-                    for v in x2:
-                        for vb, k in lay.adj[v]:
-                            if vb & umask == 0:
-                                s1 |= 1 << k
-                    s2 = 0
-                    for v in x1:
-                        for vb, k in lay.adj[v]:
-                            if vb & umask == 0:
-                                s2 |= 1 << k
+                    # S is forced: each pair blames the other side's edges leaving U
+                    s1 = _blocking_edges(lay, x2, umask)
+                    s2 = _blocking_edges(lay, x1, umask)
                     return (f1, s1, f2, s2), examined
     return None, examined
 
 
-def _seed_task(payload):
-    g, t, s, seed = payload
-    return _search_seed(g, t, s, seed)
+def _blocking_edges(lay, side, umask: int) -> int:
+    """Edge mask of every edge from a vertex of ``side`` to a vertex outside ``umask``."""
+    smask = 0
+    for v in side:
+        for vb, k in lay.adj[v]:
+            if vb & umask == 0:
+                smask |= 1 << k
+    return smask
 
 
-def _local_search(g: Graph, t: int, s: int, audit: bool, jobs: int):
+def _local_search(g: Graph, t: int, s: int, audit: bool):
+    """The first witness over the seeds in ascending order, searched in-process."""
     if g.vertex_transitive and not audit:
         seeds = [0] if g.vertex_count else []
     else:
         seeds = list(range(g.vertex_count))
     examined = 0
-    if jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_seed_task, [(g, t, s, m) for m in seeds]))
-        # stats mirror the sequential early-exit walk regardless of worker order
-        for hit, count in results:
-            examined += count
-            if hit is not None:
-                return hit, {"structures_examined": examined, "seeds": len(seeds)}
-        return None, {"structures_examined": examined, "seeds": len(seeds)}
+    hit = None
     for m in seeds:
         hit, count = _search_seed(g, t, s, m)
         examined += count
         if hit is not None:
-            return hit, {"structures_examined": examined, "seeds": len(seeds)}
-    return None, {"structures_examined": examined, "seeds": len(seeds)}
+            break
+    return hit, {"structures_examined": examined, "seeds": len(seeds)}
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +262,17 @@ def _local_search(g: Graph, t: int, s: int, audit: bool, jobs: int):
 FULL_METHOD_VERTEX_LIMIT = 8
 
 
+# Nothing calls the two stubs below; the benchmark's tracer (perfbench/tracing.py)
+# looks both names up on every traced run.
+
 def _full_search(g: Graph, t: int, s: int):
-    """Nothing calls this; the benchmark's tracer (perfbench/tracing.py) wraps
-    the name.  The pairwise search is the test oracle ``full_search`` in
-    tests/brute.py."""
+    """The pairwise search is the test oracle ``full_search`` in tests/brute.py."""
     raise InputError("the pairwise search is not part of the library; use method='local'")
+
+
+def _seed_task(payload):
+    """Seeds are searched one after another in-process by ``_local_search``."""
+    raise InputError("there are no seed worker tasks; the search runs in-process")
 
 
 def _check_method(method: str):
@@ -299,19 +297,19 @@ def is_ts_diagnosable(g: Graph, t: int, s: int, *, method: str = "auto",
     On failure the witness is an indistinguishable pair, re-validated against
     both distinguishability routes before being returned.  ``method`` may be
     "auto" or "local", which name the same search; anything else raises
-    InputError.
+    InputError.  ``jobs`` is accepted and ignored: the search runs in-process.
     """
     if t < 0 or s < 0:
         raise InputError("bounds t and s must be non-negative")
     _check_method(method)
-    masks, stats = _local_search(g, t, s, audit, jobs)
+    masks, stats = _local_search(g, t, s, audit)
     stats = {"method": "local", **stats}
     if masks is None:
         return TsResult(True, None, stats)
     return TsResult(False, _witness_pairs(g, masks), stats)
 
 
-def _ascend(g: Graph, bounds, top: int, method: str, audit: bool, jobs: int):
+def _ascend(g: Graph, bounds, top: int, method: str, audit: bool):
     """(value, witness, stats) of the level-ascending search over 0..top.
 
     ``bounds(level)`` is the (t, s) pair decided at that level.  A failure at
@@ -321,7 +319,7 @@ def _ascend(g: Graph, bounds, top: int, method: str, audit: bool, jobs: int):
     """
     stats = {"method": "local", "structures_examined": 0}
     for level in range(top + 1):
-        result = is_ts_diagnosable(g, *bounds(level), method=method, audit=audit, jobs=jobs)
+        result = is_ts_diagnosable(g, *bounds(level), method=method, audit=audit)
         stats["structures_examined"] += result.stats["structures_examined"]
         if not result.diagnosable:
             return level - 1, result.witness, stats
@@ -334,14 +332,14 @@ def edge_restricted_diagnosability(g: Graph, h: int, *, method: str = "auto",
 
     The witness is the indistinguishable pair found at t = value + 1.  Edge
     budgets beyond the minimum degree are computed all the same but flagged,
-    since the closed-form bounds no longer apply there.
+    since the closed-form bounds no longer apply there.  ``jobs`` is ignored.
     """
     if g.vertex_count == 0:
         raise InputError("diagnosability of the empty graph is undefined")
     if not 0 <= h <= len(g.edges):
         raise InputError(f"edge budget h={h} outside 0..{len(g.edges)}")
     started = time.perf_counter()
-    value, witness, stats = _ascend(g, lambda t: (t, h), g.vertex_count, method, audit, jobs)
+    value, witness, stats = _ascend(g, lambda t: (t, h), g.vertex_count, method, audit)
     return DiagnosabilityReport(
         graph_name=g.name,
         kind="edge-restricted",
@@ -361,7 +359,7 @@ def vertex_restricted_edge_diagnosability(g: Graph, r: int, *, method: str = "au
     With no faulty vertices allowed every edge status is pinned by its two
     tests, so r=0 yields the edge count with no search.  For r >= 1 the value
     is -1 when even (r, 0) fails (possible only on degenerate graphs such as
-    a single vertex or an isolated edge component).
+    a single vertex or an isolated edge component).  ``jobs`` is ignored.
     """
     if g.vertex_count == 0:
         raise InputError("diagnosability of the empty graph is undefined")
@@ -379,7 +377,7 @@ def vertex_restricted_edge_diagnosability(g: Graph, r: int, *, method: str = "au
             elapsed_seconds=time.perf_counter() - started,
             stats={"method": "analytic"},
         )
-    value, witness, stats = _ascend(g, lambda s: (r, s), len(g.edges) + 1, method, audit, jobs)
+    value, witness, stats = _ascend(g, lambda s: (r, s), len(g.edges) + 1, method, audit)
     return DiagnosabilityReport(
         graph_name=g.name,
         kind="vertex-restricted-edge",
@@ -393,5 +391,5 @@ def vertex_restricted_edge_diagnosability(g: Graph, r: int, *, method: str = "au
 
 def pmc_diagnosability(g: Graph, *, method: str = "auto", audit: bool = False,
                        jobs: int = 1) -> int:
-    """Classical diagnosability: vertex faults only, no edge budget."""
-    return edge_restricted_diagnosability(g, 0, method=method, audit=audit, jobs=jobs).value
+    """Classical diagnosability: vertex faults only, no edge budget; ``jobs`` is ignored."""
+    return edge_restricted_diagnosability(g, 0, method=method, audit=audit).value

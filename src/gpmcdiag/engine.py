@@ -74,7 +74,9 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int, *,
     Every assignment of the faulty testers' results is tried when there are at
     most 16 of them, otherwise 256 seeded random assignments.  Intended for
     graphs already known (t, s)-diagnosable; a False from an in-bound pair on
-    such a graph would contradict diagnosability.
+    such a graph would contradict diagnosability.  False is always exact, and
+    so is True from the exhaustive branch; True from the sampled branch is not
+    a proof, since an unsampled assignment may still decode ambiguously.
     """
     if fp.graph is not g:
         raise GraphMismatchError("fault pair belongs to a different graph")

@@ -165,9 +165,10 @@ class Syndrome:
         m = len(self.graph.edges)
         if len(self.results) != 2 * m:
             raise InputError(f"syndrome must assign all {2 * m} tests")
-        if any(r not in (0, 1) for r in self.results):
+        # count() compares with ==, so 1.0 and numpy bools count as 0 or 1
+        if self.results.count(0) + self.results.count(1) != len(self.results):
             raise InputError("syndrome results must be 0 (pass) or 1 (fail)")
-        # bool(), so every result that passed the check above converts (1.0, numpy bools)
+        # bool(), so every result that passed the check above converts
         digits = bytes(map(bool, reversed(self.results))).translate(_RESULTS_TO_DIGITS)
         object.__setattr__(self, "fail_mask", int(b"0" + digits, 2))
 

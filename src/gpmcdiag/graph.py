@@ -1,7 +1,6 @@
 """Simple undirected graphs with dense integer vertex ids, plus topology builders.
 
-Graphs are immutable after construction; every query here is pure, so values
-can be shared freely between threads or worker processes.
+Graphs are immutable after construction and every query here is pure.
 """
 
 from __future__ import annotations

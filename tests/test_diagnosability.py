@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import gpmcdiag as gd
@@ -88,6 +92,19 @@ class TestIsTsDiagnosable:
         assert seq.diagnosable == par.diagnosable
         assert seq.stats == par.stats
         assert seq.witness == par.witness
+
+    def test_import_loads_no_process_pool(self):
+        # the search runs in-process, so importing the package starts no pool machinery
+        src = str(Path(gd.__file__).resolve().parent.parent)
+        script = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "import gpmcdiag\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr[-2000:]
+        assert run.stdout.split() == []
 
 
 class TestEdgeRestricted:

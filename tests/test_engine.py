@@ -109,6 +109,21 @@ class TestAdversarialRoundtrip:
         b = gd.adversarial_roundtrip(q4, fp, 5, 0, seed=1)
         assert a == b
 
+    # 8 faulty vertices -> 32 free tests, so the roundtrip samples; the pair
+    # has an in-bound indistinguishable partner, its complement in Q_4
+    SAMPLED_MISS = ({2, 3, 4, 7, 8, 9, 11, 13}, {0, 1, 5, 6, 10, 12, 14, 15})
+
+    def test_sampled_miss_has_indistinguishable_partner(self, q4):
+        fp, partner = (gd.make_fault_pair(q4, f, set()) for f in self.SAMPLED_MISS)
+        assert len(partner.faulty_vertices) <= 8
+        assert not gd.distinguishable(q4, fp, partner).distinguishable
+        assert not gd.distinguishable_oracle(q4, fp, partner)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    def test_sampled_roundtrip_finds_partner(self, q4):
+        fp = gd.make_fault_pair(q4, self.SAMPLED_MISS[0], set())
+        assert gd.adversarial_roundtrip(q4, fp, 8, 0) is False
+
     def test_exhaustive_roundtrip_on_q2_workable_bounds(self, q2):
         # (1,0) is the 2-cube's workable point; every in-bound pair must
         # survive every adversary

@@ -244,6 +244,17 @@ class TestSyndromeSerialization:
                 assert sig.fail_mask == mask, g.name
                 assert gd.Syndrome(g, tuple(map(float, sig.results))).fail_mask == mask
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, None, "1"])
+    def test_result_outside_zero_one_rejected(self, q2, bad):
+        with pytest.raises(InputError):
+            gd.Syndrome(q2, (0,) * 7 + (bad,))
+
+    def test_bool_results_accepted(self, q2):
+        import numpy as np
+        for one in (True, np.bool_(True)):
+            assert gd.Syndrome(q2, (0,) * 7 + (one,)).fail_mask == 1 << 7
+        assert gd.Syndrome(q2, (np.bool_(False),) * 8).fail_mask == 0
+
 
 class TestEnumerateConsistentPairs:
     def test_all_pass_with_zero_bounds(self, q3):
