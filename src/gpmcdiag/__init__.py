@@ -28,7 +28,6 @@ from .distinguish import (
     Witness,
     all_consistent_pairs,
     distinguishable,
-    distinguishable_enumerated,
     distinguishable_oracle,
 )
 from .engine import (
@@ -106,7 +105,6 @@ __all__ = [
     "degree",
     "diagnose",
     "distinguishable",
-    "distinguishable_enumerated",
     "distinguishable_oracle",
     "edge",
     "edge_restricted_diagnosability",

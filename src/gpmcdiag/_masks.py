@@ -139,54 +139,42 @@ def consistent_groups(lay: Layout, max_vertices: int, max_edges: int):
                       for sel in combinations(free, size)]
 
 
-def pairs_indistinguishable(lay: Layout, f1: int, s1: int, f2: int, s2: int) -> bool:
-    """Negation of the distinguishability conditions, over raw masks.
+def condition_hits(lay: Layout, f1: int, s1: int, f2: int, s2: int):
+    """Every hit of the distinguishability conditions, as (edge k, condition, direction).
 
-    Two distinct consistent patterns are indistinguishable exactly when
-      - every vertex faulty on one side only has each fault-free neighbor
-        reached through a faulty edge of the other side, and
-      - every edge faulty on one side only has an endpoint in the other
-        side's faulty vertex set.
+    Direction 1 means the first pattern holds the exposed fault.  Condition 1
+    hits at k when one endpoint is faulty on that side only, the other is
+    fault-free on both sides and k is not faulty on the other side; condition
+    2 when k is faulty on that side only and neither endpoint is faulty on the
+    other side.  Only the one-sided faulty vertices' adjacencies and the
+    one-sided faulty edges are walked; no hit repeats.
     """
-    both_f = f1 | f2
-    # edge-side conditions
-    for d, other_f in ((s1 & ~s2, f2), (s2 & ~s1, f1)):
+    for d, other_f, direction in ((s1 & ~s2, f2, 1), (s2 & ~s1, f1, 2)):
         for k in bits(d):
             a, b = lay.edges[k]
             if not (other_f >> a) & 1 and not (other_f >> b) & 1:
-                return False
-    # vertex-side conditions
-    for d, other_s in ((f1 & ~f2, s2), (f2 & ~f1, s1)):
+                yield k, 2, direction
+    both_f = f1 | f2
+    for d, other_s, direction in ((f1 & ~f2, s2, 1), (f2 & ~f1, s1, 2)):
         for u in bits(d):
             for vb, k in lay.adj[u]:
                 if vb & both_f == 0 and (other_s >> k) & 1 == 0:
-                    return False
-    return True
+                    yield k, 1, direction
+
+
+def pairs_indistinguishable(lay: Layout, f1: int, s1: int, f2: int, s2: int) -> bool:
+    """True when no distinguishability condition holds for the two patterns."""
+    return next(condition_hits(lay, f1, s1, f2, s2), None) is None
 
 
 def find_condition_witness(lay: Layout, f1: int, s1: int, f2: int, s2: int):
-    """(condition, edge, direction) for the smallest qualifying edge, or None.
+    """(condition, edge, direction) of the smallest hit, or None.
 
-    direction 1 means the first pattern plays the role with the faulty vertex
-    (condition 1) or holds the extra faulty edge (condition 2).  Edges are
-    scanned in canonical order so ties break toward the smallest edge; at one
-    edge, condition 1 is preferred over condition 2 and direction 1 over 2.
+    Hits order by edge index (canonical edge order), then condition 1 before
+    condition 2, then direction 1 before 2; see ``condition_hits``.
     """
-    both_f = f1 | f2
-    only1 = f1 & ~f2
-    only2 = f2 & ~f1
-    sd1 = s1 & ~s2
-    sd2 = s2 & ~s1
-    for k, (a, b) in enumerate(lay.edges):
-        am, bm, eb = 1 << a, 1 << b, 1 << k
-        free_a = am & both_f == 0
-        free_b = bm & both_f == 0
-        if ((am & only1 and free_b) or (bm & only1 and free_a)) and s2 & eb == 0:
-            return (1, (a, b), 1)
-        if ((am & only2 and free_b) or (bm & only2 and free_a)) and s1 & eb == 0:
-            return (1, (a, b), 2)
-        if sd1 & eb and (am | bm) & f2 == 0:
-            return (2, (a, b), 1)
-        if sd2 & eb and (am | bm) & f1 == 0:
-            return (2, (a, b), 2)
-    return None
+    hit = min(condition_hits(lay, f1, s1, f2, s2), default=None)
+    if hit is None:
+        return None
+    k, condition, direction = hit
+    return condition, lay.edges[k], direction

@@ -185,6 +185,8 @@ def _build_fault_pair(g: Graph, args) -> tuple:
         if len(counts) != 2:
             raise InputError("--random-faults takes two counts, e.g. 2,1")
         nv, ns = counts
+        if nv < 0 or ns < 0:
+            raise InputError("--random-faults counts must be non-negative")
         rng = random.Random(args.seed)
         if nv > g.vertex_count:
             raise InputError(f"cannot pick {nv} faulty vertices from {g.vertex_count}")

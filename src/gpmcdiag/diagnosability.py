@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import _masks
 from .errors import InputError
-from .faults import FaultPair, make_fault_pair
+from .faults import FaultPair, _pair_from_masks, make_fault_pair
 from .graph import Graph, incident_edges, min_degree
 
 
@@ -284,8 +284,8 @@ def _check_method(method: str):
 def _witness_pairs(g: Graph, masks) -> tuple[FaultPair, FaultPair]:
     lay = _masks.layout_of(g)
     f1, s1, f2, s2 = masks
-    p1 = make_fault_pair(g, set(_masks.bits(f1)), {lay.edges[k] for k in _masks.bits(s1)})
-    p2 = make_fault_pair(g, set(_masks.bits(f2)), {lay.edges[k] for k in _masks.bits(s2)})
+    p1 = _pair_from_masks(g, lay, f1, s1)
+    p2 = _pair_from_masks(g, lay, f2, s2)
     _assert_witness(g, p1, p2)
     return p1, p2
 
@@ -309,21 +309,30 @@ def is_ts_diagnosable(g: Graph, t: int, s: int, *, method: str = "auto",
     return TsResult(False, _witness_pairs(g, masks), stats)
 
 
-def _ascend(g: Graph, bounds, top: int, method: str, audit: bool):
-    """(value, witness, stats) of the level-ascending search over 0..top.
+def _ascend(g: Graph, kind: str, level: int, bounds, top: int, method: str, audit: bool,
+            outside_analyzed_range: bool = False) -> DiagnosabilityReport:
+    """The report of the level-ascending search over candidate values 0..top.
 
-    ``bounds(level)`` is the (t, s) pair decided at that level.  A failure at
+    ``bounds(value)`` is the (t, s) pair decided for that value.  A failure at
     (t, s) is also a failure at any larger bounds, so the walk stops at the
-    first non-diagnosable level and keeps its witness; the value is the last
-    diagnosable level, -1 when level 0 already fails.
+    first non-diagnosable value and keeps its witness; the reported value is
+    the last diagnosable one, -1 when 0 already fails, and ``top`` with no
+    witness when none fails.  ``stats`` sums ``structures_examined`` over the
+    values tried, and ``elapsed_seconds`` times the whole walk.
     """
+    started = time.perf_counter()
     stats = {"method": "local", "structures_examined": 0}
-    for level in range(top + 1):
-        result = is_ts_diagnosable(g, *bounds(level), method=method, audit=audit)
+    value, witness = top, None
+    for candidate in range(top + 1):
+        result = is_ts_diagnosable(g, *bounds(candidate), method=method, audit=audit)
         stats["structures_examined"] += result.stats["structures_examined"]
         if not result.diagnosable:
-            return level - 1, result.witness, stats
-    return top, None, stats
+            value, witness = candidate - 1, result.witness
+            break
+    return DiagnosabilityReport(
+        graph_name=g.name, kind=kind, level=level, value=value, witness=witness,
+        elapsed_seconds=time.perf_counter() - started, stats=stats,
+        outside_analyzed_range=outside_analyzed_range)
 
 
 def edge_restricted_diagnosability(g: Graph, h: int, *, method: str = "auto",
@@ -338,18 +347,8 @@ def edge_restricted_diagnosability(g: Graph, h: int, *, method: str = "auto",
         raise InputError("diagnosability of the empty graph is undefined")
     if not 0 <= h <= len(g.edges):
         raise InputError(f"edge budget h={h} outside 0..{len(g.edges)}")
-    started = time.perf_counter()
-    value, witness, stats = _ascend(g, lambda t: (t, h), g.vertex_count, method, audit)
-    return DiagnosabilityReport(
-        graph_name=g.name,
-        kind="edge-restricted",
-        level=h,
-        value=value,
-        witness=witness,
-        elapsed_seconds=time.perf_counter() - started,
-        stats=stats,
-        outside_analyzed_range=h > min_degree(g),
-    )
+    return _ascend(g, "edge-restricted", h, lambda t: (t, h), g.vertex_count, method, audit,
+                   outside_analyzed_range=h > min_degree(g))
 
 
 def vertex_restricted_edge_diagnosability(g: Graph, r: int, *, method: str = "auto",
@@ -366,27 +365,12 @@ def vertex_restricted_edge_diagnosability(g: Graph, r: int, *, method: str = "au
     if r < 0:
         raise InputError("vertex budget r must be non-negative")
     _check_method(method)
-    started = time.perf_counter()
     if r == 0:
         return DiagnosabilityReport(
-            graph_name=g.name,
-            kind="vertex-restricted-edge",
-            level=0,
-            value=len(g.edges),
-            witness=None,
-            elapsed_seconds=time.perf_counter() - started,
-            stats={"method": "analytic"},
-        )
-    value, witness, stats = _ascend(g, lambda s: (r, s), len(g.edges) + 1, method, audit)
-    return DiagnosabilityReport(
-        graph_name=g.name,
-        kind="vertex-restricted-edge",
-        level=r,
-        value=value,
-        witness=witness,
-        elapsed_seconds=time.perf_counter() - started,
-        stats=stats,
-    )
+            graph_name=g.name, kind="vertex-restricted-edge", level=0, value=len(g.edges),
+            witness=None, elapsed_seconds=0.0, stats={"method": "analytic"})
+    return _ascend(g, "vertex-restricted-edge", r, lambda s: (r, s), len(g.edges) + 1,
+                   method, audit)
 
 
 def pmc_diagnosability(g: Graph, *, method: str = "auto", audit: bool = False,

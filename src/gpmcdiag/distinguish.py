@@ -1,6 +1,6 @@
 """Deciding whether two fault pairs can be told apart by some syndrome.
 
-Three routes are kept deliberately separate so each can check the others:
+Two routes are kept deliberately separate so each can check the other:
 
 - ``distinguishable`` evaluates the two structural conditions (a fault-free
   vertex that can test a one-sided faulty vertex over a non-faulty edge, or a
@@ -8,9 +8,9 @@ Three routes are kept deliberately separate so each can check the others:
 - ``distinguishable_oracle`` compares forced outcomes test by test: the
   syndrome sets of two patterns intersect exactly when no test is forced to
   opposite values, because unconstrained tests can always be set to agree.
-- ``distinguishable_enumerated`` literally materializes both syndrome sets and
-  intersects them; it exists to validate the forced-outcome reduction and is
-  limited to graphs with at most 12 tests.
+
+The literal definition, materializing both syndrome sets and intersecting
+them, is the test suite's reference (``sigma_set`` in ``tests/brute.py``).
 """
 
 from __future__ import annotations
@@ -71,27 +71,6 @@ def distinguishable_oracle(g: Graph, p1: FaultPair, p2: FaultPair) -> bool:
         if not _masks.share_syndrome(ff, fp, ff, fp):
             raise AssertionError("forced outcomes of one fault pair contradict each other")
     return not _masks.share_syndrome(ff1, fp1, ff2, fp2)
-
-
-ENUMERATION_TEST_LIMIT = 12
-
-
-def _sigma_set(lay, f_mask: int, s_mask: int) -> frozenset[int]:
-    """Every syndrome (as a fail bitmask) the pattern can produce."""
-    return frozenset(_masks.adversary_syndromes(
-        lay, f_mask, s_mask, lambda free: range(1 << len(free))))
-
-
-def distinguishable_enumerated(g: Graph, p1: FaultPair, p2: FaultPair) -> bool:
-    """Literal syndrome-set intersection; only for graphs with <= 12 tests."""
-    _check_pair_args(g, p1, p2)
-    lay = _masks.layout_of(g)
-    if 2 * lay.m > ENUMERATION_TEST_LIMIT:
-        raise InputError(
-            f"literal enumeration is limited to graphs with <= {ENUMERATION_TEST_LIMIT} tests")
-    s1 = _sigma_set(lay, p1.f_mask, p1.s_mask)
-    s2 = _sigma_set(lay, p2.f_mask, p2.s_mask)
-    return s1.isdisjoint(s2)
 
 
 def all_consistent_pairs(g: Graph, max_vertices: int, max_edges: int) -> list[FaultPair]:

@@ -18,6 +18,12 @@ from .errors import InputError
 #: syndrome peaks near 0.4 GB of RSS.
 HYPERCUBE_DIMENSION_CAP = 15
 
+#: Largest vertex and edge counts of any graph: those of Q_15, the largest
+#: graph whose peak memory is measured.  Builders refuse larger sizes before
+#: they allocate anything.
+VERTEX_CAP = 1 << HYPERCUBE_DIMENSION_CAP
+EDGE_CAP = HYPERCUBE_DIMENSION_CAP << (HYPERCUBE_DIMENSION_CAP - 1)
+
 
 def edge(u: int, v: int) -> tuple[int, int]:
     """Canonical (min, max) form of an undirected edge."""
@@ -51,12 +57,14 @@ class Graph:
     def __init__(self, vertex_count, edges, labels=None, name="graph"):
         if vertex_count < 0:
             raise InputError("vertex_count must be non-negative")
+        _check_vertex_count(vertex_count)
         canon = []
         for (u, v) in edges:
             e = edge(u, v)
             if not (0 <= e[0] and e[1] < vertex_count):
                 raise InputError(f"edge {u}-{v} has an endpoint outside 0..{vertex_count - 1}")
             canon.append(e)
+        _check_edge_count(len(canon))
         edge_set = frozenset(canon)
         if len(canon) != len(edge_set):
             raise InputError("duplicate edge in edge list")
@@ -102,6 +110,16 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({self.name}: {self.vertex_count} vertices, {len(self.edges)} edges)"
+
+
+def _check_vertex_count(n: int):
+    if n > VERTEX_CAP:
+        raise InputError(f"{n} vertices exceed the cap of {VERTEX_CAP} (the size of Q_15)")
+
+
+def _check_edge_count(m: int):
+    if m > EDGE_CAP:
+        raise InputError(f"{m} edges exceed the cap of {EDGE_CAP} (the size of Q_15)")
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +222,14 @@ def hypercube_neighbor(label: str, dim: int) -> str:
 def build_path(n: int) -> Graph:
     if n < 1:
         raise InputError("path needs at least one vertex")
+    _check_vertex_count(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)], name=f"path-{n}")
 
 
 def build_cycle(n: int) -> Graph:
     if n < 3:
         raise InputError("cycle needs at least three vertices")
+    _check_vertex_count(n)
     edges = [(i, (i + 1) % n) for i in range(n)]
     return _transitive(Graph(n, edges, name=f"cycle-{n}"))
 
@@ -217,6 +237,7 @@ def build_cycle(n: int) -> Graph:
 def build_complete(n: int) -> Graph:
     if n < 1:
         raise InputError("complete graph needs at least one vertex")
+    _check_edge_count(n * (n - 1) // 2)
     return _transitive(Graph(n, list(combinations(range(n), 2)), name=f"complete-{n}"))
 
 
@@ -226,6 +247,7 @@ def build_random(n: int, p: float, seed: int) -> Graph:
         raise InputError("random graph needs at least one vertex")
     if not 0.0 <= p <= 1.0:
         raise InputError("edge probability must be in [0, 1]")
+    _check_edge_count(n * (n - 1) // 2)     # every candidate edge draws a number
     rng = random.Random(seed)
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return Graph(n, edges, name=f"random-{n}-p{p}-s{seed}")

@@ -155,6 +155,35 @@ def sigma_set(g, fset, sset) -> frozenset:
     return frozenset(out)
 
 
+def literal_distinguishable(g, p1, p2) -> bool:
+    """Distinguishability by definition: the two syndrome sets are disjoint."""
+    return sigma_set(g, p1.faulty_vertices, p1.faulty_edges).isdisjoint(
+        sigma_set(g, p2.faulty_vertices, p2.faulty_edges))
+
+
+def reference_witness(g, p1, p2):
+    """(condition, edge, direction) of the first condition hit, or None.
+
+    Scans ``g.edges`` in canonical order over the frozensets; at one edge it
+    tries condition 1 before condition 2 and direction 1 (``p1`` holds the
+    exposed fault) before direction 2.
+    """
+    sides = ((1, p1, p2), (2, p2, p1))
+    for e in g.edges:
+        u, v = e
+        for direction, a, b in sides:
+            fa, fb = a.faulty_vertices, b.faulty_vertices
+            if e not in b.faulty_edges and any(
+                    x in fa and x not in fb and y not in fa and y not in fb
+                    for x, y in ((u, v), (v, u))):
+                return 1, e, direction
+        for direction, a, b in sides:
+            fb = b.faulty_vertices
+            if e in a.faulty_edges and e not in b.faulty_edges and u not in fb and v not in fb:
+                return 2, e, direction
+    return None
+
+
 def vertex_sets_indistinguishable(g, f1: frozenset, f2: frozenset) -> bool:
     """Vertex-fault-only comparison: no test may be forced to opposite values."""
     empty = frozenset()

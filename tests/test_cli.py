@@ -83,6 +83,10 @@ class TestInjectCommand:
     def test_random_faults_need_seed(self, capsys):
         assert main(["inject", "--topology", "hypercube", "--n", "3",
                      "--random-faults", "2,1"]) == 2
+        for counts in ("-1,0", "1,-2"):
+            assert main(["inject", "--topology", "hypercube", "--n", "3",
+                         f"--random-faults={counts}", "--seed", "1"]) == 2
+            assert "non-negative" in capsys.readouterr().err
 
     def test_random_faults_reproducible(self, tmp_path):
         args = ["inject", "--topology", "hypercube", "--n", "3",

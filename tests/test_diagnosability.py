@@ -8,7 +8,7 @@ import gpmcdiag as gd
 from gpmcdiag import InputError
 
 from brute import full_edge_restricted_diagnosability, full_is_ts_diagnosable, \
-    pmc_brute_diagnosability
+    literal_distinguishable, pmc_brute_diagnosability
 from gallery import full_gallery, is_connected, min_edge_max_degree
 
 # Values established by literal syndrome-set enumeration (see the brute
@@ -298,7 +298,7 @@ class TestEdgeSeededWitness:
     def test_oracle_cross_check_on_q2(self, q2):
         for e in q2.edges:
             p1, p2 = gd.construct_edge_witness(q2, e)
-            assert not gd.distinguishable_enumerated(q2, p1, p2)
+            assert not literal_distinguishable(q2, p1, p2)
 
     def test_requires_min_degree_endpoint(self):
         # triangle with a pendant: edge 1-2 joins two degree-3... both

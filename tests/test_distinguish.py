@@ -6,10 +6,10 @@ from pathlib import Path
 import pytest
 
 import gpmcdiag as gd
-from gpmcdiag import InputError
+from gpmcdiag import InputError, _masks
 
-from brute import all_pairs_agreement, sigma_set
-from gallery import full_gallery
+from brute import all_pairs_agreement, literal_distinguishable, reference_witness, sigma_set
+from gallery import full_gallery, named_gallery
 
 
 def pair(g, fs, ss):
@@ -70,6 +70,20 @@ class TestConditionRoute:
                     v = gd.distinguishable(g, p1, p2)
                     if v.distinguishable:
                         _check_witness(g, p1, p2, v.witness)
+
+
+def test_witness_is_first_hit_in_canonical_order():
+    # smallest edge, then condition 1 before 2, then direction 1 before 2,
+    # on every ordered pair of distinct pairs (the named gallery holds Q_3)
+    for g in named_gallery():
+        pairs = gd.all_consistent_pairs(g, 2, 1)
+        for p1 in pairs:
+            for p2 in pairs:
+                if p1 == p2:
+                    continue
+                w = gd.distinguishable(g, p1, p2).witness
+                got = None if w is None else (w.condition, w.edge, w.direction)
+                assert got == reference_witness(g, p1, p2), f"{g.name} {p1} {p2}"
 
 
 def _check_witness(g, p1, p2, w):
@@ -134,11 +148,6 @@ class TestOracleRoute:
 
 
 class TestLiteralEnumerationRoute:
-    def test_limited_to_twelve_tests(self, q3):
-        p1, p2 = pair(q3, {0}, set()), pair(q3, set(), set())
-        with pytest.raises(InputError):
-            gd.distinguishable_enumerated(q3, p1, p2)
-
     def test_agrees_with_oracle_exhaustively_on_small_graphs(self):
         # every ordered pair of distinct consistent pairs, graphs with <= 8 tests
         for g in [gd.build_hypercube(1), gd.build_path(3), gd.build_hypercube(2),
@@ -146,7 +155,7 @@ class TestLiteralEnumerationRoute:
             pairs = gd.all_consistent_pairs(g, 3, 2)
             for i, p1 in enumerate(pairs):
                 for p2 in pairs[i + 1:]:
-                    lit = gd.distinguishable_enumerated(g, p1, p2)
+                    lit = literal_distinguishable(g, p1, p2)
                     assert lit == gd.distinguishable_oracle(g, p1, p2)
                     assert lit == gd.distinguishable(g, p1, p2).distinguishable
 
@@ -155,16 +164,16 @@ class TestLiteralEnumerationRoute:
             pairs = gd.all_consistent_pairs(g, 2, 1)
             for i, p1 in enumerate(pairs):
                 for p2 in pairs[i + 1:]:
-                    assert (gd.distinguishable_enumerated(g, p1, p2)
+                    assert (literal_distinguishable(g, p1, p2)
                             == gd.distinguishable_oracle(g, p1, p2))
 
     def test_sigma_sets_match_independent_enumeration(self, q2):
-        # library syndrome sets against the set-based reimplementation
+        # the library's full adversary expansion against the set-based one
+        lay = _masks.layout_of(q2)
+        every_choice = lambda free: range(1 << len(free))
         for fp in gd.all_consistent_pairs(q2, 2, 1):
             independent = sigma_set(q2, fp.faulty_vertices, fp.faulty_edges)
-            from gpmcdiag import _masks
-            lay = _masks.layout_of(q2)
-            lib = gd.distinguish._sigma_set(lay, fp.f_mask, fp.s_mask)
+            lib = set(_masks.adversary_syndromes(lay, fp.f_mask, fp.s_mask, every_choice))
             as_tuples = {tuple((mask >> i) & 1 for i in range(8)) for mask in lib}
             assert as_tuples == independent
 

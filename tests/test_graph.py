@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -220,6 +224,61 @@ class TestGraphValidation:
             g.vertex_transitive = True
         assert not g.vertex_transitive
         assert gd.build_cycle(5).vertex_transitive
+
+
+def test_size_caps_refuse_before_allocating(tmp_path):
+    # one past each cap must raise InputError inside 512 MB, and so must sizes
+    # whose edge lists would not fit there (MemoryError if a builder generated
+    # its edges before checking); the CLI inputs must exit 2 (input error)
+    edge_list = tmp_path / "huge.txt"
+    edge_list.write_text("30000000 0\n")
+    script = (
+        "import resource, sys\n"
+        "from itertools import combinations, islice\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "import gpmcdiag as gd\n"
+        "from gpmcdiag.cli import main\n"
+        "from gpmcdiag.graph import EDGE_CAP, VERTEX_CAP\n"
+        "assert (VERTEX_CAP, EDGE_CAP) == (2 ** 15, 15 * 2 ** 14)\n"
+        "k = next(k for k in range(2, 1000) if k * (k - 1) // 2 > EDGE_CAP)\n"
+        "edges = lambda count: islice(combinations(range(VERTEX_CAP), 2), count)\n"
+        "over = {\n"
+        "    'graph-vertices': lambda: gd.Graph(VERTEX_CAP + 1, []),\n"
+        "    'graph-edges': lambda: gd.Graph(VERTEX_CAP, edges(EDGE_CAP + 1)),\n"
+        "    'path': lambda: gd.build_path(VERTEX_CAP + 1),\n"
+        "    'cycle': lambda: gd.build_cycle(VERTEX_CAP + 1),\n"
+        "    'complete': lambda: gd.build_complete(k),\n"
+        "    'random': lambda: gd.build_random(k, 0.0, 1),\n"
+        "    'edge-list': lambda: gd.parse_edge_list(f'{VERTEX_CAP + 1} 0\\n'),\n"
+        "    'path-huge': lambda: gd.build_path(10 ** 9),\n"
+        "    'cycle-huge': lambda: gd.build_cycle(10 ** 9),\n"
+        "    'complete-huge': lambda: gd.build_complete(10 ** 5),\n"
+        "}\n"
+        "for name, build in over.items():\n"
+        "    try:\n"
+        "        build()\n"
+        "        print(name, 'built')\n"
+        "    except gd.InputError:\n"
+        "        print(name, 'refused')\n"
+        "at_cap = [gd.build_path(VERTEX_CAP), gd.build_cycle(VERTEX_CAP),\n"
+        "          gd.build_random(k - 1, 0.0, 1)]\n"
+        "print('at-cap', [g.vertex_count for g in at_cap] == [VERTEX_CAP, VERTEX_CAP, k - 1])\n"
+        "codes = [main(['topology', '--topology', 'path', '--n', '30000000']),\n"
+        "         main(['topology', '--topology', 'complete', '--n', '3000']),\n"
+        "         main(['topology', '--edge-list', sys.argv[1]])]\n"
+        "print('cli', codes)\n"
+    )
+    src = str(Path(gd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", script, str(edge_list)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.splitlines() == [
+        "graph-vertices refused", "graph-edges refused", "path refused", "cycle refused",
+        "complete refused", "random refused", "edge-list refused", "path-huge refused",
+        "cycle-huge refused", "complete-huge refused", "at-cap True",
+        "cli [2, 2, 2]"]
 
 
 class TestEdgeListFormat:
