@@ -124,6 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
 # shared helpers
 # ---------------------------------------------------------------------------
 
+def _write_file(path: str, text: str):
+    """Write an output file; a path that cannot be written is invalid input."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _build_graph(args) -> tuple[Graph, dict]:
     sources = [args.topology is not None, args.edge_list is not None]
     if sum(sources) != 1:
@@ -235,9 +243,9 @@ def cmd_topology(args):
         "girth": None if gv == math.inf else gv,
     }
     if args.dot:
-        Path(args.dot).write_text(to_dot(g))
+        _write_file(args.dot, to_dot(g))
     if args.edge_list_out:
-        Path(args.edge_list_out).write_text(format_edge_list(g))
+        _write_file(args.edge_list_out, format_edge_list(g))
     return _report("topology", {"topology": topo_cfg}, result, {}), {}, 0
 
 
@@ -491,12 +499,12 @@ def main(argv=None) -> int:
     try:
         report, extras, code = COMMANDS[args.command](args)
         text = render(report, args.format, extras)
+        if args.output:
+            _write_file(args.output, text)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
     return code
 

@@ -2,10 +2,11 @@
 
 Most of this works from the model's definitions with plain sets and tuples,
 deliberately avoiding the library's mask machinery and search code so that
-agreement between the two is evidence, not tautology.  Two oracles,
-``reference_candidate_masks`` (for the decoder) and ``full_search`` (for the
-diagnosability search), work over the library's mask layout instead; the
-definitional checks here cover that layout.
+agreement between the two is evidence, not tautology.  Three oracles,
+``reference_candidate_masks`` (for the decoder), and ``full_search`` and
+``reference_search_seed`` (for the diagnosability search), work over the
+library's mask layout instead; the definitional checks here cover that
+layout.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 import gpmcdiag as gd
 from gpmcdiag import _masks
+from gpmcdiag.diagnosability import _blocking_edges, _cover_subset
 
 
 def forced_value(test: gd.Test, fset: frozenset, sset: frozenset):
@@ -108,6 +110,75 @@ def full_search(g, t: int, s: int):
             if indist(lay, f1, s1, f2, s2):
                 return (f1, s1, f2, s2), {"candidates": len(flat), "pairs_examined": checked}
     return None, {"candidates": len(flat), "pairs_examined": checked}
+
+
+def reference_search_seed(g, t: int, s: int, seed: int):
+    """The difference-structure search's per-leaf predecessor, kept as its oracle.
+
+    A verbatim copy of ``diagnosability._search_seed`` before its X2 walk
+    became incremental: X2 comes from ``combinations`` and every leaf
+    recounts both cover counts over its own vertices.  The library must
+    return the same ((f1, s1, f2, s2) masks or None, structures_examined)
+    for every seed, so this pins the leaf order and the count, not only the
+    verdict.  Like ``full_search`` it works over the library's mask layout,
+    and it reads the library's ``_cover_subset`` and ``_blocking_edges``.
+    """
+    lay = _masks.layout_of(g)
+    n = g.vertex_count
+    nbr = lay.nbr_mask
+    rest = range(seed + 1, n)
+    examined = 0
+    for size1 in range(1, min(t, n) + 1):
+        for tail in combinations(rest, size1 - 1):
+            x1 = (seed,) + tail
+            x1mask = 0
+            for v in x1:
+                x1mask |= 1 << v
+            pool = [v for v in rest if not (x1mask >> v) & 1]
+            for size2 in range(0, min(t, len(pool)) + 1):
+                cmax_all = min(t - size1, t - size2)
+                if cmax_all < 0:
+                    continue
+                for x2 in combinations(pool, size2):
+                    examined += 1
+                    x2mask = 0
+                    for v in x2:
+                        x2mask |= 1 << v
+                    xmask = x1mask | x2mask
+                    outside = ~xmask
+                    cover1 = sum((nbr[v] & outside).bit_count() for v in x1)
+                    cover2 = sum((nbr[v] & outside).bit_count() for v in x2)
+                    cmask = 0
+                    if cover1 > s or cover2 > s:
+                        if cmax_all == 0:
+                            continue
+                        need1 = cover1 - s
+                        need2 = cover2 - s
+                        cand_mask = 0
+                        for v in x1 if need1 > 0 else ():
+                            cand_mask |= nbr[v]
+                        for v in x2 if need2 > 0 else ():
+                            cand_mask |= nbr[v]
+                        cand_mask &= outside
+                        cands = []
+                        for c in _masks.bits(cand_mask):
+                            g1 = (nbr[c] & x1mask).bit_count()
+                            g2 = (nbr[c] & x2mask).bit_count()
+                            cands.append((c, g1, g2))
+                        cands.sort(key=lambda cg: (-(cg[1] + cg[2]), cg[0]))
+                        chosen = _cover_subset(cands, need1, need2, cmax_all)
+                        if chosen is None:
+                            continue
+                        for c in chosen:
+                            cmask |= 1 << c
+                    f1 = x1mask | cmask
+                    f2 = x2mask | cmask
+                    umask = xmask | cmask
+                    # S is forced: each pair blames the other side's edges leaving U
+                    s1 = _blocking_edges(lay, x2, umask)
+                    s2 = _blocking_edges(lay, x1, umask)
+                    return (f1, s1, f2, s2), examined
+    return None, examined
 
 
 def full_is_ts_diagnosable(g, t: int, s: int) -> gd.TsResult:

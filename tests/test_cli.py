@@ -56,6 +56,15 @@ class TestTopologyCommand:
         assert main(["topology", "--edge-list", str(src)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--output", "--dot", "--edge-list-out"])
+    def test_unwritable_path_is_input_error(self, tmp_path, capsys, flag):
+        # exit 1 means a verification mismatch, so a failed write must exit 2
+        target = tmp_path / "missing-dir" / "x.out"
+        assert main(["topology", "--topology", "hypercube", "--n", "3", flag, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: cannot write {target}: No such file or directory"]
+        assert not target.parent.exists()
+
     def test_missing_source_is_input_error(self, capsys):
         assert main(["topology"]) == 2
         assert main(["topology", "--topology", "hypercube", "--n", "99"]) == 2
