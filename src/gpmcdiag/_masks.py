@@ -31,7 +31,6 @@ class Layout:
     """
 
     n: int                       # vertex count
-    m: int                       # edge count
     edges: tuple                 # canonical (min, max) pairs, sorted
     edge_index: dict             # (min, max) -> k
     nbr_mask: tuple              # per vertex: neighbor vertex bits
@@ -54,7 +53,6 @@ def layout_of(g) -> Layout:
         adj[v].append((u, k))
     lay = Layout(
         n=n,
-        m=len(g.edges),
         edges=g.edges,
         edge_index={e: k for k, e in enumerate(g.edges)},
         nbr_mask=tuple(nbr),

@@ -8,15 +8,15 @@ disjoint (X1, X2, C) exist with X1 or X2 nonempty, |X1| + |C| <= t,
 |X2| + |C| <= t, and each of X1, X2 sends at most s edges to vertices outside
 X1 | X2 | C.  The faulty edge sets are then forced (each side's uncovered
 neighbors are blocked by the other side's edges), so no edge subsets are ever
-enumerated.  Each (X1, X2) leaf gets its cover counts in O(1) from an
-incremental X2 walk, and a vertex-boundary bound rejects nearly every leaf
-that would otherwise reach the search for C; ``_search_seed`` states both and
-proves the bound admissible.  Every leaf is still visited and counted, and
-the search stays exact.  The test suite checks it on every gallery graph
-against an oracle that enumerates every consistent pair within bounds and
-compares them pairwise (``full_search`` in ``tests/brute.py``), and checks
-its leaf order and counts against its per-leaf predecessor
-(``reference_search_seed`` there).
+enumerated.  X1 and X2 are walked depth first, and a vertex-boundary bound
+cuts every subtree in which no leaf can be a witness; the cut leaves are
+counted with binomial coefficients instead of visited, so the count of
+structures examined is that of a leaf-by-leaf walk.  ``_search_seed`` proves
+the cut admissible, so the search stays exact.  The test suite checks it on
+every gallery graph and on random graphs against an oracle that enumerates
+every consistent pair within bounds and compares them pairwise
+(``full_search`` in ``tests/brute.py``), and checks its leaf order and
+counts against a leaf-by-leaf walk (``reference_search_seed`` there).
 
 Vertex-transitive graphs are searched from the single seed vertex 0, since
 any witness can be translated to one whose smallest difference vertex is 0;
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from . import _masks
@@ -175,25 +175,30 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
 
     X1 holds ``seed`` and later vertices; X2 holds later vertices outside X1.
     Both run by size ascending, then lexicographically, and every (X1, X2)
-    leaf counts as one structure examined.  Write X = X1 | X2, N(Y) for the
-    union of the neighborhoods of Y, and e(A, B) for the edges between A and
-    B.  cover_i, the number of edges from X_i to vertices outside X, comes in
-    O(1) per leaf from tables built once per X1 and carried down the X2 walk
-    (``_x2_prefixes``):
+    leaf counts as one structure examined, whether it is visited or cut.
+    Write X = X1 | X2, N(Y) for the union of the neighborhoods of Y, and
+    cover_i for the number of edges from X_i to vertices outside X.  When
+    both covers are at most s the witness has C empty.  Otherwise C, at most
+    cmax_all = t - max(|X1|, |X2|) vertices outside X, must absorb the
+    excess, and ``_cover_subset`` looks for it.
 
-    - cover1 = out(X1) - e(X1, X2), where out(X1) = sum over v in X1 of |N(v) - X1|;
-    - cover2 = sum over w in X2 of deg(w) - 2 e(X2, X2) - e(X1, X2).
-
-    When both are at most s the witness has C empty.  Otherwise C, at most
-    cmax_all = t - max(|X1|, |X2|) vertices outside X, must absorb the excess,
-    and the leaf is rejected before the exact cover test when
-    |N(X1) - X| - cmax_all > s or |N(X2) - X| - cmax_all > s.  This bound is
-    admissible: in a witness every edge from X1 to a vertex outside
-    U = X | C is one of the at most s edges the other side blames, each
-    vertex of N(X1) - X not in C is the far end of at least one such edge,
-    and |C| <= cmax_all; likewise for X2.  So it rejects only leaves that
-    ``_cover_subset`` would reject as well, and the first witness and the
-    count of structures stay those of the plain per-leaf test.
+    Both walks (``_bounded_sets``) cut subtrees by a vertex-boundary lemma.
+    In a witness every edge from X1 to a vertex outside U = X | C is one of
+    the at most s edges the other side blames, so each vertex of N(X1) - X
+    outside C is the far end of at least one blamed edge.  Hence
+    |N(X1) - X| <= |C| + s <= cmax_all + s, likewise for X2, and
+    |N(X1) - X1| <= |X2| + |C| + s <= t + s.  The X1 walk cuts a partial X1
+    with r picks left when |N(X1) - X1| - r > t + s; the X2 walk cuts a
+    partial X2 with r picks left when |N(X2) - X| - r or |N(X1) - X| - r
+    exceeds cmax_all + s.  The cut is admissible: the r picks take at most
+    r vertices out of either boundary, and a neighborhood only grows as its
+    set does.  At r = 0 it rejects exactly the leaves that fail the lemma,
+    and none of them has C empty, since |N(X_i) - X| <= cover_i.  So the
+    first witness is the one a leaf-by-leaf walk would meet.  A cut subtree
+    still counts its leaves: C(q, r) sets, with q pool entries left, and
+    each cut X1 of size k stands for L(k) = sum of C(P, j) over
+    j = 0..min(t, P) X2 leaves, P = n - seed - k.  The count of structures
+    is therefore the one a leaf-by-leaf walk would make.
 
     Returns ((f1, s1, f2, s2) masks or None, structures_examined).
     """
@@ -203,87 +208,76 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
     rest = range(seed + 1, n)
     examined = 0
     for size1 in range(1, min(t, n) + 1):
-        for tail in combinations(rest, size1 - 1):
-            x1 = (seed,) + tail
-            x1mask = _masks.vertex_mask(x1)
-            nx1 = 0
-            out1 = 0
-            for v in x1:
-                nx1 |= nbr[v]
-                out1 += (nbr[v] & ~x1mask).bit_count()
-            # per pool vertex w: (bit, N(w), deg(w), e({w}, X1))
-            pool = [(1 << w, nbr[w], nbr[w].bit_count(), (nbr[w] & x1mask).bit_count())
-                    for w in rest if not (x1mask >> w) & 1]
+        pool_size = n - seed - size1
+        x2_leaves = sum(comb(pool_size, j) for j in range(min(t, pool_size) + 1))
+        for leaves, x1mask, nx1 in _bounded_sets(nbr, rest, size1 - 1, t + s, start=1 << seed):
+            if x1mask is None:
+                examined += leaves * x2_leaves
+                continue
+            pool = [w for w in rest if not (x1mask >> w) & 1]
             for size2 in range(0, min(t, len(pool)) + 1):
                 cmax_all = t - max(size1, size2)
-                for lasts, pmask, pnx, pdeg, pe12, pe22 in _x2_prefixes(pool, size2):
-                    for wbit, wnbr, wdeg, w1 in lasts:
-                        examined += 1
-                        e12 = pe12 + w1
-                        cover1 = out1 - e12
-                        cover2 = pdeg + wdeg - 2 * (pe22 + (wnbr & pmask).bit_count()) - e12
-                        x2mask = pmask | wbit
-                        cmask = 0
-                        if cover1 > s or cover2 > s:
-                            if cmax_all == 0:
-                                continue
-                            outside = ~(x1mask | x2mask)
-                            nx2 = pnx | wnbr
-                            if ((nx1 & outside).bit_count() - cmax_all > s
-                                    or (nx2 & outside).bit_count() - cmax_all > s):
-                                continue
-                            need1 = cover1 - s
-                            need2 = cover2 - s
-                            cand_mask = (nx1 if need1 > 0 else 0) | (nx2 if need2 > 0 else 0)
-                            cands = []
-                            for c in _masks.bits(cand_mask & outside):
-                                g1 = (nbr[c] & x1mask).bit_count()
-                                g2 = (nbr[c] & x2mask).bit_count()
-                                cands.append((c, g1, g2))
-                            cands.sort(key=lambda cg: (-(cg[1] + cg[2]), cg[0]))
-                            chosen = _cover_subset(cands, need1, need2, cmax_all)
-                            if chosen is None:
-                                continue
-                            cmask = _masks.vertex_mask(chosen)
-                        f1 = x1mask | cmask
-                        f2 = x2mask | cmask
-                        umask = x1mask | x2mask | cmask
-                        # S is forced: each pair blames the other side's edges leaving U
-                        s1 = _blocking_edges(lay, _masks.bits(x2mask), umask)
-                        s2 = _blocking_edges(lay, x1, umask)
-                        return (f1, s1, f2, s2), examined
+                for leaves, x2mask, nx2 in _bounded_sets(nbr, pool, size2, cmax_all + s,
+                                                         base=x1mask, other=nx1):
+                    examined += leaves
+                    if x2mask is None:
+                        continue
+                    outside = ~(x1mask | x2mask)
+                    cover1 = sum((nbr[v] & outside).bit_count() for v in _masks.bits(x1mask))
+                    cover2 = sum((nbr[w] & outside).bit_count() for w in _masks.bits(x2mask))
+                    cmask = 0
+                    if cover1 > s or cover2 > s:
+                        if cmax_all == 0:
+                            continue
+                        need1 = cover1 - s
+                        need2 = cover2 - s
+                        cand_mask = (nx1 if need1 > 0 else 0) | (nx2 if need2 > 0 else 0)
+                        cands = []
+                        for c in _masks.bits(cand_mask & outside):
+                            g1 = (nbr[c] & x1mask).bit_count()
+                            g2 = (nbr[c] & x2mask).bit_count()
+                            cands.append((c, g1, g2))
+                        cands.sort(key=lambda cg: (-(cg[1] + cg[2]), cg[0]))
+                        chosen = _cover_subset(cands, need1, need2, cmax_all)
+                        if chosen is None:
+                            continue
+                        cmask = _masks.vertex_mask(chosen)
+                    f1 = x1mask | cmask
+                    f2 = x2mask | cmask
+                    umask = x1mask | x2mask | cmask
+                    # S is forced: each pair blames the other side's edges leaving U
+                    s1 = _blocking_edges(lay, _masks.bits(x2mask), umask)
+                    s2 = _blocking_edges(lay, _masks.bits(x1mask), umask)
+                    return (f1, s1, f2, s2), examined
     return None, examined
 
 
-_NO_PICK = ((0, 0, 0, 0),)  # the last pick of the empty X2: adds nothing
+def _bounded_sets(nbr, pool, picks: int, slack: int, start: int = 0, base: int = 0,
+                  other: int = 0):
+    """``start`` plus ``picks`` entries of ``pool``, lexicographically, cut by boundary.
 
-
-def _x2_prefixes(pool, size: int):
-    """Every X2 of ``size`` pool vertices but its last pick, depth first.
-
-    ``pool`` holds (bit, N(w), deg(w), e({w}, X1)) per vertex w, ascending.
-    Yields (last picks, mask, N, degree sum, e(X1, X2), e(X2, X2)) per
-    prefix: the prefix's state plus the pool entries that may complete it.
-    Taking the prefixes in order and each one's last picks in order visits
-    the X2 sets in lexicographic order.  The empty X2 is the empty prefix
-    completed by one pick that adds nothing.
+    Yields (leaves, mask, N(mask)) per surviving set, with leaves = 1, and
+    (leaves, None, None) per cut subtree.  A node with r picks left is cut
+    when |N(set) - (base | set)| - r or |other - (base | set)| - r exceeds
+    ``slack``; the ``_search_seed`` docstring gives the reason.
     """
-    if size == 0:
-        yield _NO_PICK, 0, 0, 0, 0, 0
-        return
     k = len(pool)
 
-    def walk(depth, start, x2mask, nx2, degs, e12, e22):
-        # ``depth`` picks to go before the last one, each leaving room for it
-        if depth == 0:
-            yield pool[start:], x2mask, nx2, degs, e12, e22
-            return
-        for i in range(start, k - depth):
-            wbit, wnbr, wdeg, w1 = pool[i]
-            yield from walk(depth - 1, i + 1, x2mask | wbit, nx2 | wnbr, degs + wdeg,
-                            e12 + w1, e22 + (wnbr & x2mask).bit_count())
+    def walk(i, r, mask, nset):
+        known = base | mask
+        if max((nset & ~known).bit_count(), (other & ~known).bit_count()) - r > slack:
+            yield comb(k - i, r), None, None
+        elif r == 0:
+            yield 1, mask, nset
+        else:
+            for j in range(i, k - r + 1):
+                w = pool[j]
+                yield from walk(j + 1, r - 1, mask | (1 << w), nset | nbr[w])
 
-    yield from walk(size - 1, 0, 0, 0, 0, 0, 0)
+    nstart = 0
+    for v in _masks.bits(start):
+        nstart |= nbr[v]
+    yield from walk(0, picks, start, nstart)
 
 
 def _blocking_edges(lay, side, umask: int) -> int:

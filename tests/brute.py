@@ -113,15 +113,15 @@ def full_search(g, t: int, s: int):
 
 
 def reference_search_seed(g, t: int, s: int, seed: int):
-    """The difference-structure search's per-leaf predecessor, kept as its oracle.
+    """The difference-structure search leaf by leaf, kept as its oracle.
 
-    A verbatim copy of ``diagnosability._search_seed`` before its X2 walk
-    became incremental: X2 comes from ``combinations`` and every leaf
-    recounts both cover counts over its own vertices.  The library must
-    return the same ((f1, s1, f2, s2) masks or None, structures_examined)
-    for every seed, so this pins the leaf order and the count, not only the
-    verdict.  Like ``full_search`` it works over the library's mask layout,
-    and it reads the library's ``_cover_subset`` and ``_blocking_edges``.
+    X1 and X2 come from ``combinations``, every leaf is visited and counted,
+    and each recounts both cover counts over its own vertices; no subtree is
+    cut.  The library must return the same ((f1, s1, f2, s2) masks or None,
+    structures_examined) for every seed, so this pins the leaf order and the
+    count, not only the verdict.  Like ``full_search`` it works over the
+    library's mask layout, and it reads the library's ``_cover_subset`` and
+    ``_blocking_edges``.
     """
     lay = _masks.layout_of(g)
     n = g.vertex_count

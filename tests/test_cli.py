@@ -65,6 +65,12 @@ class TestTopologyCommand:
         assert err.splitlines() == [f"error: cannot write {target}: No such file or directory"]
         assert not target.parent.exists()
 
+    def test_unreadable_edge_list_names_path_once(self, tmp_path, capsys):
+        src = tmp_path / "absent.txt"
+        assert main(["topology", "--edge-list", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: cannot read edge list {src}: No such file or directory"]
+
     def test_missing_source_is_input_error(self, capsys):
         assert main(["topology"]) == 2
         assert main(["topology", "--topology", "hypercube", "--n", "99"]) == 2
@@ -228,8 +234,7 @@ class TestVerifyTheoremsCommand:
         assert rows[(3, "vertex-restricted-edge", 1)] == 1
 
     def test_max_n_validation(self, capsys):
-        assert main(["verify-theorems", "--max-n", "6"]) == 2
-        assert main(["verify-theorems", "--max-n", "5"]) == 2  # needs audit flag
+        assert main(["verify-theorems", "--max-n", "9"]) == 2
 
     def test_table_format_shows_mismatches(self, capsys):
         code = main(["verify-theorems", "--max-n", "2"])

@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gpmcdiag as gd
 from gpmcdiag import InputError
@@ -64,6 +65,21 @@ class TestIsTsDiagnosable:
         for (t, s) in [(2, 1), (3, 1), (1, 2), (3, 0), (4, 0)]:
             assert (full_is_ts_diagnosable(q3, t, s).diagnosable
                     == gd.is_ts_diagnosable(q3, t, s, method="local").diagnosable)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7), st.floats(0.0, 1.0), st.integers(0, 10 ** 6),
+           st.integers(0, 3), st.integers(0, 2), st.booleans())
+    def test_search_matches_pairwise_oracle(self, n, p, gen_seed, t, s, audit):
+        g = gd.build_random(n, p, gen_seed)
+        result = gd.is_ts_diagnosable(g, t, s, audit=audit)
+        assert result.diagnosable == full_is_ts_diagnosable(g, t, s).diagnosable
+        if result.witness is not None:
+            p1, p2 = result.witness
+            assert p1 != p2
+            for pair in (p1, p2):
+                assert len(pair.faulty_vertices) <= t and len(pair.faulty_edges) <= s
+            assert not gd.distinguishable(g, p1, p2).distinguishable
+            assert not gd.distinguishable_oracle(g, p1, p2)
 
     def test_antipodal_split_defeats_the_four_cycle(self):
         # the (2,0) witness spans the whole cycle; a purely neighborhood-local
@@ -166,6 +182,15 @@ class TestEdgeRestricted:
         levels = [gd.is_ts_diagnosable(q3, t, 1) for t in range(rep.value + 2)]
         assert rep.stats == {"method": "local", "structures_examined": sum(
             level.stats["structures_examined"] for level in levels)}
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_hypercube_closed_forms(n):
+    # t_h(Q_n) = n - h up to h = n - 2 and 0 beyond; s_1 = s_2 = n - 2
+    g = gd.build_hypercube(n)
+    assert [gd.edge_restricted_diagnosability(g, h).value for h in range(n + 1)] \
+        == [n - h for h in range(n - 1)] + [0, 0]
+    assert [gd.vertex_restricted_edge_diagnosability(g, r).value for r in (1, 2)] == [n - 2] * 2
 
 
 class TestVertexRestricted:

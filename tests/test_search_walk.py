@@ -1,11 +1,13 @@
-"""The difference-structure search against its per-leaf predecessor.
+"""The bounded difference-structure search against a leaf-by-leaf walk.
 
-``brute.reference_search_seed`` is the search before its X2 walk became
-incremental and gained the per-leaf boundary bound.  Both must return the
-same witness masks and the same count of structures for every seed, so a
-walk that visits the leaves in another order, skips one, or meets a
-different first witness fails here.  A verdict-only comparison such as
-``test_methods_agree_on_grid`` would see none of these.
+``brute.reference_search_seed`` visits and counts every (X1, X2) leaf;
+the library cuts whole subtrees by a vertex-boundary bound and counts
+their leaves with binomial coefficients.  Both must return the same
+witness masks and the same count of structures for every seed, so a walk
+that visits the leaves in another order, miscounts a cut subtree, cuts a
+subtree that holds a witness, or meets a different first witness fails
+here.  A verdict-only comparison such as ``test_methods_agree_on_grid``
+would see none of these.
 """
 
 import pytest
