@@ -26,7 +26,6 @@ from .diagnosability import (
 from .distinguish import (
     Verdict,
     Witness,
-    all_consistent_pairs,
     distinguishable,
     distinguishable_oracle,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "Verdict",
     "Witness",
     "adversarial_roundtrip",
-    "all_consistent_pairs",
     "analytic_upper_bounds",
     "build_complete",
     "build_cycle",

@@ -18,15 +18,15 @@ so the hot loops touch machine integers instead of frozensets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 
 @dataclass(frozen=True)
 class Layout:
     """Vertex bits and edge indices for one graph.
 
-    Memory: ``nbr_mask`` and the vertex bits shared by ``adj`` take O(n^2)
-    bits, the rest O(n + m) machine words.  An edge's endpoint bits are built
+    Memory: ``nbr_mask`` takes O(n^2) bits, the rest O(n + m) machine words.
+    ``adj`` holds neighbor ids, not vertex bits, so membership in a vertex set
+    is tested with ``(mask >> v) & 1``.  An edge's endpoint bits are built
     from ``edges`` where they are needed.
     """
 
@@ -34,7 +34,7 @@ class Layout:
     edges: tuple                 # canonical (min, max) pairs, sorted
     edge_index: dict             # (min, max) -> k
     nbr_mask: tuple              # per vertex: neighbor vertex bits
-    adj: tuple                   # per vertex: ((neighbor vertex bit, k), ...) sorted by neighbor
+    adj: tuple                   # per vertex: ((neighbor id, k), ...) sorted by neighbor
     all_tests: int
 
 
@@ -43,12 +43,11 @@ def layout_of(g) -> Layout:
     if g._layout is not None:
         return g._layout
     n = g.vertex_count
-    vbit = [1 << v for v in range(n)]   # one int per vertex, shared by every entry
     nbr = [0] * n
     adj = [[] for _ in range(n)]
     for k, (u, v) in enumerate(g.edges):
-        nbr[u] |= vbit[v]
-        nbr[v] |= vbit[u]
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
         adj[u].append((v, k))
         adj[v].append((u, k))
     lay = Layout(
@@ -56,7 +55,7 @@ def layout_of(g) -> Layout:
         edges=g.edges,
         edge_index={e: k for k, e in enumerate(g.edges)},
         nbr_mask=tuple(nbr),
-        adj=tuple(tuple((vbit[v], k) for v, k in sorted(es)) for es in adj),
+        adj=tuple(tuple(sorted(es)) for es in adj),
         all_tests=(1 << (2 * len(g.edges))) - 1,
     )
     g._layout = lay
@@ -90,10 +89,9 @@ def forced_masks(lay: Layout, f: int, s: int) -> tuple[int, int]:
     arb = 0
     touched = 0
     for u in bits(f):
-        ubit = 1 << u
-        for vb, k in lay.adj[u]:
+        for v, k in lay.adj[u]:
             # u tests its neighbor at bit 2k when u is the smaller endpoint
-            arb |= 1 << (2 * k + (vb < ubit))
+            arb |= 1 << (2 * k + (v < u))
             touched |= 3 << (2 * k)
     for k in bits(s):
         touched |= 3 << (2 * k)
@@ -124,19 +122,6 @@ def adversary_syndromes(lay: Layout, f: int, s: int, choose):
         yield fail
 
 
-def consistent_groups(lay: Layout, max_vertices: int, max_edges: int):
-    """Every consistent pattern with |F| <= max_vertices and |S| <= max_edges,
-    grouped by F: yields (f_mask, [s_mask, ...]) in (|F|, F, |S|, S)
-    lexicographic order.  S ranges over the edges with no endpoint in F."""
-    for fsize in range(min(max_vertices, lay.n) + 1):
-        for fverts in combinations(range(lay.n), fsize):
-            f = vertex_mask(fverts)
-            free = [1 << k for k, (a, b) in enumerate(lay.edges)
-                    if not (f >> a) & 1 and not (f >> b) & 1]
-            yield f, [sum(sel) for size in range(min(max_edges, len(free)) + 1)
-                      for sel in combinations(free, size)]
-
-
 def condition_hits(lay: Layout, f1: int, s1: int, f2: int, s2: int):
     """Every hit of the distinguishability conditions, as (edge k, condition, direction).
 
@@ -155,8 +140,8 @@ def condition_hits(lay: Layout, f1: int, s1: int, f2: int, s2: int):
     both_f = f1 | f2
     for d, other_s, direction in ((f1 & ~f2, s2, 1), (f2 & ~f1, s1, 2)):
         for u in bits(d):
-            for vb, k in lay.adj[u]:
-                if vb & both_f == 0 and (other_s >> k) & 1 == 0:
+            for v, k in lay.adj[u]:
+                if not (both_f >> v) & 1 and not (other_s >> k) & 1:
                     yield k, 1, direction
 
 

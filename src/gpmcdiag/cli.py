@@ -30,7 +30,7 @@ from .diagnosability import (
     min_degree,
     vertex_restricted_edge_diagnosability,
 )
-from .engine import DiagnosisStatus, diagnose
+from .engine import DEFAULT_CANDIDATE_CAP, DiagnosisStatus, diagnose
 from .errors import InputError
 from .faults import generate_syndrome, make_fault_pair
 from .graph import (
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inject faults, generate a syndrome, and decode it")
     p.add_argument("--t", type=int, required=True, help="vertex fault bound")
     p.add_argument("--s", type=int, required=True, help="edge fault bound")
-    p.add_argument("--candidate-cap", type=int, default=64,
+    p.add_argument("--candidate-cap", type=int, default=DEFAULT_CANDIDATE_CAP,
                    help="max candidates listed when ambiguous (count stays exact)")
 
     p = sub.add_parser("diagnosability", parents=[topo, search, out],
@@ -136,7 +136,12 @@ def _build_graph(args) -> tuple[Graph, dict]:
     sources = [args.topology is not None, args.edge_list is not None]
     if sum(sources) != 1:
         raise InputError("exactly one of --topology or --edge-list is required")
+    params = {key: value for key, value in
+              (("n", args.n), ("p", args.p), ("seed", args.topology_seed))
+              if value is not None}
     if args.edge_list is not None:
+        if params:
+            raise InputError("--edge-list takes no --n, --p or --topology-seed")
         path = Path(args.edge_list)
         try:
             text = path.read_text()
@@ -144,13 +149,6 @@ def _build_graph(args) -> tuple[Graph, dict]:
             raise InputError(f"cannot read edge list {path}: {exc.strerror or exc}") from None
         g = parse_edge_list(text, name=path.name)
         return g, {"edge_list": str(args.edge_list)}
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.p is not None:
-        params["p"] = args.p
-    if args.topology_seed is not None:
-        params["seed"] = args.topology_seed
     g = build_named_topology(args.topology, **params)
     return g, {"kind": args.topology, **params}
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 from . import _masks
 from .errors import InputError
 from .faults import FaultPair, _pair_from_masks, make_fault_pair
-from .graph import Graph, incident_edges, min_degree
+from .graph import Graph, degree, incident_edges, min_degree, neighbors
 
 
 class TsResult(NamedTuple):
@@ -92,7 +92,7 @@ def construct_indistinguishable_witness(g: Graph, u: int, h: int) -> tuple[Fault
     common syndrome.  Proves t_h <= d(u) - h; tight when d(u) is minimum.
     """
     g.check_vertex(u)
-    nbrs = sorted(g._adj[u])
+    nbrs = sorted(neighbors(g, u))
     if not 0 <= h <= len(nbrs):
         raise InputError(f"edge budget h={h} outside 0..deg({u})={len(nbrs)}")
     first, rest = nbrs[:h], nbrs[h:]
@@ -114,9 +114,9 @@ def construct_edge_witness(g: Graph, e) -> tuple[FaultPair, FaultPair]:
     ce = g.check_edge(e)
     delta = min_degree(g)
     a, b = ce
-    if len(g._adj[a]) == delta:
+    if degree(g, a) == delta:
         u, v = a, b
-    elif len(g._adj[b]) == delta:
+    elif degree(g, b) == delta:
         u, v = b, a
     else:
         raise InputError(f"edge {a}-{b} has no endpoint of minimum degree {delta}")
@@ -284,8 +284,8 @@ def _blocking_edges(lay, side, umask: int) -> int:
     """Edge mask of every edge from a vertex of ``side`` to a vertex outside ``umask``."""
     smask = 0
     for v in side:
-        for vb, k in lay.adj[v]:
-            if vb & umask == 0:
+        for w, k in lay.adj[v]:
+            if not (umask >> w) & 1:
                 smask |= 1 << k
     return smask
 

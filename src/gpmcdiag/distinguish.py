@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import _masks
 from .errors import GraphMismatchError, InputError
-from .faults import FaultPair, _pair_from_masks
+from .faults import FaultPair
 from .graph import Graph
 
 
@@ -72,11 +72,3 @@ def distinguishable_oracle(g: Graph, p1: FaultPair, p2: FaultPair) -> bool:
             raise AssertionError("forced outcomes of one fault pair contradict each other")
     return not _masks.share_syndrome(ff1, fp1, ff2, fp2)
 
-
-def all_consistent_pairs(g: Graph, max_vertices: int, max_edges: int) -> list[FaultPair]:
-    """Every consistent fault pair within the size bounds, in lexicographic
-    (|F|, F, |S|, S) order.  Intended for exhaustive checks on small graphs."""
-    lay = _masks.layout_of(g)
-    return [_pair_from_masks(g, lay, f, sm)
-            for f, smasks in _masks.consistent_groups(lay, max_vertices, max_edges)
-            for sm in smasks]

@@ -9,7 +9,6 @@ gives no grounds to prefer one.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,19 +63,16 @@ def diagnose(g: Graph, sig: Syndrome, t: int, s: int, *,
 
 
 EXHAUSTIVE_ADVERSARY_LIMIT = 16
-SAMPLED_ADVERSARY_COUNT = 256
 
 
-def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int, *,
-                          seed: int = 0) -> bool:
+def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
     """True when every adversary choice still decodes to the injected pair.
 
-    Every assignment of the faulty testers' results is tried when there are at
-    most 16 of them, otherwise 256 seeded random assignments.  Intended for
-    graphs already known (t, s)-diagnosable; a False from an in-bound pair on
-    such a graph would contradict diagnosability.  False is always exact, and
-    so is True from the exhaustive branch; True from the sampled branch is not
-    a proof, since an unsampled assignment may still decode ambiguously.
+    Every assignment of the faulty testers' results is tried, so the answer
+    is exact.  A pair whose faulty testers run more than 16 tests (over 2^16
+    assignments) raises InputError before any decode.  Intended for graphs
+    already known (t, s)-diagnosable; a False from an in-bound pair on such a
+    graph would contradict diagnosability.
     """
     if fp.graph is not g:
         raise GraphMismatchError("fault pair belongs to a different graph")
@@ -85,14 +81,15 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int, *,
     lay = _masks.layout_of(g)
 
     def assignments(free):
-        if len(free) <= EXHAUSTIVE_ADVERSARY_LIMIT:
-            return range(1 << len(free))
-        rng = random.Random(seed)
-        return [rng.getrandbits(len(free)) for _ in range(SAMPLED_ADVERSARY_COUNT)]
+        if len(free) > EXHAUSTIVE_ADVERSARY_LIMIT:
+            raise InputError(
+                f"{len(free)} tests have a faulty tester; the roundtrip tries every "
+                f"assignment only up to {EXHAUSTIVE_ADVERSARY_LIMIT}")
+        return range(1 << len(free))
 
     expected = (fp.f_mask, fp.s_mask)
     for fail in _masks.adversary_syndromes(lay, fp.f_mask, fp.s_mask, assignments):
-        found = _candidate_masks(lay, fail, t, s, limit=2)
+        found = _candidate_masks(lay, fail, t, s)
         if len(found) != 1 or found[0] != expected:
             return False
     return True

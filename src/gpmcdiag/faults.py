@@ -260,14 +260,13 @@ def is_consistent(sig: Syndrome, fp: FaultPair) -> bool:
 # consistent-pair enumeration (syndrome decoding core)
 # ---------------------------------------------------------------------------
 
-def _candidate_masks(lay, fail_mask: int, t: int, s: int, limit=None):
+def _candidate_masks(lay, fail_mask: int, t: int, s: int):
     """(f_mask, s_mask) of every in-bound fault pair consistent with the syndrome.
 
-    Results come out in (|F|, F) lexicographic order; a positive ``limit``
-    keeps only the first ``limit`` of them.  Rather than trying every vertex
-    set of size at most t, the search decides vertices faulty (in F) or good
-    and applies four rules, each a necessary condition of the model, so no
-    consistent pair is ever lost:
+    Results come out in (|F|, F) lexicographic order.  Rather than trying
+    every vertex set of size at most t, the search decides vertices faulty
+    (in F) or good and applies four rules, each a necessary condition of the
+    model, so no consistent pair is ever lost:
 
     - Suspects: a faulty v is failed by every good neighbour, so at most t-1
       of its in-tests pass; any other vertex is good from the start.
@@ -368,8 +367,6 @@ def _candidate_masks(lay, fail_mask: int, t: int, s: int, limit=None):
             if branch:
                 stack.append(branch)
     solutions.sort(key=lambda f: (f.bit_count(), tuple(_masks.bits(f))))
-    if limit is not None:
-        del solutions[limit:]
     found = []
     for f in solutions:
         smask = 0

@@ -13,9 +13,9 @@ from itertools import combinations
 from .errors import InputError
 
 #: Largest supported hypercube dimension.  The mask layout dominates memory:
-#: it keeps two vertex-wide ints per vertex (its neighbor bits and its own
-#: bit), about 4^n / 5 bytes for Q_n.  Building Q_15, one fault pair and its
-#: syndrome peaks near 0.4 GB of RSS.
+#: it keeps one vertex-wide int per vertex (its neighbor bits), about 4^n / 9
+#: bytes for Q_n (115 MB for Q_15).  Building Q_15, one fault pair and its
+#: syndrome peaks near 0.3 GB of RSS.
 HYPERCUBE_DIMENSION_CAP = 15
 
 #: Largest vertex and edge counts of any graph: those of Q_15, the largest
@@ -253,36 +253,38 @@ def build_random(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges, name=f"random-{n}-p{p}-s{seed}")
 
 
+#: Per stock topology: its builder and the parameters it takes, in order,
+#: each with the conversion applied to the given value.
 _BUILDERS = {
-    "hypercube": lambda n=None, **kw: build_hypercube(_need_int("n", n)),
-    "path": lambda n=None, **kw: build_path(_need_int("n", n)),
-    "cycle": lambda n=None, **kw: build_cycle(_need_int("n", n)),
-    "complete": lambda n=None, **kw: build_complete(_need_int("n", n)),
-    "random": lambda n=None, p=None, seed=None, **kw: build_random(
-        _need_int("n", n), _need_float("p", p), _need_int("seed", seed)),
+    "hypercube": (build_hypercube, {"n": int}),
+    "path": (build_path, {"n": int}),
+    "cycle": (build_cycle, {"n": int}),
+    "complete": (build_complete, {"n": int}),
+    "random": (build_random, {"n": int, "p": float, "seed": int}),
 }
 
 
-def _need_int(name, value):
-    if value is None:
-        raise InputError(f"topology parameter {name!r} is required")
-    return int(value)
-
-
-def _need_float(name, value):
-    if value is None:
-        raise InputError(f"topology parameter {name!r} is required")
-    return float(value)
-
-
 def build_named_topology(name: str, **params) -> Graph:
-    """Build one of the stock topologies: hypercube, path, cycle, complete, random."""
+    """Build one of the stock topologies: hypercube, path, cycle, complete, random.
+
+    Every parameter the topology takes is required, and a parameter it does
+    not take is refused rather than ignored.
+    """
     try:
-        builder = _BUILDERS[name]
+        builder, takes = _BUILDERS[name]
     except KeyError:
         known = ", ".join(sorted(_BUILDERS))
         raise InputError(f"unknown topology {name!r} (known: {known})") from None
-    return builder(**params)
+    for key in params:
+        if key not in takes:
+            raise InputError(
+                f"topology {name!r} does not take parameter {key!r} (takes: {', '.join(takes)})")
+    args = []
+    for key, convert in takes.items():
+        if params.get(key) is None:
+            raise InputError(f"topology parameter {key!r} is required")
+        args.append(convert(params[key]))
+    return builder(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Most of this works from the model's definitions with plain sets and tuples,
 deliberately avoiding the library's mask machinery and search code so that
-agreement between the two is evidence, not tautology.  Three oracles,
+agreement between the two is evidence, not tautology.  The consistent-pair
+enumerator ``all_consistent_pairs`` and three oracles,
 ``reference_candidate_masks`` (for the decoder), and ``full_search`` and
 ``reference_search_seed`` (for the diagnosability search), work over the
 library's mask layout instead; the definitional checks here cover that
@@ -19,6 +20,7 @@ import numpy as np
 import gpmcdiag as gd
 from gpmcdiag import _masks
 from gpmcdiag.diagnosability import _blocking_edges, _cover_subset
+from gpmcdiag.faults import _pair_from_masks
 
 
 def forced_value(test: gd.Test, fset: frozenset, sset: frozenset):
@@ -38,21 +40,47 @@ def syndrome_fits(g, sig, fset, sset) -> bool:
     return True
 
 
+def consistent_groups(lay, max_vertices: int, max_edges: int):
+    """Every consistent pattern with |F| <= max_vertices and |S| <= max_edges,
+    grouped by F: yields (f_mask, [s_mask, ...]) in (|F|, F, |S|, S)
+    lexicographic order.  S ranges over the edges with no endpoint in F.
+
+    Unbounded: each F lists every S up to size max_edges, so keep to small
+    graphs and bounds.
+    """
+    for fsize in range(min(max_vertices, lay.n) + 1):
+        for fverts in combinations(range(lay.n), fsize):
+            f = _masks.vertex_mask(fverts)
+            free = [1 << k for k, (a, b) in enumerate(lay.edges)
+                    if not (f >> a) & 1 and not (f >> b) & 1]
+            yield f, [sum(sel) for size in range(min(max_edges, len(free)) + 1)
+                      for sel in combinations(free, size)]
+
+
+def all_consistent_pairs(g, max_vertices: int, max_edges: int) -> list:
+    """Every consistent fault pair within the size bounds, in lexicographic
+    (|F|, F, |S|, S) order, for exhaustive checks on small graphs."""
+    lay = _masks.layout_of(g)
+    return [_pair_from_masks(g, lay, f, sm)
+            for f, smasks in consistent_groups(lay, max_vertices, max_edges)
+            for sm in smasks]
+
+
 def brute_force_decode(g, sig, t, s):
     """Every in-bound consistent pair explaining the syndrome, by literal filter."""
     out = []
-    for pair in gd.all_consistent_pairs(g, t, s):
+    for pair in all_consistent_pairs(g, t, s):
         if syndrome_fits(g, sig, pair.faulty_vertices, pair.faulty_edges):
             out.append(pair)
     return out
 
 
-def reference_candidate_masks(lay, fail_mask: int, t: int, s: int, limit=None):
+def reference_candidate_masks(lay, fail_mask: int, t: int, s: int):
     """The decoder's exhaustive predecessor, kept as its oracle.
 
     Unlike the rest of this module it works over the library's mask layout,
     because it must reproduce ``faults._candidate_masks`` output exactly:
-    (f_mask, s_mask) pairs in (|F|, F) lexicographic order, cut at ``limit``.
+    (f_mask, s_mask) pairs in (|F|, F) lexicographic order.
     It tries every vertex set of size at most t and forces S per set, reading
     each edge's two test bits straight from ``lay.edges`` order.
     """
@@ -79,8 +107,6 @@ def reference_candidate_masks(lay, fail_mask: int, t: int, s: int, limit=None):
             if not ok or smask.bit_count() > s:
                 continue
             found.append((sum(1 << v for v in fverts), smask))
-            if limit is not None and len(found) >= limit:
-                return found
     return found
 
 
@@ -88,8 +114,12 @@ def full_search(g, t: int, s: int):
     """First indistinguishable pair in lexicographic order, or None.
 
     The pairwise oracle for the library's difference-structure search.  Like
-    ``reference_candidate_masks`` it works over the library's mask layout and
-    reads ``_masks.consistent_groups`` and ``_masks.pairs_indistinguishable``.
+    ``reference_candidate_masks`` it works over the library's mask layout.
+    Each pair's forced outcomes come from ``_masks.forced_masks`` once, and
+    two pairs are indistinguishable when they share a syndrome: no test is
+    forced to pass under one and to fail under the other.  That is the
+    forced-outcome route, not the structural conditions the search builds
+    on.
 
     Pairs sharing the same faulty vertex set are always distinguishable (the
     extra faulty edge has fault-free endpoints on both sides), so comparisons
@@ -98,17 +128,17 @@ def full_search(g, t: int, s: int):
     lay = _masks.layout_of(g)
     flat = []
     block_end = []      # per pair: index just past its vertex set's group
-    for f, smasks in _masks.consistent_groups(lay, t, s):
+    for f, smasks in consistent_groups(lay, t, s):
         flat.extend((f, sm) for sm in smasks)
         block_end.extend([len(flat)] * len(smasks))
+    forced = [_masks.forced_masks(lay, f, sm) for f, sm in flat]
     checked = 0
-    indist = _masks.pairs_indistinguishable
-    for i, (f1, s1) in enumerate(flat):
+    for i, (ff1, fp1) in enumerate(forced):
         for j in range(block_end[i], len(flat)):
-            f2, s2 = flat[j]
+            ff2, fp2 = forced[j]
             checked += 1
-            if indist(lay, f1, s1, f2, s2):
-                return (f1, s1, f2, s2), {"candidates": len(flat), "pairs_examined": checked}
+            if not (ff1 & fp2) and not (fp1 & ff2):
+                return (*flat[i], *flat[j]), {"candidates": len(flat), "pairs_examined": checked}
     return None, {"candidates": len(flat), "pairs_examined": checked}
 
 

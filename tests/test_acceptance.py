@@ -11,6 +11,7 @@ import math
 
 import gpmcdiag as gd
 
+import brute
 from brute import all_pairs_agreement, full_edge_restricted_diagnosability, \
     literal_distinguishable, pmc_brute_diagnosability
 from gallery import full_gallery
@@ -106,7 +107,7 @@ def test_criterion_5_distinguishability_equivalence():
     most 12 tests."""
     total = mismatches = 0
     for g in full_gallery():
-        pairs = gd.all_consistent_pairs(g, 3, 2)
+        pairs = brute.all_consistent_pairs(g, 3, 2)
         compared, bad = all_pairs_agreement(g, pairs)
         total += compared
         mismatches += bad
@@ -114,7 +115,7 @@ def test_criterion_5_distinguishability_equivalence():
     literal_total = 0
     for g in [gd.build_hypercube(1), gd.build_path(3), gd.build_hypercube(2),
               gd.build_cycle(4)]:
-        pairs = gd.all_consistent_pairs(g, 3, 2)
+        pairs = brute.all_consistent_pairs(g, 3, 2)
         for i, p1 in enumerate(pairs):
             for p2 in pairs[i + 1:]:
                 literal_total += 1
@@ -123,7 +124,7 @@ def test_criterion_5_distinguishability_equivalence():
                     literal_bad += 1
     for g in [gd.build_cycle(6), gd.build_complete(4)]:
         assert 2 * len(g.edges) <= 12
-        pairs = gd.all_consistent_pairs(g, 2, 1)
+        pairs = brute.all_consistent_pairs(g, 2, 1)
         for i, p1 in enumerate(pairs):
             for p2 in pairs[i + 1:]:
                 literal_total += 1
@@ -169,7 +170,7 @@ def test_criterion_7_diagnosis_roundtrip():
     g = gd.build_hypercube(3)
     assert gd.is_ts_diagnosable(g, 2, 1).diagnosable
     failures = 0
-    pairs = gd.all_consistent_pairs(g, 2, 1)
+    pairs = brute.all_consistent_pairs(g, 2, 1)
     for fp in pairs:
         free_tests = sum(1 for t in gd.enumerate_tests(g)
                          if t.tester in fp.faulty_vertices)

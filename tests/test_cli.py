@@ -71,6 +71,25 @@ class TestTopologyCommand:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: cannot read edge list {src}: No such file or directory"]
 
+    @pytest.mark.parametrize("source, stray", [
+        (["--topology", "hypercube", "--n", "3"], ["--p", "0.5"]),
+        (["--topology", "hypercube", "--n", "3"], ["--topology-seed", "4"]),
+        (["--topology", "cycle", "--n", "5"], ["--p", "0.5", "--topology-seed", "4"]),
+        (["--edge-list", "{src}"], ["--n", "3"]),
+        (["--edge-list", "{src}"], ["--p", "0.5"]),
+        (["--edge-list", "{src}"], ["--topology-seed", "4"]),
+    ])
+    def test_stray_topology_parameter_is_input_error(self, tmp_path, capsys, source, stray):
+        # a parameter the topology does not take is refused, not dropped
+        src = tmp_path / "g.txt"
+        src.write_text("3 2\n0 1\n1 2\n")
+        out = tmp_path / "out.json"
+        source = [a.format(src=src) for a in source]
+        assert main(["topology", *source, *stray, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        assert main(["topology", *source, "--output", str(out)]) == 0
+
     def test_missing_source_is_input_error(self, capsys):
         assert main(["topology"]) == 2
         assert main(["topology", "--topology", "hypercube", "--n", "99"]) == 2

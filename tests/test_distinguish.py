@@ -8,6 +8,7 @@ import pytest
 import gpmcdiag as gd
 from gpmcdiag import InputError, _masks
 
+import brute
 from brute import all_pairs_agreement, literal_distinguishable, reference_witness, sigma_set
 from gallery import full_gallery, named_gallery
 
@@ -64,7 +65,7 @@ class TestConditionRoute:
 
     def test_witness_revalidates_against_raw_sets(self):
         for g in [gd.build_hypercube(2), gd.build_complete(4), gd.build_random(6, 0.5, 61)]:
-            pairs = gd.all_consistent_pairs(g, 2, 1)
+            pairs = brute.all_consistent_pairs(g, 2, 1)
             for i, p1 in enumerate(pairs):
                 for p2 in pairs[i + 1:]:
                     v = gd.distinguishable(g, p1, p2)
@@ -76,7 +77,7 @@ def test_witness_is_first_hit_in_canonical_order():
     # smallest edge, then condition 1 before 2, then direction 1 before 2,
     # on every ordered pair of distinct pairs (the named gallery holds Q_3)
     for g in named_gallery():
-        pairs = gd.all_consistent_pairs(g, 2, 1)
+        pairs = brute.all_consistent_pairs(g, 2, 1)
         for p1 in pairs:
             for p2 in pairs:
                 if p1 == p2:
@@ -105,7 +106,7 @@ def _check_witness(g, p1, p2, w):
 
 class TestOracleRoute:
     def test_matches_condition_route_exhaustively_small(self, q2):
-        pairs = gd.all_consistent_pairs(q2, 2, 2)
+        pairs = brute.all_consistent_pairs(q2, 2, 2)
         for i, p1 in enumerate(pairs):
             for p2 in pairs[i + 1:]:
                 assert (gd.distinguishable(q2, p1, p2).distinguishable
@@ -152,7 +153,7 @@ class TestLiteralEnumerationRoute:
         # every ordered pair of distinct consistent pairs, graphs with <= 8 tests
         for g in [gd.build_hypercube(1), gd.build_path(3), gd.build_hypercube(2),
                   gd.build_cycle(4)]:
-            pairs = gd.all_consistent_pairs(g, 3, 2)
+            pairs = brute.all_consistent_pairs(g, 3, 2)
             for i, p1 in enumerate(pairs):
                 for p2 in pairs[i + 1:]:
                     lit = literal_distinguishable(g, p1, p2)
@@ -161,7 +162,7 @@ class TestLiteralEnumerationRoute:
 
     def test_agrees_on_twelve_test_graphs_reduced_bounds(self):
         for g in [gd.build_cycle(6), gd.build_complete(4)]:
-            pairs = gd.all_consistent_pairs(g, 2, 1)
+            pairs = brute.all_consistent_pairs(g, 2, 1)
             for i, p1 in enumerate(pairs):
                 for p2 in pairs[i + 1:]:
                     assert (literal_distinguishable(g, p1, p2)
@@ -171,7 +172,7 @@ class TestLiteralEnumerationRoute:
         # the library's full adversary expansion against the set-based one
         lay = _masks.layout_of(q2)
         every_choice = lambda free: range(1 << len(free))
-        for fp in gd.all_consistent_pairs(q2, 2, 1):
+        for fp in brute.all_consistent_pairs(q2, 2, 1):
             independent = sigma_set(q2, fp.faulty_vertices, fp.faulty_edges)
             lib = set(_masks.adversary_syndromes(lay, fp.f_mask, fp.s_mask, every_choice))
             as_tuples = {tuple((mask >> i) & 1 for i in range(8)) for mask in lib}
@@ -181,7 +182,7 @@ class TestLiteralEnumerationRoute:
 def test_condition_and_oracle_agree_across_gallery():
     # the all-pairs sweep at |F| <= 3, |S| <= 2 on every gallery graph
     for g in full_gallery():
-        pairs = gd.all_consistent_pairs(g, 3, 2)
+        pairs = brute.all_consistent_pairs(g, 3, 2)
         compared, mismatches = all_pairs_agreement(g, pairs)
         assert mismatches == 0, f"{g.name}: {mismatches} of {compared} disagree"
 
@@ -193,7 +194,7 @@ def test_batch_harness_matches_public_functions():
 
     rng = rnd.Random(12)
     for g in [gd.build_hypercube(2), gd.build_cycle(6), gd.build_random(7, 0.5, 8)]:
-        pairs = gd.all_consistent_pairs(g, 3, 2)
+        pairs = brute.all_consistent_pairs(g, 3, 2)
         import numpy as np
         from brute import pair_mask_arrays
         A, B, S, FF, FP = pair_mask_arrays(g, pairs)

@@ -1,8 +1,9 @@
 import pytest
 
 import gpmcdiag as gd
-from gpmcdiag import DiagnosisStatus, GraphMismatchError, InputError
+from gpmcdiag import DiagnosisStatus, GraphMismatchError, InputError, engine
 
+import brute
 from brute import brute_force_decode
 
 
@@ -102,15 +103,24 @@ class TestAdversarialRoundtrip:
         p1, _p2 = gd.construct_indistinguishable_witness(q3, 0, 1)
         assert not gd.adversarial_roundtrip(q3, p1, 3, 1)
 
-    def test_sampled_mode_is_deterministic(self, q4):
-        # 5 faulty vertices -> 20 free tests, beyond the exhaustive limit
+    def test_refused_beyond_exhaustive_limit(self, q4, monkeypatch):
+        # 5 faulty vertices -> 20 free tests, beyond the exhaustive limit:
+        # refused before the first decode
+        calls = []
+        decode = engine._candidate_masks
+        monkeypatch.setattr(engine, "_candidate_masks",
+                            lambda *args: calls.append(args) or decode(*args))
         fp = gd.make_fault_pair(q4, {0, 3, 5, 6, 9}, set())
-        a = gd.adversarial_roundtrip(q4, fp, 5, 0, seed=1)
-        b = gd.adversarial_roundtrip(q4, fp, 5, 0, seed=1)
-        assert a == b
+        with pytest.raises(InputError, match="20 tests .* up to 16"):
+            gd.adversarial_roundtrip(q4, fp, 5, 0)
+        assert calls == []
+        # at the limit it answers: four faulty vertices of K_5 run 16 tests
+        k5 = gd.build_complete(5)
+        assert gd.adversarial_roundtrip(k5, gd.make_fault_pair(k5, {0, 1, 2, 3}, set()), 4, 0) is False
+        assert calls
 
-    # 8 faulty vertices -> 32 free tests, so the roundtrip samples; the pair
-    # has an in-bound indistinguishable partner, its complement in Q_4
+    # 8 faulty vertices -> 32 free tests, beyond the exhaustive limit; the
+    # pair has an in-bound indistinguishable partner, its complement in Q_4
     SAMPLED_MISS = ({2, 3, 4, 7, 8, 9, 11, 13}, {0, 1, 5, 6, 10, 12, 14, 15})
 
     def test_sampled_miss_has_indistinguishable_partner(self, q4):
@@ -128,5 +138,5 @@ class TestAdversarialRoundtrip:
         # (1,0) is the 2-cube's workable point; every in-bound pair must
         # survive every adversary
         assert gd.is_ts_diagnosable(q2, 1, 0).diagnosable
-        for fp in gd.all_consistent_pairs(q2, 1, 0):
+        for fp in brute.all_consistent_pairs(q2, 1, 0):
             assert gd.adversarial_roundtrip(q2, fp, 1, 0)

@@ -196,6 +196,17 @@ class TestNamedTopologies:
         with pytest.raises(InputError):
             gd.build_named_topology("random", n=6)
 
+    @pytest.mark.parametrize("name, params", [
+        ("hypercube", {"n": 3, "p": 0.5}),
+        ("hypercube", {"n": 3, "seed": 4}),
+        ("path", {"n": 3, "p": 0.5}),
+        ("complete", {"n": 3, "size": 3}),
+        ("random", {"n": 6, "p": 0.5, "seed": 1, "m": 4}),
+    ])
+    def test_stray_parameter_refused(self, name, params):
+        with pytest.raises(InputError, match="does not take parameter"):
+            gd.build_named_topology(name, **params)
+
 
 class TestGraphValidation:
     def test_self_loop_rejected(self):
