@@ -8,6 +8,9 @@ Encodings, for a graph with n vertices and m edges:
   the test a -> b and bit 2k+1 for the test b -> a (the canonical test order,
   see ``faults.enumerate_tests``).  Both tests of edge k are ``3 << 2k``.
 
+A layout (``layout_of``) shares the graph's edge list, edge index and
+adjacency and adds only each vertex's neighbor bits and the all-tests mask;
+code that needs only an edge index reads the graph and builds no layout.
 Edge-space and test-space masks, and an edge's endpoint bits, are built from
 these rules and ``Layout.edges`` where they are used, so the layout holds no
 per-edge vertex mask and no table whose entries span the edge or test space.
@@ -24,10 +27,9 @@ from dataclasses import dataclass
 class Layout:
     """Vertex bits and edge indices for one graph.
 
-    Memory: ``nbr_mask`` takes O(n^2) bits, the rest O(n + m) machine words.
-    ``adj`` holds neighbor ids, not vertex bits, so membership in a vertex set
-    is tested with ``(mask >> v) & 1``.  An edge's endpoint bits are built
-    from ``edges`` where they are needed.
+    ``edges``, ``edge_index`` and ``adj`` are the graph's own objects; only
+    ``nbr_mask`` (O(n^2) bits) and ``all_tests`` are built here.  ``adj``
+    holds neighbor ids, so membership in a vertex set is ``(mask >> v) & 1``.
     """
 
     n: int                       # vertex count
@@ -40,26 +42,16 @@ class Layout:
 
 def layout_of(g) -> Layout:
     """Mask layout for g, built once and cached on the graph."""
-    if g._layout is not None:
-        return g._layout
-    n = g.vertex_count
-    nbr = [0] * n
-    adj = [[] for _ in range(n)]
-    for k, (u, v) in enumerate(g.edges):
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-        adj[u].append((v, k))
-        adj[v].append((u, k))
-    lay = Layout(
-        n=n,
-        edges=g.edges,
-        edge_index={e: k for k, e in enumerate(g.edges)},
-        nbr_mask=tuple(nbr),
-        adj=tuple(tuple(sorted(es)) for es in adj),
-        all_tests=(1 << (2 * len(g.edges))) - 1,
-    )
-    g._layout = lay
-    return lay
+    if g._layout is None:
+        g._layout = Layout(
+            n=g.vertex_count,
+            edges=g.edges,
+            edge_index=g._edge_index,
+            nbr_mask=tuple(vertex_mask(v for v, _ in es) for es in g._adj),
+            adj=g._adj,
+            all_tests=(1 << (2 * len(g.edges))) - 1,
+        )
+    return g._layout
 
 
 def bits(mask: int):

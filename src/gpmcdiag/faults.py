@@ -57,7 +57,6 @@ class FaultPair:
         g = self.graph
         for v in self.faulty_vertices:
             g.check_vertex(v)
-        lay = _masks.layout_of(g)
         fm = _masks.vertex_mask(self.faulty_vertices)
         sm = 0
         for e in self.faulty_edges:
@@ -67,7 +66,7 @@ class FaultPair:
             if ce[0] in self.faulty_vertices or ce[1] in self.faulty_vertices:
                 raise ConsistencyError(
                     f"faulty edge {ce[0]}-{ce[1]} is incident to a faulty vertex", edge=ce)
-            sm |= 1 << lay.edge_index[ce]
+            sm |= 1 << g._edge_index[ce]
         object.__setattr__(self, "f_mask", fm)
         object.__setattr__(self, "s_mask", sm)
 
@@ -120,9 +119,7 @@ def enumerate_tests(g: Graph) -> tuple[Test, ...]:
 
 
 def _test_index(g: Graph, tester: int, testee: int) -> int:
-    lay = _masks.layout_of(g)
-    e = edge(tester, testee)
-    k = lay.edge_index.get(e)
+    k = g._edge_index.get(edge(g.check_vertex(tester), g.check_vertex(testee)))
     if k is None:
         raise InputError(f"vertices {tester} and {testee} are not adjacent in {g.name}")
     return 2 * k if tester < testee else 2 * k + 1
@@ -187,7 +184,10 @@ class Syndrome:
 def syndrome_from_triples(g: Graph, triples) -> Syndrome:
     results: list = [None] * (2 * len(g.edges))
     for tester, testee, outcome in triples:
-        results[_test_index(g, tester, testee)] = int(outcome)
+        i = _test_index(g, tester, testee)
+        if results[i] is not None:
+            raise InputError(f"test {tester}->{testee} is assigned more than once")
+        results[i] = int(outcome)
     missing = results.count(None)
     if missing:
         raise InputError(f"syndrome is incomplete: {missing} tests unassigned")

@@ -15,7 +15,7 @@ from .errors import InputError
 #: Largest supported hypercube dimension.  The mask layout dominates memory:
 #: it keeps one vertex-wide int per vertex (its neighbor bits), about 4^n / 9
 #: bytes for Q_n (115 MB for Q_15).  Building Q_15, one fault pair and its
-#: syndrome peaks near 0.3 GB of RSS.
+#: syndrome peaks near 245 MB of RSS.
 HYPERCUBE_DIMENSION_CAP = 15
 
 #: Largest vertex and edge counts of any graph: those of Q_15, the largest
@@ -35,12 +35,14 @@ def edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
-    Edges are stored canonically as (min, max) pairs; edge identity is by
-    endpoints.  ``labels`` optionally attaches a text label per vertex
-    (hypercubes use their bit strings).  ``vertex_transitive`` is true only
-    for builders whose output provably looks the same from every vertex
-    (hypercube, cycle, complete); search code uses it to fix a single seed
-    vertex, so callers cannot set it.
+    The constructor builds the structure that every query and the mask layout
+    read: ``edges`` (canonical (min, max) pairs, sorted), ``_edge_index``
+    (edge -> k) and ``_adj`` (per vertex, ``((neighbor, k), ...)`` in neighbor
+    order).  Vertex ids are ints, never bools.  ``labels`` optionally attaches
+    a text label per vertex (hypercubes use their bit strings).
+    ``vertex_transitive`` is true only for builders whose output provably
+    looks the same from every vertex (hypercube, cycle, complete); search code
+    uses it to fix a single seed vertex, so callers cannot set it.
     """
 
     __slots__ = (
@@ -49,40 +51,46 @@ class Graph:
         "labels",
         "name",
         "_vertex_transitive",
+        "_edge_index",
         "_adj",
-        "_edge_set",
         "_layout",
     )
 
     def __init__(self, vertex_count, edges, labels=None, name="graph"):
+        if not _is_int(vertex_count):
+            raise InputError(f"vertex_count must be an int, not {vertex_count!r}")
         if vertex_count < 0:
             raise InputError("vertex_count must be non-negative")
         _check_vertex_count(vertex_count)
         canon = []
         for (u, v) in edges:
+            if not (_is_int(u) and _is_int(v)):
+                raise InputError(f"edge {u!r}-{v!r} has an endpoint that is not an int")
             e = edge(u, v)
             if not (0 <= e[0] and e[1] < vertex_count):
                 raise InputError(f"edge {u}-{v} has an endpoint outside 0..{vertex_count - 1}")
             canon.append(e)
         _check_edge_count(len(canon))
-        edge_set = frozenset(canon)
-        if len(canon) != len(edge_set):
+        canon.sort()
+        edge_index = {e: k for k, e in enumerate(canon)}
+        if len(edge_index) != len(canon):
             raise InputError("duplicate edge in edge list")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != vertex_count:
                 raise InputError("labels must cover every vertex")
+        # edges are sorted, so each vertex meets its neighbors in ascending order
+        adj = [[] for _ in range(vertex_count)]
+        for k, (u, v) in enumerate(canon):
+            adj[u].append((v, k))
+            adj[v].append((u, k))
         self.vertex_count = vertex_count
-        self.edges = tuple(sorted(edge_set))
+        self.edges = tuple(canon)
         self.labels = labels
         self.name = name
         self._vertex_transitive = False
-        adj = [set() for _ in range(vertex_count)]
-        for (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._edge_set = edge_set
+        self._edge_index = edge_index
+        self._adj = tuple(map(tuple, adj))
         self._layout = None  # mask-layout cache, built on demand by _masks.layout_of
 
     @property
@@ -94,22 +102,27 @@ class Graph:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self._edge_set
+        return edge(u, v) in self._edge_index
 
     def check_vertex(self, u: int) -> int:
-        if not isinstance(u, int) or not 0 <= u < self.vertex_count:
+        if not _is_int(u) or not 0 <= u < self.vertex_count:
             raise InputError(f"vertex id {u!r} is not in 0..{self.vertex_count - 1}")
         return u
 
     def check_edge(self, e) -> tuple[int, int]:
         u, v = e
         ce = edge(self.check_vertex(u), self.check_vertex(v))
-        if ce not in self._edge_set:
+        if ce not in self._edge_index:
             raise InputError(f"edge {u}-{v} is not an edge of {self.name}")
         return ce
 
     def __repr__(self):
         return f"Graph({self.name}: {self.vertex_count} vertices, {len(self.edges)} edges)"
+
+
+def _is_int(x) -> bool:
+    """True for an int that is not a bool (bool subclasses int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_vertex_count(n: int):
@@ -128,23 +141,22 @@ def _check_edge_count(m: int):
 
 def neighbors(g: Graph, u: int) -> frozenset[int]:
     """All vertices adjacent to u."""
-    return g._adj[g.check_vertex(u)]
+    return frozenset(v for v, _ in g._adj[g.check_vertex(u)])
 
 
 def incident_edges(g: Graph, u: int) -> frozenset[tuple[int, int]]:
     """All edges having u as an endpoint."""
-    g.check_vertex(u)
-    return frozenset(edge(u, v) for v in g._adj[u])
+    return frozenset(g.edges[k] for _, k in g._adj[g.check_vertex(u)])
 
 
 def degree(g: Graph, u: int) -> int:
-    return len(neighbors(g, u))
+    return len(g._adj[g.check_vertex(u)])
 
 
 def min_degree(g: Graph) -> int:
     if g.vertex_count == 0:
         raise InputError("minimum degree of the empty graph is undefined")
-    return min(len(s) for s in g._adj)
+    return min(map(len, g._adj))
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
@@ -170,7 +182,7 @@ def girth(g: Graph):
             cur = queue.popleft()
             if dist[cur] * 2 >= best:
                 continue
-            for nxt in g._adj[cur]:
+            for nxt, _ in g._adj[cur]:
                 if nxt not in dist:
                     dist[nxt] = dist[cur] + 1
                     parent[nxt] = cur

@@ -233,6 +233,25 @@ class TestSyndromeSerialization:
         with pytest.raises(InputError):
             gd.syndrome_from_triples(q2, [(0, 3, 0)])
 
+    def test_repeated_test_rejected(self, q2):
+        # a later row must not silently overwrite an earlier one
+        triples = gd.generate_syndrome(gd.make_fault_pair(q2, set(), set())).to_triples()
+        with pytest.raises(InputError, match="more than once"):
+            gd.syndrome_from_triples(q2, triples + [(0, 1, 1)])
+        with pytest.raises(InputError, match="more than once"):
+            gd.syndrome_from_triples(q2, [(0, 1, 1)] + triples)
+
+    def test_pairs_and_syndromes_build_no_layout(self):
+        # they need only the graph's edge index, not the O(n^2) neighbor masks
+        g = gd.build_hypercube(10)
+        fp = gd.fault_pair_from_record(g, {"F": [3], "S": [[0, 1]]})
+        triples = [(t.tester, t.testee, 0) for t in gd.enumerate_tests(g)]
+        sig = gd.syndrome_from_triples(g, triples)
+        assert sig.outcome(1, 0) == gd.TestOutcome.PASS
+        assert gd.forced_outcome(gd.enumerate_tests(g)[0], fp) == ForcedOutcome.FORCED_FAIL
+        assert fp == gd.make_fault_pair(g, {3}, {(1, 0)})
+        assert g._layout is None
+
     def test_fail_mask_roundtrips_through_results(self):
         rng = random.Random(11)
         for g in full_gallery() + [gd.build_hypercube(5)]:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gpmcdiag as gd
+from gpmcdiag import _masks
 from gpmcdiag.errors import InputError
 
 from gallery import full_gallery
@@ -41,6 +42,32 @@ class TestNeighbors:
             gd.neighbors(q3, 8)
         with pytest.raises(InputError):
             gd.degree(q3, -1)
+
+
+@given(st.integers(1, 14), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
+def test_queries_and_layout_agree_with_edge_list(n, p, seed):
+    # every query and the mask layout read the structures the constructor
+    # builds; recompute each from g.edges alone
+    g = gd.build_random(n, p, seed)
+    nbrs = [set() for _ in range(n)]
+    index = {}
+    for k, (u, v) in enumerate(g.edges):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+        index[(u, v)] = k
+    for u in range(n):
+        assert gd.neighbors(g, u) == nbrs[u]
+        assert gd.degree(g, u) == len(nbrs[u])
+        assert gd.incident_edges(g, u) == {gd.graph.edge(u, v) for v in nbrs[u]}
+        for v in set(range(n)) - {u}:
+            assert g.has_edge(u, v) == (v in nbrs[u])
+    assert gd.min_degree(g) == min(map(len, nbrs))
+    lay = _masks.layout_of(g)
+    assert lay.edges is g.edges and lay.edge_index is g._edge_index and lay.adj is g._adj
+    assert lay.edge_index == index
+    assert lay.adj == tuple(tuple((v, index[gd.graph.edge(u, v)]) for v in sorted(nbrs[u]))
+                            for u in range(n))
+    assert lay.nbr_mask == tuple(sum(1 << v for v in nbrs[u]) for u in range(n))
 
 
 class TestIncidentEdges:
@@ -220,6 +247,23 @@ class TestGraphValidation:
     def test_out_of_range_endpoint(self):
         with pytest.raises(InputError):
             gd.Graph(2, [(0, 2)])
+
+    @pytest.mark.parametrize("count", [2.5, "3", True, None])
+    def test_vertex_count_not_an_int(self, count):
+        with pytest.raises(InputError, match="must be an int"):
+            gd.Graph(count, [])
+
+    @pytest.mark.parametrize("e", [(0, 1.0), (0, True), (False, 1), ("0", 1), (0, None)])
+    def test_endpoint_not_an_int(self, e):
+        with pytest.raises(InputError, match="not an int"):
+            gd.Graph(3, [e])
+
+    @pytest.mark.parametrize("u", [True, False, 1.0, "1", None])
+    def test_vertex_id_not_an_int(self, q2, u):
+        with pytest.raises(InputError, match="vertex id"):
+            q2.check_vertex(u)
+        with pytest.raises(InputError, match="vertex id"):
+            gd.make_fault_pair(q2, [u], [])
 
     def test_edges_canonical_and_sorted(self):
         g = gd.Graph(4, [(3, 1), (2, 0)])
