@@ -8,12 +8,14 @@ Encodings, for a graph with n vertices and m edges:
   the test a -> b and bit 2k+1 for the test b -> a (the canonical test order,
   see ``faults.enumerate_tests``).  Both tests of edge k are ``3 << 2k``.
 
-A layout (``layout_of``) shares the graph's edge list, edge index and
-adjacency and adds only each vertex's neighbor bits and the all-tests mask;
-code that needs only an edge index reads the graph and builds no layout.
-Edge-space and test-space masks, and an edge's endpoint bits, are built from
-these rules and ``Layout.edges`` where they are used, so the layout holds no
-per-edge vertex mask and no table whose entries span the edge or test space.
+The pair primitives (forced outcomes, adversary syndromes, the
+distinguishability conditions) read only the graph's own edge list and
+adjacency, so syndromes and distinguishability build nothing per graph.  A
+layout (``layout_of``) adds each vertex's neighbor bits, which only the
+syndrome decoder and the difference-structure search read.  Edge-space and
+test-space masks, and an edge's endpoint bits, are built from these rules
+and ``graph.edges`` where they are used, so nothing here holds a per-edge
+vertex mask or a table whose entries span the edge or test space.
 Everything in here is exact arithmetic over those encodings; it only exists
 so the hot loops touch machine integers instead of frozensets.
 """
@@ -28,8 +30,8 @@ class Layout:
     """Vertex bits and edge indices for one graph.
 
     ``edges``, ``edge_index`` and ``adj`` are the graph's own objects; only
-    ``nbr_mask`` (O(n^2) bits) and ``all_tests`` are built here.  ``adj``
-    holds neighbor ids, so membership in a vertex set is ``(mask >> v) & 1``.
+    ``nbr_mask`` (O(n^2) bits) is built here.  ``adj`` holds neighbor ids, so
+    membership in a vertex set is ``(mask >> v) & 1``.
     """
 
     n: int                       # vertex count
@@ -37,7 +39,6 @@ class Layout:
     edge_index: dict             # (min, max) -> k
     nbr_mask: tuple              # per vertex: neighbor vertex bits
     adj: tuple                   # per vertex: ((neighbor id, k), ...) sorted by neighbor
-    all_tests: int
 
 
 def layout_of(g) -> Layout:
@@ -49,9 +50,13 @@ def layout_of(g) -> Layout:
             edge_index=g._edge_index,
             nbr_mask=tuple(vertex_mask(v for v, _ in es) for es in g._adj),
             adj=g._adj,
-            all_tests=(1 << (2 * len(g.edges))) - 1,
         )
     return g._layout
+
+
+def all_tests(g) -> int:
+    """The test-set mask holding every test of g."""
+    return (1 << (2 * len(g.edges))) - 1
 
 
 def bits(mask: int):
@@ -69,7 +74,7 @@ def vertex_mask(vertices) -> int:
     return mask
 
 
-def forced_masks(lay: Layout, f: int, s: int) -> tuple[int, int]:
+def forced_masks(g, f: int, s: int) -> tuple[int, int]:
     """(forced-fail, forced-pass) test masks for fault pattern (f, s).
 
     A test is forced to fail when its tester is good and the testee or the
@@ -81,14 +86,14 @@ def forced_masks(lay: Layout, f: int, s: int) -> tuple[int, int]:
     arb = 0
     touched = 0
     for u in bits(f):
-        for v, k in lay.adj[u]:
+        for v, k in g._adj[u]:
             # u tests its neighbor at bit 2k when u is the smaller endpoint
             arb |= 1 << (2 * k + (v < u))
             touched |= 3 << (2 * k)
     for k in bits(s):
         touched |= 3 << (2 * k)
     ff = touched & ~arb
-    fp = lay.all_tests & ~(arb | ff)
+    fp = all_tests(g) & ~(arb | ff)
     return ff, fp
 
 
@@ -97,15 +102,15 @@ def share_syndrome(ff1: int, fp1: int, ff2: int, fp2: int) -> bool:
     return (ff1 & fp2) == 0 and (fp1 & ff2) == 0
 
 
-def adversary_syndromes(lay: Layout, f: int, s: int, choose):
+def adversary_syndromes(g, f: int, s: int, choose):
     """Fail masks of the syndromes pattern (f, s) produces, one per assignment.
 
     ``choose`` receives the indices of the tests with a faulty tester,
     ascending, and returns the adversary's assignments: bit i of an assignment
     fails the i-th of those tests.  Every other test gets its forced result.
     """
-    ff, fp = forced_masks(lay, f, s)
-    free = list(bits(lay.all_tests & ~(ff | fp)))
+    ff, fp = forced_masks(g, f, s)
+    free = list(bits(all_tests(g) & ~(ff | fp)))
     for assignment in choose(free):
         fail = ff
         for i, pos in enumerate(free):
@@ -114,7 +119,7 @@ def adversary_syndromes(lay: Layout, f: int, s: int, choose):
         yield fail
 
 
-def condition_hits(lay: Layout, f1: int, s1: int, f2: int, s2: int):
+def condition_hits(g, f1: int, s1: int, f2: int, s2: int):
     """Every hit of the distinguishability conditions, as (edge k, condition, direction).
 
     Direction 1 means the first pattern holds the exposed fault.  Condition 1
@@ -126,30 +131,30 @@ def condition_hits(lay: Layout, f1: int, s1: int, f2: int, s2: int):
     """
     for d, other_f, direction in ((s1 & ~s2, f2, 1), (s2 & ~s1, f1, 2)):
         for k in bits(d):
-            a, b = lay.edges[k]
+            a, b = g.edges[k]
             if not (other_f >> a) & 1 and not (other_f >> b) & 1:
                 yield k, 2, direction
     both_f = f1 | f2
     for d, other_s, direction in ((f1 & ~f2, s2, 1), (f2 & ~f1, s1, 2)):
         for u in bits(d):
-            for v, k in lay.adj[u]:
+            for v, k in g._adj[u]:
                 if not (both_f >> v) & 1 and not (other_s >> k) & 1:
                     yield k, 1, direction
 
 
-def pairs_indistinguishable(lay: Layout, f1: int, s1: int, f2: int, s2: int) -> bool:
+def pairs_indistinguishable(g, f1: int, s1: int, f2: int, s2: int) -> bool:
     """True when no distinguishability condition holds for the two patterns."""
-    return next(condition_hits(lay, f1, s1, f2, s2), None) is None
+    return next(condition_hits(g, f1, s1, f2, s2), None) is None
 
 
-def find_condition_witness(lay: Layout, f1: int, s1: int, f2: int, s2: int):
+def find_condition_witness(g, f1: int, s1: int, f2: int, s2: int):
     """(condition, edge, direction) of the smallest hit, or None.
 
     Hits order by edge index (canonical edge order), then condition 1 before
     condition 2, then direction 1 before 2; see ``condition_hits``.
     """
-    hit = min(condition_hits(lay, f1, s1, f2, s2), default=None)
+    hit = min(condition_hits(g, f1, s1, f2, s2), default=None)
     if hit is None:
         return None
     k, condition, direction = hit
-    return condition, lay.edges[k], direction
+    return condition, g.edges[k], direction

@@ -253,8 +253,7 @@ def cmd_inject(args):
     sig = _make_syndrome(pair, args)
     config = {"topology": topo_cfg, "faults": fault_cfg,
               "adversary": args.adversary, "seed": args.seed}
-    result = {"pair": pair.to_record(),
-              "syndrome": [list(t) for t in sig.to_triples()]}
+    result = {"pair": pair.to_record(), "syndrome": sig.to_triples()}
     return _report("inject", config, result, {}), {}, 0
 
 
@@ -365,8 +364,53 @@ COMMANDS = {
 # rendering
 # ---------------------------------------------------------------------------
 
-def _render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+_json_str = json.encoder.encode_basestring_ascii    # the stdlib's ensure_ascii quoting
+
+
+def _render_json(report) -> str:
+    """The bytes of ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.
+
+    The stdlib renders indented JSON in pure Python, one generator frame per
+    container; this walks the report once into a list of pieces.  Exact types
+    dispatch: dicts (str keys) sort their keys, lists and tuples render as
+    lists, ints and strs render directly, and every other value (bools, None,
+    floats, subclasses) goes through ``json.dumps`` with the same settings,
+    re-indented to its depth.
+    """
+    out: list[str] = []
+    _emit_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit_json(value, newline: str, out: list):
+    """Append the rendering of value; ``newline`` is a line break plus its indent."""
+    kind = type(value)
+    if kind is str:
+        out.append(_json_str(value))
+    elif kind is int:
+        out.append(repr(value))
+    elif kind is dict and value:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _json_str(key) + ": ")
+            _emit_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif (kind is list or kind is tuple) and value:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is int:
+                out.append(sep + repr(item))
+            else:
+                out.append(sep)
+                _emit_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
 
 
 def _csv_text(header, rows) -> str:

@@ -127,11 +127,10 @@ def construct_edge_witness(g: Graph, e) -> tuple[FaultPair, FaultPair]:
 
 
 def _assert_witness(g: Graph, p1: FaultPair, p2: FaultPair):
-    lay = _masks.layout_of(g)
-    if not _masks.pairs_indistinguishable(lay, p1.f_mask, p1.s_mask, p2.f_mask, p2.s_mask):
+    if not _masks.pairs_indistinguishable(g, p1.f_mask, p1.s_mask, p2.f_mask, p2.s_mask):
         raise AssertionError(f"constructed witness {p1} vs {p2} is distinguishable")
-    ff1, fp1 = _masks.forced_masks(lay, p1.f_mask, p1.s_mask)
-    ff2, fp2 = _masks.forced_masks(lay, p2.f_mask, p2.s_mask)
+    ff1, fp1 = _masks.forced_masks(g, p1.f_mask, p1.s_mask)
+    ff2, fp2 = _masks.forced_masks(g, p2.f_mask, p2.s_mask)
     if not _masks.share_syndrome(ff1, fp1, ff2, fp2):
         raise AssertionError("condition check and forced-outcome check disagree")
 

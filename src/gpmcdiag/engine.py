@@ -88,7 +88,7 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
         return range(1 << len(free))
 
     expected = (fp.f_mask, fp.s_mask)
-    for fail in _masks.adversary_syndromes(lay, fp.f_mask, fp.s_mask, assignments):
+    for fail in _masks.adversary_syndromes(g, fp.f_mask, fp.s_mask, assignments):
         found = _candidate_masks(lay, fail, t, s)
         if len(found) != 1 or found[0] != expected:
             return False

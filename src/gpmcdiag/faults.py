@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
 from typing import NamedTuple
 
 from . import _masks
@@ -147,38 +148,61 @@ _DIGITS_TO_RESULTS = bytes.maketrans(b"01", b"\x00\x01")
 _RESULTS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Syndrome:
-    """A complete test-result assignment; results align with enumerate_tests.
+    """A complete test-result assignment, held as the mask of failing tests.
 
-    ``fail_mask`` holds the failing tests as a test-set mask (bit i = test i).
+    ``fail_mask`` has bit i set when test i of ``enumerate_tests`` fails.
+    ``Syndrome(graph, results)`` takes one 0 (pass) or 1 (fail) per test in
+    that order.  ``results`` is derived from the mask on first use and
+    cached, and ``to_triples`` reads it, so both hold ints whatever the
+    constructor was given.  Two syndromes are equal when they belong to the
+    same graph and fail the same tests.
     """
 
     graph: Graph
-    results: tuple[int, ...]
-    fail_mask: int = field(init=False, repr=False, compare=False, default=0)
+    fail_mask: int
 
-    def __post_init__(self):
-        m = len(self.graph.edges)
-        if len(self.results) != 2 * m:
+    def __init__(self, graph: Graph, results):
+        results = tuple(results)
+        m = len(graph.edges)
+        if len(results) != 2 * m:
             raise InputError(f"syndrome must assign all {2 * m} tests")
         # count() compares with ==, so 1.0 and numpy bools count as 0 or 1
-        if self.results.count(0) + self.results.count(1) != len(self.results):
+        if results.count(0) + results.count(1) != len(results):
             raise InputError("syndrome results must be 0 (pass) or 1 (fail)")
         # bool(), so every result that passed the check above converts
-        digits = bytes(map(bool, reversed(self.results))).translate(_RESULTS_TO_DIGITS)
+        digits = bytes(map(bool, reversed(results))).translate(_RESULTS_TO_DIGITS)
+        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "fail_mask", int(b"0" + digits, 2))
 
+    @cached_property
+    def results(self) -> tuple[int, ...]:
+        """One 0 (pass) or 1 (fail) per test, in canonical test order."""
+        width = 2 * len(self.graph.edges)
+        # format() writes one digit for 0 even at width 0, hence the slice
+        digits = format(self.fail_mask, f"0{width}b")[::-1][:width]
+        return tuple(digits.encode().translate(_DIGITS_TO_RESULTS))
+
     def outcome(self, tester: int, testee: int) -> TestOutcome:
-        return TestOutcome(self.results[_test_index(self.graph, tester, testee)])
+        return TestOutcome((self.fail_mask >> _test_index(self.graph, tester, testee)) & 1)
 
     def to_triples(self) -> list[tuple[int, int, int]]:
         """(tester, testee, outcome) rows in canonical test order."""
-        return [(t.tester, t.testee, int(r))
-                for t, r in zip(enumerate_tests(self.graph), self.results)]
+        rows = []
+        append = rows.append
+        it = iter(self.results)     # edge k owns results 2k and 2k+1
+        for (u, v), forward, backward in zip(self.graph.edges, it, it):
+            append((u, v, forward))
+            append((v, u, backward))
+        return rows
 
     def __len__(self):
-        return len(self.results)
+        return 2 * len(self.graph.edges)
+
+    def __repr__(self):
+        return (f"Syndrome({self.graph.name}: {self.fail_mask.bit_count()} of "
+                f"{len(self)} tests fail)")
 
 
 def syndrome_from_triples(g: Graph, triples) -> Syndrome:
@@ -195,9 +219,11 @@ def syndrome_from_triples(g: Graph, triples) -> Syndrome:
 
 
 def _syndrome_from_mask(g: Graph, fail_mask: int) -> Syndrome:
-    m = len(g.edges)
-    digits = format(fail_mask, f"0{2 * m}b")[::-1][:2 * m]     # digit i is test i
-    return Syndrome(g, tuple(digits.encode().translate(_DIGITS_TO_RESULTS)))
+    """The syndrome failing exactly the tests of fail_mask (within g's tests)."""
+    sig = object.__new__(Syndrome)
+    object.__setattr__(sig, "graph", g)
+    object.__setattr__(sig, "fail_mask", fail_mask)
+    return sig
 
 
 ADVERSARY_STRATEGIES = ("all-pass", "all-fail", "random", "explicit")
@@ -228,11 +254,11 @@ def generate_syndrome(fp: FaultPair, strategy: str = "all-pass", *,
         if strategy == "random":
             rng = random.Random(seed)
             return [sum(1 << i for i in range(len(free)) if rng.random() < 0.5)]
-        tests = enumerate_tests(g)
         assigned = dict(assignments)
         chosen = 0
         for i, pos in enumerate(free):
-            key = (tests[pos].tester, tests[pos].testee)
+            a, b = g.edges[pos >> 1]    # test 2k is a -> b, test 2k+1 is b -> a
+            key = (b, a) if pos & 1 else (a, b)
             if key not in assigned:
                 raise InputError(f"no assignment for adversary-controlled test {key}")
             if assigned.pop(key):
@@ -242,7 +268,7 @@ def generate_syndrome(fp: FaultPair, strategy: str = "all-pass", *,
             raise InputError(f"assignments given for tests not adversary-controlled: {extra}")
         return [chosen]
 
-    (fail,) = _masks.adversary_syndromes(_masks.layout_of(g), fp.f_mask, fp.s_mask, choose)
+    (fail,) = _masks.adversary_syndromes(g, fp.f_mask, fp.s_mask, choose)
     return _syndrome_from_mask(g, fail)
 
 
@@ -250,8 +276,7 @@ def is_consistent(sig: Syndrome, fp: FaultPair) -> bool:
     """True when no test result contradicts its forced outcome under fp."""
     if sig.graph is not fp.graph:
         raise GraphMismatchError("syndrome and fault pair belong to different graphs")
-    lay = _masks.layout_of(fp.graph)
-    ff, fpm = _masks.forced_masks(lay, fp.f_mask, fp.s_mask)
+    ff, fpm = _masks.forced_masks(fp.graph, fp.f_mask, fp.s_mask)
     fail = sig.fail_mask
     return (ff & ~fail) == 0 and (fpm & fail) == 0
 

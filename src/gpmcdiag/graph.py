@@ -12,10 +12,11 @@ from itertools import combinations
 
 from .errors import InputError
 
-#: Largest supported hypercube dimension.  The mask layout dominates memory:
-#: it keeps one vertex-wide int per vertex (its neighbor bits), about 4^n / 9
-#: bytes for Q_n (115 MB for Q_15).  Building Q_15, one fault pair and its
-#: syndrome peaks near 245 MB of RSS.
+#: Largest supported hypercube dimension.  Building Q_15, one fault pair, its
+#: syndrome and both distinguishability routes peaks near 129 MB of RSS.  The
+#: mask layout, which only the decoder and the search build, dominates beyond
+#: that: it keeps one vertex-wide int per vertex (its neighbor bits), about
+#: 4^n / 9 bytes for Q_n (115 MB for Q_15).
 HYPERCUBE_DIMENSION_CAP = 15
 
 #: Largest vertex and edge counts of any graph: those of Q_15, the largest
@@ -102,7 +103,9 @@ class Graph:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self._edge_index
+        """True when u and v are adjacent; False for u == v; both must be vertices."""
+        u, v = self.check_vertex(u), self.check_vertex(v)
+        return ((u, v) if u < v else (v, u)) in self._edge_index
 
     def check_vertex(self, u: int) -> int:
         if not _is_int(u) or not 0 <= u < self.vertex_count:

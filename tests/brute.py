@@ -131,7 +131,7 @@ def full_search(g, t: int, s: int):
     for f, smasks in consistent_groups(lay, t, s):
         flat.extend((f, sm) for sm in smasks)
         block_end.extend([len(flat)] * len(smasks))
-    forced = [_masks.forced_masks(lay, f, sm) for f, sm in flat]
+    forced = [_masks.forced_masks(g, f, sm) for f, sm in flat]
     checked = 0
     for i, (ff1, fp1) in enumerate(forced):
         for j in range(block_end[i], len(flat)):

@@ -1,10 +1,13 @@
 import json
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import gpmcdiag as gd
-from gpmcdiag.cli import main
+from gpmcdiag import faults
+from gpmcdiag.cli import _render_json, main
 
 SCHEMA_KEYS = {"command", "config", "result", "stats", "version"}
 
@@ -313,6 +316,10 @@ GOLDEN_CONFIGS = {
     "inject-q3.csv": ["inject", "--topology", "hypercube", "--n", "3",
                       "--faulty-vertices", "0,5", "--faulty-edges", "2-6",
                       "--adversary", "random", "--seed", "3", "--format", "csv"],
+    "inject-q3.json": ["inject", "--topology", "hypercube", "--n", "3",
+                       "--faulty-vertices", "0,5", "--faulty-edges", "2-6",
+                       "--adversary", "random", "--seed", "3", "--format", "json"],
+    "topology-q4.json": ["topology", "--topology", "hypercube", "--n", "4", "--format", "json"],
 }
 
 
@@ -322,6 +329,38 @@ def test_output_matches_golden_bytes(tmp_path, name):
     out = tmp_path / name
     assert main(GOLDEN_CONFIGS[name] + ["--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(), st.sampled_from(["", "é", "日本", "😀", '"\\', "\n\t\x00\x7f", "\u2028"]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4),
+                            st.dictionaries(st.text(), inner, max_size=4).map(OrderedDict)),
+    max_leaves=24)
+
+
+@given(_JSON_VALUES)
+def test_render_json_matches_stdlib_bytes(value):
+    assert _render_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_inject_json_builds_no_test_objects(monkeypatch, capsys):
+    # the syndrome rows come from the edge list and the fail mask alone
+    def refuse(g):
+        raise AssertionError("inject enumerated Test objects")
+
+    monkeypatch.setattr(faults, "enumerate_tests", refuse)
+    assert main(["inject", "--topology", "hypercube", "--n", "10",
+                 "--faulty-vertices", "3,700", "--faulty-edges", "0-1",
+                 "--adversary", "random", "--seed", "2", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert len(report["result"]["syndrome"]) == 2 * 5120
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -98,10 +98,9 @@ class TestForcedOutcome:
         # forced_masks derives test bits from the edge index alone (2k for the
         # smaller endpoint's test, 2k+1 for the larger's); check every bit
         for g in full_gallery():
-            lay = _masks.layout_of(g)
             tests = gd.enumerate_tests(g)
             for fp in brute.all_consistent_pairs(g, 3, 2):
-                ff, fpm = _masks.forced_masks(lay, fp.f_mask, fp.s_mask)
+                ff, fpm = _masks.forced_masks(g, fp.f_mask, fp.s_mask)
                 assert ff & fpm == 0
                 for i, test in enumerate(tests):
                     want = forced_value(test, fp.faulty_vertices, fp.faulty_edges)
@@ -242,7 +241,8 @@ class TestSyndromeSerialization:
             gd.syndrome_from_triples(q2, [(0, 1, 1)] + triples)
 
     def test_pairs_and_syndromes_build_no_layout(self):
-        # they need only the graph's edge index, not the O(n^2) neighbor masks
+        # they need only the graph's edge index and adjacency, not the O(n^2)
+        # neighbor masks
         g = gd.build_hypercube(10)
         fp = gd.fault_pair_from_record(g, {"F": [3], "S": [[0, 1]]})
         triples = [(t.tester, t.testee, 0) for t in gd.enumerate_tests(g)]
@@ -250,7 +250,39 @@ class TestSyndromeSerialization:
         assert sig.outcome(1, 0) == gd.TestOutcome.PASS
         assert gd.forced_outcome(gd.enumerate_tests(g)[0], fp) == ForcedOutcome.FORCED_FAIL
         assert fp == gd.make_fault_pair(g, {3}, {(1, 0)})
+        generated = gd.generate_syndrome(fp, "random", seed=4)
+        assert gd.is_consistent(generated, fp)
+        assert not gd.is_consistent(sig, fp)
+        other = gd.make_fault_pair(g, {3, 5}, set())
+        assert gd.distinguishable(g, fp, other).distinguishable
+        assert gd.distinguishable_oracle(g, fp, other)
         assert g._layout is None
+
+    def test_generated_syndrome_is_decided_from_its_mask(self):
+        # consistency and decoding read fail_mask; the results tuple stays unbuilt
+        g = gd.build_hypercube(6)
+        fp = gd.make_fault_pair(g, {1, 22}, {(4, 5)})
+        sig = gd.generate_syndrome(fp, "random", seed=8)
+        assert gd.is_consistent(sig, fp)
+        assert gd.diagnose(g, sig, 3, 1).unique_pair == fp
+        assert "results" not in vars(sig)
+        assert sig.results == tuple((sig.fail_mask >> i) & 1 for i in range(len(sig)))
+        assert "results" in vars(sig)
+
+    def test_views_hold_ints_and_mask_decides_equality(self, q2):
+        import numpy as np
+        mask = 0b10010110
+        for results in [tuple(float((mask >> i) & 1) for i in range(8)),
+                        tuple(np.bool_((mask >> i) & 1) for i in range(8)),
+                        [(mask >> i) & 1 for i in range(8)]]:
+            sig = gd.Syndrome(q2, results)
+            assert sig == _syndrome_from_mask(q2, mask)
+            assert hash(sig) == hash(_syndrome_from_mask(q2, mask))
+            assert all(type(r) is int for r in sig.results)
+            assert all(type(x) is int for row in sig.to_triples() for x in row)
+            assert len(sig) == 8
+        assert gd.Syndrome(q2, (0,) * 8) != _syndrome_from_mask(q2, mask)
+        assert repr(_syndrome_from_mask(q2, mask)) == "Syndrome(hypercube-2: 4 of 8 tests fail)"
 
     def test_fail_mask_roundtrips_through_results(self):
         rng = random.Random(11)

@@ -59,7 +59,7 @@ def test_queries_and_layout_agree_with_edge_list(n, p, seed):
         assert gd.neighbors(g, u) == nbrs[u]
         assert gd.degree(g, u) == len(nbrs[u])
         assert gd.incident_edges(g, u) == {gd.graph.edge(u, v) for v in nbrs[u]}
-        for v in set(range(n)) - {u}:
+        for v in range(n):
             assert g.has_edge(u, v) == (v in nbrs[u])
     assert gd.min_degree(g) == min(map(len, nbrs))
     lay = _masks.layout_of(g)
@@ -264,6 +264,16 @@ class TestGraphValidation:
             q2.check_vertex(u)
         with pytest.raises(InputError, match="vertex id"):
             gd.make_fault_pair(q2, [u], [])
+
+    @pytest.mark.parametrize("u", [0, 3])
+    def test_has_edge_of_a_vertex_and_itself_is_false(self, q2, u):
+        assert q2.has_edge(u, u) is False
+
+    @pytest.mark.parametrize("u, v", [(0, True), (False, 1), (0, 99), (-1, 0), (0, 1.0),
+                                      ("0", 1)])
+    def test_has_edge_checks_vertex_ids(self, q2, u, v):
+        with pytest.raises(InputError, match="vertex id"):
+            q2.has_edge(u, v)
 
     def test_edges_canonical_and_sorted(self):
         g = gd.Graph(4, [(3, 1), (2, 0)])
