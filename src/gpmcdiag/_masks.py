@@ -16,6 +16,18 @@ syndrome decoder and the difference-structure search read.  Edge-space and
 test-space masks, and an edge's endpoint bits, are built from these rules
 and ``graph.edges`` where they are used, so nothing here holds a per-edge
 vertex mask or a table whose entries span the edge or test space.
+
+A test-space mask of a fault pattern is sparse: its set bits are the tests
+at the faulty vertices and edges, but its width is 2m.  Or-ing in one
+shifted bit at a time costs time in proportion to the width per bit, so
+``adversary_syndromes``, and ``forced_masks`` on wide masks, first collect
+the positions in one walk over the faulty vertices' adjacencies and the
+faulty edges (``_fault_tests``), and ``mask_of`` then builds each mask in
+one step from a byte buffer read by ``int.from_bytes``.  The dense
+forced-pass mask is the all-tests mask with the collected ones xor-ed out.
+Below ``BUFFER_WIDTH`` test bits the buffer costs more than it saves, so
+there masks are or-ed together one shifted bit at a time.
+
 Everything in here is exact arithmetic over those encodings; it only exists
 so the hot loops touch machine integers instead of frozensets.
 """
@@ -74,27 +86,81 @@ def vertex_mask(vertices) -> int:
     return mask
 
 
+#: Test-space width, in bits, from which ``mask_of`` sets bits in a byte
+#: buffer.  Below it, zeroing the buffer and reading it with
+#: ``int.from_bytes`` cost more than or-ing in the few dozen bits a fault
+#: pattern sets.
+BUFFER_WIDTH = 1024
+
+
+def mask_of(positions, width: int) -> int:
+    """The test-set mask with bit p set for each p in positions (all below width)."""
+    if width < BUFFER_WIDTH:
+        mask = 0
+        for p in positions:
+            mask |= 1 << p
+        return mask
+    buf = bytearray((width + 7) >> 3)
+    for p in positions:
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _fault_tests(g, f: int, s: int) -> tuple[list, list]:
+    """Positions of the arbitrary and the forced-fail tests of pattern (f, s).
+
+    One walk over the faulty vertices' adjacencies and the faulty edges: a
+    test is arbitrary when its tester is faulty, and forced to fail when its
+    tester is good and the testee or the edge is faulty.  Edge k = (a, b)
+    owns a -> b at 2k and b -> a at 2k + 1.  Forced-fail positions may repeat.
+    """
+    faulty = set(bits(f))
+    arbitrary, fail = [], []
+    for u in faulty:
+        for v, k in g._adj[u]:
+            t = 2 * k       # the test of the smaller endpoint
+            if u < v:
+                arbitrary.append(t)
+                if v not in faulty:
+                    fail.append(t + 1)
+            else:
+                arbitrary.append(t + 1)
+                if v not in faulty:
+                    fail.append(t)
+    for k in bits(s):
+        a, b = g.edges[k]
+        if a not in faulty:
+            fail.append(2 * k)
+        if b not in faulty:
+            fail.append(2 * k + 1)
+    return arbitrary, fail
+
+
 def forced_masks(g, f: int, s: int) -> tuple[int, int]:
     """(forced-fail, forced-pass) test masks for fault pattern (f, s).
 
     A test is forced to fail when its tester is good and the testee or the
     test edge is faulty; forced to pass when tester, testee and edge are all
     good; tests by faulty testers are unconstrained and appear in neither mask.
-    Every test on an edge at a faulty vertex has a faulty tester or a faulty
-    testee, so those tests minus the faulty testers' ones are forced to fail.
+    Every test on an edge at a faulty vertex or on a faulty edge is touched:
+    it is arbitrary or forced to fail, so the forced-pass tests are the
+    untouched ones.  Narrow masks or in each touched bit as the walk meets
+    it; wide ones are built from the positions ``_fault_tests`` collects.
     """
-    arb = 0
-    touched = 0
-    for u in bits(f):
-        for v, k in g._adj[u]:
-            # u tests its neighbor at bit 2k when u is the smaller endpoint
-            arb |= 1 << (2 * k + (v < u))
+    width = 2 * len(g.edges)
+    if width < BUFFER_WIDTH:
+        arb = touched = 0
+        for u in bits(f):
+            for v, k in g._adj[u]:
+                # u tests its neighbor at bit 2k when u is the smaller endpoint
+                arb |= 1 << (2 * k + (v < u))
+                touched |= 3 << (2 * k)
+        for k in bits(s):
             touched |= 3 << (2 * k)
-    for k in bits(s):
-        touched |= 3 << (2 * k)
-    ff = touched & ~arb
-    fp = all_tests(g) & ~(arb | ff)
-    return ff, fp
+        return touched & ~arb, all_tests(g) & ~touched
+    arbitrary, fail = _fault_tests(g, f, s)
+    ff = mask_of(fail, width)
+    return ff, all_tests(g) ^ ff ^ mask_of(arbitrary, width)
 
 
 def share_syndrome(ff1: int, fp1: int, ff2: int, fp2: int) -> bool:
@@ -108,15 +174,23 @@ def adversary_syndromes(g, f: int, s: int, choose):
     ``choose`` receives the indices of the tests with a faulty tester,
     ascending, and returns the adversary's assignments: bit i of an assignment
     fails the i-th of those tests.  Every other test gets its forced result.
+    On narrow masks each free test's bit is made once and or-ed in per
+    assignment; on wide ones each assignment's mask is built in one step.
     """
-    ff, fp = forced_masks(g, f, s)
-    free = list(bits(all_tests(g) & ~(ff | fp)))
-    for assignment in choose(free):
-        fail = ff
-        for i, pos in enumerate(free):
-            if (assignment >> i) & 1:
-                fail |= 1 << pos
-        yield fail
+    free, fail = _fault_tests(g, f, s)
+    free.sort()
+    width = 2 * len(g.edges)
+    ff = mask_of(fail, width)
+    if width < BUFFER_WIDTH:
+        free_bits = [1 << pos for pos in free]
+        for assignment in choose(free):
+            mask = ff
+            for i in bits(assignment):
+                mask |= free_bits[i]
+            yield mask
+    else:
+        for assignment in choose(free):
+            yield ff | mask_of([free[i] for i in bits(assignment)], width)
 
 
 def condition_hits(g, f1: int, s1: int, f2: int, s2: int):

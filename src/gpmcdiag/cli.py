@@ -21,6 +21,7 @@ import json
 import math
 import random
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -372,10 +373,12 @@ def _render_json(report) -> str:
 
     The stdlib renders indented JSON in pure Python, one generator frame per
     container; this walks the report once into a list of pieces.  Exact types
-    dispatch: dicts (str keys) sort their keys, lists and tuples render as
-    lists, ints and strs render directly, and every other value (bools, None,
-    floats, subclasses) goes through ``json.dumps`` with the same settings,
-    re-indented to its depth.
+    dispatch: dicts whose keys are all strs sort their keys, lists and tuples
+    render as lists, ints and strs render directly, and every other value
+    (bools, None, floats, subclasses, dicts with other keys) goes through
+    ``json.dumps`` with the same settings, re-indented to its depth.  A list
+    of equal-width int rows, such as a syndrome's, renders in one step
+    (``_int_rows``).
     """
     out: list[str] = []
     _emit_json(report, "\n", out)
@@ -390,7 +393,9 @@ def _emit_json(value, newline: str, out: list):
         out.append(_json_str(value))
     elif kind is int:
         out.append(repr(value))
-    elif kind is dict and value:
+    elif kind is dict and value and type(min(value)) is str:
+        # only strs order with a str, so all keys are strs (a mix raises
+        # TypeError, as in json.dumps); other keys take the stdlib path
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(value):
@@ -399,6 +404,10 @@ def _emit_json(value, newline: str, out: list):
             sep = "," + inner
         out.append(newline + "}")
     elif (kind is list or kind is tuple) and value:
+        rows = _int_rows(value, newline)
+        if rows is not None:
+            out.append(rows)
+            return
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
@@ -411,6 +420,26 @@ def _emit_json(value, newline: str, out: list):
         out.append(newline + "]")
     else:
         out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
+
+
+def _int_rows(rows, newline: str):
+    """The rendering of rows that are all lists or tuples of one width, holding
+    only exact ints, or None for any other shape.
+
+    One row template of ``%r`` slots, indented for the rows' depth, renders
+    each row in one step, instead of one ``_emit_json`` call per row.
+    """
+    if type(rows[0]) not in (list, tuple):     # most lists are not tables
+        return None
+    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
+        return None
+    # exact ints only: %r would write True, 1.5 or an IntEnum's repr
+    if set(map(type, chain.from_iterable(rows))) != {int}:     # refuses empty rows too
+        return None
+    inner = newline + "  "
+    slot = inner + "  "
+    row = "[" + slot + ("," + slot).join(["%r"] * len(rows[0])) + inner + "]"
+    return "[" + inner + ("," + inner).join([row % tuple(r) for r in rows]) + newline + "]"
 
 
 def _csv_text(header, rows) -> str:

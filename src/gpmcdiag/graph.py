@@ -8,7 +8,8 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
+from operator import eq
 
 from .errors import InputError
 
@@ -63,14 +64,7 @@ class Graph:
         if vertex_count < 0:
             raise InputError("vertex_count must be non-negative")
         _check_vertex_count(vertex_count)
-        canon = []
-        for (u, v) in edges:
-            if not (_is_int(u) and _is_int(v)):
-                raise InputError(f"edge {u!r}-{v!r} has an endpoint that is not an int")
-            e = edge(u, v)
-            if not (0 <= e[0] and e[1] < vertex_count):
-                raise InputError(f"edge {u}-{v} has an endpoint outside 0..{vertex_count - 1}")
-            canon.append(e)
+        canon = _canonical_edges(vertex_count, edges)
         _check_edge_count(len(canon))
         canon.sort()
         edge_index = {e: k for k, e in enumerate(canon)}
@@ -121,6 +115,32 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({self.name}: {self.vertex_count} vertices, {len(self.edges)} edges)"
+
+
+def _canonical_edges(vertex_count: int, edges) -> list:
+    """The edges as canonical (min, max) tuples, in input order.
+
+    The common input, 2-tuples of exact ints, is checked in bulk and its
+    already canonical tuples are reused.  Anything else, and any input that
+    fails a bulk check, is checked edge by edge, so the first bad edge in
+    input order raises its own InputError.
+    """
+    pairs = list(edges)
+    if set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}:
+        ends = list(chain.from_iterable(pairs))
+        if (set(map(type, ends)) <= {int} and min(ends, default=0) >= 0
+                and max(ends, default=0) < vertex_count
+                and not any(map(eq, ends[::2], ends[1::2]))):
+            return [e if e[0] < e[1] else (e[1], e[0]) for e in pairs]
+    canon = []
+    for (u, v) in pairs:
+        if not (_is_int(u) and _is_int(v)):
+            raise InputError(f"edge {u!r}-{v!r} has an endpoint that is not an int")
+        e = edge(u, v)
+        if not (0 <= e[0] and e[1] < vertex_count):
+            raise InputError(f"edge {u}-{v} has an endpoint outside 0..{vertex_count - 1}")
+        canon.append(e)
+    return canon
 
 
 def _is_int(x) -> bool:

@@ -7,11 +7,13 @@ enumerator ``all_consistent_pairs`` and three oracles,
 ``reference_candidate_masks`` (for the decoder), and ``full_search`` and
 ``reference_search_seed`` (for the diagnosability search), work over the
 library's mask layout instead; the definitional checks here cover that
-layout.
+layout.  ``forced_masks`` and ``reference_syndrome_mask`` are the shift-or
+references for the library's one-step test-mask builders.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from itertools import combinations, product
 
@@ -110,14 +112,62 @@ def reference_candidate_masks(lay, fail_mask: int, t: int, s: int):
     return found
 
 
+def forced_masks(g, f: int, s: int) -> tuple[int, int]:
+    """(forced-fail, forced-pass) test masks, or-ing in one shifted bit at a time.
+
+    The reference for ``_masks.forced_masks``, which on wide masks collects
+    the positions in one walk and builds each mask in one step.  Every test
+    on an edge at a faulty vertex has a faulty tester or a faulty testee, so
+    those tests minus the faulty testers' ones are forced to fail; every
+    other test that is not the faulty testers' is forced to pass.
+    """
+    arb = 0
+    touched = 0
+    for u in _masks.bits(f):
+        for v, k in g._adj[u]:
+            arb |= 1 << (2 * k + (v < u))
+            touched |= 3 << (2 * k)
+    for k in _masks.bits(s):
+        touched |= 3 << (2 * k)
+    ff = touched & ~arb
+    fp = _masks.all_tests(g) & ~(arb | ff)
+    return ff, fp
+
+
+def reference_syndrome_mask(fp, strategy: str, seed=None, assignments=None) -> int:
+    """The fail mask ``generate_syndrome(fp, strategy, ...)`` must produce.
+
+    The faulty testers' tests come from a bit scan of what the reference
+    masks leave free, ascending; each strategy then fails a subset of them,
+    "random" drawing one ``random.Random(seed).random() < 0.5`` per free test
+    in that order, "explicit" reading ``assignments`` by (tester, testee).
+    """
+    g = fp.graph
+    ff, fpm = forced_masks(g, fp.f_mask, fp.s_mask)
+    free = list(_masks.bits(_masks.all_tests(g) & ~(ff | fpm)))
+    if strategy == "all-pass":
+        chosen = []
+    elif strategy == "all-fail":
+        chosen = free
+    elif strategy == "random":
+        rng = random.Random(seed)
+        chosen = [pos for pos in free if rng.random() < 0.5]
+    else:
+        def tester_testee(pos):
+            a, b = g.edges[pos >> 1]
+            return (b, a) if pos & 1 else (a, b)
+        chosen = [pos for pos in free if assignments[tester_testee(pos)]]
+    return ff | sum(1 << pos for pos in chosen)
+
+
 def full_search(g, t: int, s: int):
     """First indistinguishable pair in lexicographic order, or None.
 
     The pairwise oracle for the library's difference-structure search.  Like
     ``reference_candidate_masks`` it works over the library's mask layout.
-    Each pair's forced outcomes come from ``_masks.forced_masks`` once, and
-    two pairs are indistinguishable when they share a syndrome: no test is
-    forced to pass under one and to fail under the other.  That is the
+    Each pair's forced outcomes come from the reference ``forced_masks``
+    once, and two pairs are indistinguishable when they share a syndrome: no
+    test is forced to pass under one and to fail under the other.  That is the
     forced-outcome route, not the structural conditions the search builds
     on.
 
@@ -131,7 +181,7 @@ def full_search(g, t: int, s: int):
     for f, smasks in consistent_groups(lay, t, s):
         flat.extend((f, sm) for sm in smasks)
         block_end.extend([len(flat)] * len(smasks))
-    forced = [_masks.forced_masks(g, f, sm) for f, sm in flat]
+    forced = [forced_masks(g, f, sm) for f, sm in flat]
     checked = 0
     for i, (ff1, fp1) in enumerate(forced):
         for j in range(block_end[i], len(flat)):

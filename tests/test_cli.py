@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gpmcdiag as gd
-from gpmcdiag import faults
+from gpmcdiag import cli, faults
 from gpmcdiag.cli import _render_json, main
 
 SCHEMA_KEYS = {"command", "config", "result", "stats", "version"}
@@ -334,12 +334,17 @@ def test_output_matches_golden_bytes(tmp_path, name):
 _JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(),
     st.text(), st.sampled_from(["", "é", "日本", "😀", '"\\', "\n\t\x00\x7f", "\u2028"]))
+# json.dumps writes non-str keys as "1", "true", "null" or "1.5"; the keys of
+# one dict must be mutually orderable for sort_keys
+_NON_STR_KEYS = (st.none(), st.integers() | st.booleans() | st.floats())
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.lists(inner, max_size=4).map(tuple),
                             st.dictionaries(st.text(), inner, max_size=4),
-                            st.dictionaries(st.text(), inner, max_size=4).map(OrderedDict)),
+                            st.dictionaries(st.text(), inner, max_size=4).map(OrderedDict),
+                            *(st.dictionaries(keys, inner, max_size=4)
+                              for keys in _NON_STR_KEYS)),
     max_leaves=24)
 
 
@@ -348,12 +353,53 @@ def test_render_json_matches_stdlib_bytes(value):
     assert _render_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+@st.composite
+def _int_row_tables(draw):
+    """Equal-width int rows, as lists and tuples, or one spoiled variant of them."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(st.integers(), min_size=width, max_size=width)
+    rows = draw(st.lists(row | row.map(tuple), min_size=1, max_size=5))
+    spoil = draw(st.sampled_from(["none", "cell", "ragged", "empty"]))
+    if spoil == "cell":     # a bool, an IntEnum member, a float or a list in a row
+        i = draw(st.integers(0, len(rows) - 1))
+        cells = list(rows[i])
+        cells[draw(st.integers(0, width - 1))] = draw(
+            st.booleans() | st.sampled_from(list(gd.TestOutcome)) | st.floats()
+            | st.lists(st.integers(), max_size=2))
+        rows[i] = draw(st.sampled_from([cells, tuple(cells)]))
+    elif spoil == "ragged":
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.lists(st.integers(), max_size=5).filter(lambda r: len(r) != width)))
+    elif spoil == "empty":
+        rows = draw(st.lists(st.sampled_from([[], ()]), min_size=1, max_size=3))
+    table = draw(st.sampled_from([rows, tuple(rows)]))
+    # at a drawn depth, so the rows' indent varies
+    for _ in range(draw(st.integers(0, 2))):
+        table = draw(st.sampled_from([[table], {"rows": table}]))
+    return table
+
+
+@given(_int_row_tables())
+def test_render_int_rows_matches_stdlib_bytes(value):
+    assert _render_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def test_inject_json_builds_no_test_objects(monkeypatch, capsys):
-    # the syndrome rows come from the edge list and the fail mask alone
+    # the syndrome rows come from the edge list and the fail mask alone, and
+    # render in one step, not one _emit_json call per row
     def refuse(g):
         raise AssertionError("inject enumerated Test objects")
 
+    emit = cli._emit_json
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return emit(*args)
+
     monkeypatch.setattr(faults, "enumerate_tests", refuse)
+    monkeypatch.setattr(cli, "_emit_json", counted)
     assert main(["inject", "--topology", "hypercube", "--n", "10",
                  "--faulty-vertices", "3,700", "--faulty-edges", "0-1",
                  "--adversary", "random", "--seed", "2", "--format", "json"]) == 0
@@ -361,6 +407,7 @@ def test_inject_json_builds_no_test_objects(monkeypatch, capsys):
     report = json.loads(out)
     assert len(report["result"]["syndrome"]) == 2 * 5120
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert calls < 100
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import gpmcdiag as gd
 from gpmcdiag import ConsistencyError, ForcedOutcome, GraphMismatchError, InputError, _masks
-from gpmcdiag.faults import _candidate_masks, _syndrome_from_mask
+from gpmcdiag.faults import ADVERSARY_STRATEGIES, _candidate_masks, _syndrome_from_mask
 
 import brute
 from brute import brute_force_decode, forced_value, reference_candidate_masks, sigma_set
@@ -106,6 +106,39 @@ class TestForcedOutcome:
                     want = forced_value(test, fp.faulty_vertices, fp.faulty_edges)
                     got = 1 if (ff >> i) & 1 else 0 if (fpm >> i) & 1 else None
                     assert got == want, f"{g.name} {fp} {test}"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gd.build_hypercube(4),
+    lambda: gd.build_hypercube(10),
+    *(lambda seed=seed: gd.build_random(60, 0.5, seed) for seed in (1, 2, 3)),
+], ids=["Q4", "Q10", "G60-s1", "G60-s2", "G60-s3"])
+def test_masks_match_shift_or_reference(build):
+    # forced_masks and generate_syndrome build each test mask in one step, in
+    # a byte buffer on wide graphs; the reference or-s in one bit at a time
+    g = build()
+    width = 2 * len(g.edges)
+    # Q_4 takes the shift-or path, the larger graphs the byte buffer
+    assert (width < _masks.BUFFER_WIDTH) == (g.vertex_count == 16)
+    rng = random.Random(width)
+    for _ in range(25):
+        faulty = rng.sample(range(g.vertex_count), rng.randint(0, 12))
+        # raw masks may put a faulty edge at a faulty vertex; pairs may not
+        f = _masks.vertex_mask(faulty)
+        s = _masks.vertex_mask(rng.sample(range(len(g.edges)), rng.randint(0, 12)))
+        assert _masks.forced_masks(g, f, s) == brute.forced_masks(g, f, s)
+        free_edges = [e for e in g.edges if e[0] not in faulty and e[1] not in faulty]
+        s_count = rng.randint(0, min(12, len(free_edges)))
+        fp = gd.make_fault_pair(g, faulty, rng.sample(free_edges, s_count))
+        assert (_masks.forced_masks(g, fp.f_mask, fp.s_mask)
+                == brute.forced_masks(g, fp.f_mask, fp.s_mask))
+        seed = rng.getrandbits(32)
+        assignments = {(u, v): rng.randint(0, 1)
+                       for u in faulty for v in sorted(gd.neighbors(g, u))}
+        for strategy in ADVERSARY_STRATEGIES:
+            sig = gd.generate_syndrome(fp, strategy, seed=seed, assignments=assignments)
+            want = brute.reference_syndrome_mask(fp, strategy, seed, assignments)
+            assert sig.fail_mask == want, (g.name, strategy)
 
 
 def test_large_hypercube_pair_fits_in_512_mb():

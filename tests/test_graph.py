@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -275,9 +276,33 @@ class TestGraphValidation:
         with pytest.raises(InputError, match="vertex id"):
             q2.has_edge(u, v)
 
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, [(0, 1), (1, 1)], "self-loop at vertex 1 "),
+        (3, [(0, 1), (2, 1), (1, 0)], "duplicate edge in edge list"),
+        (3, [(0, 1), (1, 3)], "edge 1-3 has an endpoint outside 0..2"),
+        (3, [(0, 1), (-1, 2)], "edge -1-2 has an endpoint outside 0..2"),
+        (0, [(0, 1)], "edge 0-1 has an endpoint outside 0..-1"),
+        (3, [(0, 1), (1, True)], "edge 1-True has an endpoint that is not an int"),
+        (3, [[0, 1], [2, 1.0]], "edge 2-1.0 has an endpoint that is not an int"),
+        # the first bad edge in input order decides, whatever the later ones are
+        (3, [(0, 5), (1, 1)], "edge 0-5 has an endpoint outside"),
+        (3, [(1, 1), (0, 5)], "self-loop at vertex 1 "),
+        (3, [(0, 5), (0, None)], "edge 0-5 has an endpoint outside"),
+        (3, [(0, None), (0, 5)], "edge 0-None has an endpoint that is not an int"),
+        (3, [(0, 1), (1, 0), (0, 5)], "edge 0-5 has an endpoint outside"),
+    ])
+    def test_bad_edge_messages(self, n, edges, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            gd.Graph(n, edges)
+
     def test_edges_canonical_and_sorted(self):
-        g = gd.Graph(4, [(3, 1), (2, 0)])
+        canonical = (1, 3)
+        g = gd.Graph(4, [canonical, (2, 0)])
         assert g.edges == ((0, 2), (1, 3))
+        assert g.edges[1] is canonical
+        # pairs as lists take the edge-by-edge checks; any iterable of pairs will do
+        assert gd.Graph(4, [[3, 1], [2, 0]]).edges == g.edges
+        assert gd.Graph(4, (e for e in [(3, 1), (2, 0)])).edges == g.edges
 
     def test_vertex_transitive_cannot_be_claimed(self):
         # the flag makes the search try a single seed vertex, so a false one
