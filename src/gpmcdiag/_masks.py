@@ -8,14 +8,15 @@ Encodings, for a graph with n vertices and m edges:
   the test a -> b and bit 2k+1 for the test b -> a (the canonical test order,
   see ``faults.enumerate_tests``).  Both tests of edge k are ``3 << 2k``.
 
-The pair primitives (forced outcomes, adversary syndromes, the
-distinguishability conditions) read only the graph's own edge list and
-adjacency, so syndromes and distinguishability build nothing per graph.  A
-layout (``layout_of``) adds each vertex's neighbor bits, which only the
-syndrome decoder and the difference-structure search read.  Edge-space and
-test-space masks, and an edge's endpoint bits, are built from these rules
-and ``graph.edges`` where they are used, so nothing here holds a per-edge
-vertex mask or a table whose entries span the edge or test space.
+The code here reads the graph's own edge list (``graph.edges``) and
+adjacency (``graph._adj``, per vertex ``((neighbor id, k), ...)``).  The one
+per-graph structure added is ``layout_of``: each vertex's neighbor bits,
+O(n^2) bits in all, which only the syndrome decoder and the
+difference-structure search read, so syndromes and distinguishability build
+nothing per graph.  Edge-space and test-space masks, and an edge's endpoint
+bits, are built from these rules and ``graph.edges`` where they are used, so
+nothing here holds a per-edge vertex mask or a table whose entries span the
+edge or test space.
 
 A test-space mask of a fault pattern is sparse: its set bits are the tests
 at the faulty vertices and edges, but its width is 2m.  Or-ing in one
@@ -34,35 +35,11 @@ so the hot loops touch machine integers instead of frozensets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class Layout:
-    """Vertex bits and edge indices for one graph.
-
-    ``edges``, ``edge_index`` and ``adj`` are the graph's own objects; only
-    ``nbr_mask`` (O(n^2) bits) is built here.  ``adj`` holds neighbor ids, so
-    membership in a vertex set is ``(mask >> v) & 1``.
-    """
-
-    n: int                       # vertex count
-    edges: tuple                 # canonical (min, max) pairs, sorted
-    edge_index: dict             # (min, max) -> k
-    nbr_mask: tuple              # per vertex: neighbor vertex bits
-    adj: tuple                   # per vertex: ((neighbor id, k), ...) sorted by neighbor
-
-
-def layout_of(g) -> Layout:
-    """Mask layout for g, built once and cached on the graph."""
+def layout_of(g) -> tuple:
+    """Per-vertex neighbor bits of g, built once and cached on the graph."""
     if g._layout is None:
-        g._layout = Layout(
-            n=g.vertex_count,
-            edges=g.edges,
-            edge_index=g._edge_index,
-            nbr_mask=tuple(vertex_mask(v for v, _ in es) for es in g._adj),
-            adj=g._adj,
-        )
+        g._layout = tuple(vertex_mask(v for v, _ in es) for es in g._adj)
     return g._layout
 
 

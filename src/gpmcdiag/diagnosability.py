@@ -201,9 +201,8 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
 
     Returns ((f1, s1, f2, s2) masks or None, structures_examined).
     """
-    lay = _masks.layout_of(g)
     n = g.vertex_count
-    nbr = lay.nbr_mask
+    nbr = _masks.layout_of(g)
     rest = range(seed + 1, n)
     examined = 0
     for size1 in range(1, min(t, n) + 1):
@@ -245,8 +244,8 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
                     f2 = x2mask | cmask
                     umask = x1mask | x2mask | cmask
                     # S is forced: each pair blames the other side's edges leaving U
-                    s1 = _blocking_edges(lay, _masks.bits(x2mask), umask)
-                    s2 = _blocking_edges(lay, _masks.bits(x1mask), umask)
+                    s1 = _blocking_edges(g, _masks.bits(x2mask), umask)
+                    s2 = _blocking_edges(g, _masks.bits(x1mask), umask)
                     return (f1, s1, f2, s2), examined
     return None, examined
 
@@ -279,11 +278,11 @@ def _bounded_sets(nbr, pool, picks: int, slack: int, start: int = 0, base: int =
     yield from walk(0, picks, start, nstart)
 
 
-def _blocking_edges(lay, side, umask: int) -> int:
+def _blocking_edges(g: Graph, side, umask: int) -> int:
     """Edge mask of every edge from a vertex of ``side`` to a vertex outside ``umask``."""
     smask = 0
     for v in side:
-        for w, k in lay.adj[v]:
+        for w, k in g._adj[v]:
             if not (umask >> w) & 1:
                 smask |= 1 << k
     return smask
@@ -333,10 +332,9 @@ def _check_method(method: str):
 
 
 def _witness_pairs(g: Graph, masks) -> tuple[FaultPair, FaultPair]:
-    lay = _masks.layout_of(g)
     f1, s1, f2, s2 = masks
-    p1 = _pair_from_masks(g, lay, f1, s1)
-    p2 = _pair_from_masks(g, lay, f2, s2)
+    p1 = _pair_from_masks(g, f1, s1)
+    p2 = _pair_from_masks(g, f2, s2)
     _assert_witness(g, p1, p2)
     return p1, p2
 

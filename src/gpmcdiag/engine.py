@@ -52,13 +52,12 @@ def diagnose(g: Graph, sig: Syndrome, t: int, s: int, *,
         raise InputError("bounds t and s must be non-negative")
     if candidate_cap < 1:
         raise InputError("candidate cap must be positive")
-    lay = _masks.layout_of(g)
-    found = _candidate_masks(lay, sig.fail_mask, t, s)
+    found = _candidate_masks(g, sig.fail_mask, t, s)
     total = len(found)
     if total == 0:
         return DiagnosisResult(DiagnosisStatus.NO_CANDIDATE, (), 0)
     status = DiagnosisStatus.UNIQUE if total == 1 else DiagnosisStatus.AMBIGUOUS
-    shown = tuple(_pair_from_masks(g, lay, f, sm) for f, sm in found[:candidate_cap])
+    shown = tuple(_pair_from_masks(g, f, sm) for f, sm in found[:candidate_cap])
     return DiagnosisResult(status, shown, total)
 
 
@@ -78,7 +77,6 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
         raise GraphMismatchError("fault pair belongs to a different graph")
     if len(fp.faulty_vertices) > t or len(fp.faulty_edges) > s:
         raise InputError("injected pair exceeds the diagnosis bounds")
-    lay = _masks.layout_of(g)
 
     def assignments(free):
         if len(free) > EXHAUSTIVE_ADVERSARY_LIMIT:
@@ -89,7 +87,7 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
 
     expected = (fp.f_mask, fp.s_mask)
     for fail in _masks.adversary_syndromes(g, fp.f_mask, fp.s_mask, assignments):
-        found = _candidate_masks(lay, fail, t, s)
+        found = _candidate_masks(g, fail, t, s)
         if len(found) != 1 or found[0] != expected:
             return False
     return True

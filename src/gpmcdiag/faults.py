@@ -98,11 +98,11 @@ def fault_pair_from_record(g: Graph, record: dict) -> FaultPair:
     return make_fault_pair(g, fs, [tuple(e) for e in ss])
 
 
-def _pair_from_masks(g: Graph, lay, f_mask: int, s_mask: int) -> FaultPair:
+def _pair_from_masks(g: Graph, f_mask: int, s_mask: int) -> FaultPair:
     return FaultPair(
         g,
         frozenset(_masks.bits(f_mask)),
-        frozenset(lay.edges[k] for k in _masks.bits(s_mask)),
+        frozenset(g.edges[k] for k in _masks.bits(s_mask)),
     )
 
 
@@ -285,7 +285,7 @@ def is_consistent(sig: Syndrome, fp: FaultPair) -> bool:
 # consistent-pair enumeration (syndrome decoding core)
 # ---------------------------------------------------------------------------
 
-def _candidate_masks(lay, fail_mask: int, t: int, s: int):
+def _candidate_masks(g: Graph, fail_mask: int, t: int, s: int):
     """(f_mask, s_mask) of every in-bound fault pair consistent with the syndrome.
 
     Results come out in (|F|, F) lexicographic order.  Rather than trying
@@ -309,8 +309,8 @@ def _candidate_masks(lay, fail_mask: int, t: int, s: int):
     test by a good tester then reads what the pair forces.  Each branch fixes
     one vertex either way, so every pair is reached exactly once.
     """
-    n = lay.n
-    nbr = lay.nbr_mask
+    n = g.vertex_count
+    nbr = _masks.layout_of(g)
     fail_in = [0] * n       # per vertex: testers whose test of it fails
     fail_out = [0] * n      # per vertex: testees its own tests fail
     both_fail_edges = []    # (edge index, endpoint bits) of edges failed both ways
@@ -319,7 +319,7 @@ def _candidate_masks(lay, fail_mask: int, t: int, s: int):
         low = rest & -rest
         i = low.bit_length() - 1
         k = i >> 1
-        a, b = lay.edges[k]
+        a, b = g.edges[k]
         if i & 1:
             a, b = b, a
         elif rest & (low << 1):
@@ -408,6 +408,4 @@ def enumerate_consistent_pairs(g: Graph, sig: Syndrome, t: int, s: int) -> list[
         raise GraphMismatchError("syndrome belongs to a different graph")
     if t < 0 or s < 0:
         raise InputError("bounds must be non-negative")
-    lay = _masks.layout_of(g)
-    return [_pair_from_masks(g, lay, f, sm)
-            for f, sm in _candidate_masks(lay, sig.fail_mask, t, s)]
+    return [_pair_from_masks(g, f, sm) for f, sm in _candidate_masks(g, sig.fail_mask, t, s)]

@@ -15,9 +15,9 @@ from .errors import InputError
 
 #: Largest supported hypercube dimension.  Building Q_15, one fault pair, its
 #: syndrome and both distinguishability routes peaks near 129 MB of RSS.  The
-#: mask layout, which only the decoder and the search build, dominates beyond
-#: that: it keeps one vertex-wide int per vertex (its neighbor bits), about
-#: 4^n / 9 bytes for Q_n (115 MB for Q_15).
+#: neighbor bits (``_masks.layout_of``), which only the decoder and the search
+#: build, dominate beyond that: one vertex-wide int per vertex, about 4^n / 9
+#: bytes for Q_n (115 MB for Q_15).
 HYPERCUBE_DIMENSION_CAP = 15
 
 #: Largest vertex and edge counts of any graph: those of Q_15, the largest
@@ -37,10 +37,12 @@ def edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
-    The constructor builds the structure that every query and the mask layout
-    read: ``edges`` (canonical (min, max) pairs, sorted), ``_edge_index``
-    (edge -> k) and ``_adj`` (per vertex, ``((neighbor, k), ...)`` in neighbor
-    order).  Vertex ids are ints, never bools.  ``labels`` optionally attaches
+    The constructor builds the one structure that every query, the pair
+    primitives, the decoder and the search read: ``edges`` (canonical
+    (min, max) pairs, sorted), ``_edge_index`` (edge -> k) and ``_adj`` (per
+    vertex, ``((neighbor, k), ...)`` in neighbor order).  The decoder and the
+    search add only each vertex's neighbor bits, built on first use and
+    cached in ``_layout`` (``_masks.layout_of``).  Vertex ids are ints, never bools.  ``labels`` optionally attaches
     a text label per vertex (hypercubes use their bit strings).
     ``vertex_transitive`` is true only for builders whose output provably
     looks the same from every vertex (hypercube, cycle, complete); search code
@@ -86,7 +88,7 @@ class Graph:
         self._vertex_transitive = False
         self._edge_index = edge_index
         self._adj = tuple(map(tuple, adj))
-        self._layout = None  # mask-layout cache, built on demand by _masks.layout_of
+        self._layout = None  # neighbor-bits cache, built on demand by _masks.layout_of
 
     @property
     def vertex_transitive(self) -> bool:

@@ -6,8 +6,9 @@ agreement between the two is evidence, not tautology.  The consistent-pair
 enumerator ``all_consistent_pairs`` and three oracles,
 ``reference_candidate_masks`` (for the decoder), and ``full_search`` and
 ``reference_search_seed`` (for the diagnosability search), work over the
-library's mask layout instead; the definitional checks here cover that
-layout.  ``forced_masks`` and ``reference_syndrome_mask`` are the shift-or
+library's bit encodings of the graph instead (edge and test indices from
+``graph.edges``, neighbor bits from ``_masks.layout_of``); the definitional
+checks here cover those encodings.  ``forced_masks`` and ``reference_syndrome_mask`` are the shift-or
 references for the library's one-step test-mask builders.
 """
 
@@ -42,7 +43,7 @@ def syndrome_fits(g, sig, fset, sset) -> bool:
     return True
 
 
-def consistent_groups(lay, max_vertices: int, max_edges: int):
+def consistent_groups(g, max_vertices: int, max_edges: int):
     """Every consistent pattern with |F| <= max_vertices and |S| <= max_edges,
     grouped by F: yields (f_mask, [s_mask, ...]) in (|F|, F, |S|, S)
     lexicographic order.  S ranges over the edges with no endpoint in F.
@@ -50,10 +51,10 @@ def consistent_groups(lay, max_vertices: int, max_edges: int):
     Unbounded: each F lists every S up to size max_edges, so keep to small
     graphs and bounds.
     """
-    for fsize in range(min(max_vertices, lay.n) + 1):
-        for fverts in combinations(range(lay.n), fsize):
+    for fsize in range(min(max_vertices, g.vertex_count) + 1):
+        for fverts in combinations(range(g.vertex_count), fsize):
             f = _masks.vertex_mask(fverts)
-            free = [1 << k for k, (a, b) in enumerate(lay.edges)
+            free = [1 << k for k, (a, b) in enumerate(g.edges)
                     if not (f >> a) & 1 and not (f >> b) & 1]
             yield f, [sum(sel) for size in range(min(max_edges, len(free)) + 1)
                       for sel in combinations(free, size)]
@@ -62,9 +63,8 @@ def consistent_groups(lay, max_vertices: int, max_edges: int):
 def all_consistent_pairs(g, max_vertices: int, max_edges: int) -> list:
     """Every consistent fault pair within the size bounds, in lexicographic
     (|F|, F, |S|, S) order, for exhaustive checks on small graphs."""
-    lay = _masks.layout_of(g)
-    return [_pair_from_masks(g, lay, f, sm)
-            for f, smasks in consistent_groups(lay, max_vertices, max_edges)
+    return [_pair_from_masks(g, f, sm)
+            for f, smasks in consistent_groups(g, max_vertices, max_edges)
             for sm in smasks]
 
 
@@ -77,22 +77,22 @@ def brute_force_decode(g, sig, t, s):
     return out
 
 
-def reference_candidate_masks(lay, fail_mask: int, t: int, s: int):
+def reference_candidate_masks(g, fail_mask: int, t: int, s: int):
     """The decoder's exhaustive predecessor, kept as its oracle.
 
-    Unlike the rest of this module it works over the library's mask layout,
+    Unlike the rest of this module it works over the library's bit encodings,
     because it must reproduce ``faults._candidate_masks`` output exactly:
     (f_mask, s_mask) pairs in (|F|, F) lexicographic order.
     It tries every vertex set of size at most t and forces S per set, reading
-    each edge's two test bits straight from ``lay.edges`` order.
+    each edge's two test bits straight from ``g.edges`` order.
     """
     found = []
     for fsize in range(t + 1):
-        for fverts in combinations(range(lay.n), fsize):
+        for fverts in combinations(range(g.vertex_count), fsize):
             fset = set(fverts)
             smask = 0
             ok = True
-            for k, (a, b) in enumerate(lay.edges):
+            for k, (a, b) in enumerate(g.edges):
                 a_to_b = (fail_mask >> (2 * k)) & 1
                 b_to_a = (fail_mask >> (2 * k + 1)) & 1
                 if a in fset and b in fset:
@@ -164,7 +164,7 @@ def full_search(g, t: int, s: int):
     """First indistinguishable pair in lexicographic order, or None.
 
     The pairwise oracle for the library's difference-structure search.  Like
-    ``reference_candidate_masks`` it works over the library's mask layout.
+    ``reference_candidate_masks`` it works over the library's bit encodings.
     Each pair's forced outcomes come from the reference ``forced_masks``
     once, and two pairs are indistinguishable when they share a syndrome: no
     test is forced to pass under one and to fail under the other.  That is the
@@ -175,10 +175,9 @@ def full_search(g, t: int, s: int):
     extra faulty edge has fault-free endpoints on both sides), so comparisons
     are only made across distinct vertex sets.
     """
-    lay = _masks.layout_of(g)
     flat = []
     block_end = []      # per pair: index just past its vertex set's group
-    for f, smasks in consistent_groups(lay, t, s):
+    for f, smasks in consistent_groups(g, t, s):
         flat.extend((f, sm) for sm in smasks)
         block_end.extend([len(flat)] * len(smasks))
     forced = [forced_masks(g, f, sm) for f, sm in flat]
@@ -200,12 +199,11 @@ def reference_search_seed(g, t: int, s: int, seed: int):
     cut.  The library must return the same ((f1, s1, f2, s2) masks or None,
     structures_examined) for every seed, so this pins the leaf order and the
     count, not only the verdict.  Like ``full_search`` it works over the
-    library's mask layout, and it reads the library's ``_cover_subset`` and
+    library's bit encodings, and it reads the library's ``_cover_subset`` and
     ``_blocking_edges``.
     """
-    lay = _masks.layout_of(g)
     n = g.vertex_count
-    nbr = lay.nbr_mask
+    nbr = _masks.layout_of(g)
     rest = range(seed + 1, n)
     examined = 0
     for size1 in range(1, min(t, n) + 1):
@@ -255,8 +253,8 @@ def reference_search_seed(g, t: int, s: int, seed: int):
                     f2 = x2mask | cmask
                     umask = xmask | cmask
                     # S is forced: each pair blames the other side's edges leaving U
-                    s1 = _blocking_edges(lay, x2, umask)
-                    s2 = _blocking_edges(lay, x1, umask)
+                    s1 = _blocking_edges(g, x2, umask)
+                    s2 = _blocking_edges(g, x1, umask)
                     return (f1, s1, f2, s2), examined
     return None, examined
 
@@ -267,9 +265,8 @@ def full_is_ts_diagnosable(g, t: int, s: int) -> gd.TsResult:
     stats = {"method": "full", **stats}
     if masks is None:
         return gd.TsResult(True, None, stats)
-    lay = _masks.layout_of(g)
     f1, s1, f2, s2 = masks
-    witness = tuple(gd.make_fault_pair(g, _masks.bits(f), [lay.edges[k] for k in _masks.bits(sm)])
+    witness = tuple(gd.make_fault_pair(g, _masks.bits(f), [g.edges[k] for k in _masks.bits(sm)])
                     for f, sm in ((f1, s1), (f2, s2)))
     return gd.TsResult(False, witness, stats)
 

@@ -422,9 +422,8 @@ DECODER_GRAPHS = full_gallery() + [gd.build_hypercube(4)]   # the gallery has Q_
 
 
 def _agrees_with_reference(g, fail_mask, t, s):
-    lay = _masks.layout_of(g)
-    got = _candidate_masks(lay, fail_mask, t, s)
-    assert got == reference_candidate_masks(lay, fail_mask, t, s)
+    got = _candidate_masks(g, fail_mask, t, s)
+    assert got == reference_candidate_masks(g, fail_mask, t, s)
     return got
 
 
@@ -447,16 +446,15 @@ def test_candidate_masks_match_exhaustive_reference(g, t, s, data):
 
 class TestCandidateMasksFixedCases:
     def test_zero_vertex_budget(self, q3):
-        lay = _masks.layout_of(q3)
         clean = gd.generate_syndrome(gd.make_fault_pair(q3, set(), {(3, 7)}))
         assert _agrees_with_reference(q3, clean.fail_mask, 0, 1) == [
-            (0, 1 << lay.edge_index[(3, 7)])]
+            (0, 1 << q3._edge_index[(3, 7)])]
         assert _agrees_with_reference(q3, clean.fail_mask, 0, 0) == []
         vertex = gd.generate_syndrome(gd.make_fault_pair(q3, {0}, set()), "all-fail")
         # vertex 0's three both-fail edges fit S only when s >= 3
         assert _agrees_with_reference(q3, vertex.fail_mask, 0, 2) == []
         assert _agrees_with_reference(q3, vertex.fail_mask, 0, 3) == [
-            (0, sum(1 << lay.edge_index[e] for e in q3.edges if 0 in e))]
+            (0, sum(1 << q3._edge_index[e] for e in q3.edges if 0 in e))]
 
     def test_budget_at_or_above_max_degree(self, q3, q4):
         # every vertex has at most t-1 passing in-tests, so every vertex

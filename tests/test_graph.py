@@ -47,7 +47,7 @@ class TestNeighbors:
 
 @given(st.integers(1, 14), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
 def test_queries_and_layout_agree_with_edge_list(n, p, seed):
-    # every query and the mask layout read the structures the constructor
+    # every query and the neighbor bits read the structures the constructor
     # builds; recompute each from g.edges alone
     g = gd.build_random(n, p, seed)
     nbrs = [set() for _ in range(n)]
@@ -63,12 +63,11 @@ def test_queries_and_layout_agree_with_edge_list(n, p, seed):
         for v in range(n):
             assert g.has_edge(u, v) == (v in nbrs[u])
     assert gd.min_degree(g) == min(map(len, nbrs))
-    lay = _masks.layout_of(g)
-    assert lay.edges is g.edges and lay.edge_index is g._edge_index and lay.adj is g._adj
-    assert lay.edge_index == index
-    assert lay.adj == tuple(tuple((v, index[gd.graph.edge(u, v)]) for v in sorted(nbrs[u]))
-                            for u in range(n))
-    assert lay.nbr_mask == tuple(sum(1 << v for v in nbrs[u]) for u in range(n))
+    assert g._edge_index == index
+    assert g._adj == tuple(tuple((v, index[gd.graph.edge(u, v)]) for v in sorted(nbrs[u]))
+                           for u in range(n))
+    assert _masks.layout_of(g) == tuple(sum(1 << v for v in nbrs[u]) for u in range(n))
+    assert _masks.layout_of(g) is _masks.layout_of(g)
 
 
 class TestIncidentEdges:
