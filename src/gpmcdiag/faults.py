@@ -86,8 +86,15 @@ class FaultPair:
 
 def make_fault_pair(g: Graph, faulty_vertices, faulty_edges) -> FaultPair:
     """Validated fault pair; edges may be given in either endpoint order."""
-    canon_edges = frozenset(edge(u, v) for (u, v) in faulty_edges)
-    return FaultPair(g, frozenset(faulty_vertices), canon_edges)
+    try:
+        fset = frozenset(faulty_vertices)
+    except TypeError:
+        raise InputError("faulty vertices must be a collection of vertex ids") from None
+    try:
+        canon_edges = frozenset(edge(u, v) for (u, v) in faulty_edges)
+    except (TypeError, ValueError):
+        raise InputError("faulty edges must be (u, v) pairs of vertex ids") from None
+    return FaultPair(g, fset, canon_edges)
 
 
 def fault_pair_from_record(g: Graph, record: dict) -> FaultPair:
@@ -95,7 +102,11 @@ def fault_pair_from_record(g: Graph, record: dict) -> FaultPair:
         fs, ss = record["F"], record["S"]
     except (KeyError, TypeError):
         raise InputError("fault pair record must have keys 'F' and 'S'") from None
-    return make_fault_pair(g, fs, [tuple(e) for e in ss])
+    try:
+        edges = [tuple(e) for e in ss]
+    except TypeError:
+        raise InputError("fault pair record 'S' must be a list of [u, v] edges") from None
+    return make_fault_pair(g, fs, edges)
 
 
 def _pair_from_masks(g: Graph, f_mask: int, s_mask: int) -> FaultPair:
@@ -206,13 +217,23 @@ class Syndrome:
 
 
 def syndrome_from_triples(g: Graph, triples) -> Syndrome:
-    results: list = [None] * (2 * len(g.edges))
-    for tester, testee, outcome in triples:
+    """The syndrome of (tester, testee, outcome) rows, one per test in any order.
+
+    Outcomes go to ``Syndrome`` as given, so its 0/1 check refuses anything
+    else rather than rounding it.
+    """
+    unset = object()
+    results: list = [unset] * (2 * len(g.edges))
+    for row in triples:
+        try:
+            tester, testee, outcome = row
+        except (TypeError, ValueError):
+            raise InputError(f"syndrome row {row!r} is not (tester, testee, outcome)") from None
         i = _test_index(g, tester, testee)
-        if results[i] is not None:
+        if results[i] is not unset:
             raise InputError(f"test {tester}->{testee} is assigned more than once")
-        results[i] = int(outcome)
-    missing = results.count(None)
+        results[i] = outcome
+    missing = results.count(unset)
     if missing:
         raise InputError(f"syndrome is incomplete: {missing} tests unassigned")
     return Syndrome(g, tuple(results))

@@ -109,7 +109,10 @@ class Graph:
         return u
 
     def check_edge(self, e) -> tuple[int, int]:
-        u, v = e
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise InputError(f"edge {e!r} is not a pair of vertices") from None
         ce = edge(self.check_vertex(u), self.check_vertex(v))
         if ce not in self._edge_index:
             raise InputError(f"edge {u}-{v} is not an edge of {self.name}")
@@ -135,7 +138,11 @@ def _canonical_edges(vertex_count: int, edges) -> list:
                 and not any(map(eq, ends[::2], ends[1::2]))):
             return [e if e[0] < e[1] else (e[1], e[0]) for e in pairs]
     canon = []
-    for (u, v) in pairs:
+    for e in pairs:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise InputError(f"edge {e!r} is not a pair of vertices") from None
         if not (_is_int(u) and _is_int(v)):
             raise InputError(f"edge {u!r}-{v!r} has an endpoint that is not an int")
         e = edge(u, v)
@@ -387,7 +394,8 @@ def to_dot(g: Graph) -> str:
     lines = ["graph G {"]
     for v in range(g.vertex_count):
         if g.labels is not None:
-            lines.append(f'  {v} [label="{g.labels[v]}"];')
+            label = str(g.labels[v]).replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{label}"];')
         else:
             lines.append(f"  {v};")
     lines.extend(f"  {u} -- {v};" for (u, v) in g.edges)

@@ -49,6 +49,24 @@ class TestMakeFaultPair:
         assert gd.fault_pair_from_record(q3, fp.to_record()) == fp
 
 
+@pytest.mark.parametrize("build", [
+    lambda q2: gd.Graph(3, [(0, 1, 2)]),
+    lambda q2: gd.Graph(3, [5]),
+    lambda q2: q2.check_edge((0,)),
+    lambda q2: q2.check_edge(5),
+    lambda q2: gd.make_fault_pair(q2, [], [(0,)]),
+    lambda q2: gd.make_fault_pair(q2, 5, []),
+    lambda q2: gd.fault_pair_from_record(q2, {"F": 5, "S": []}),
+    lambda q2: gd.fault_pair_from_record(q2, {"F": [0], "S": [3]}),
+], ids=["graph-triple", "graph-int", "check-edge-short", "check-edge-int",
+        "pair-short-edge", "pair-int-vertices", "record-int-F", "record-int-edge"])
+def test_malformed_entry_raises_input_error(q2, build):
+    # an edge or a vertex collection of the wrong shape is refused with the
+    # documented error, not a bare ValueError or TypeError from unpacking
+    with pytest.raises(InputError):
+        build(q2)
+
+
 class TestEnumerateTests:
     def test_counts(self, q2, q3):
         assert len(gd.enumerate_tests(q2)) == 8
@@ -264,6 +282,26 @@ class TestSyndromeSerialization:
     def test_non_adjacent_triple_rejected(self, q2):
         with pytest.raises(InputError):
             gd.syndrome_from_triples(q2, [(0, 3, 0)])
+
+    @pytest.mark.parametrize("outcome", [0.6, 1.9, "1", "0", None, 2, -1])
+    def test_outcome_not_zero_or_one_rejected(self, q2, outcome):
+        # an outcome is taken as given, never rounded to a pass or a fail
+        triples = gd.generate_syndrome(gd.make_fault_pair(q2, set(), set())).to_triples()
+        triples[0] = (*triples[0][:2], outcome)
+        with pytest.raises(InputError, match="must be 0 .pass. or 1 .fail."):
+            gd.syndrome_from_triples(q2, triples)
+
+    @pytest.mark.parametrize("outcome", [1, 1.0, True, gd.TestOutcome.FAIL])
+    def test_outcome_equal_to_one_fails_the_test(self, q2, outcome):
+        triples = gd.generate_syndrome(gd.make_fault_pair(q2, set(), set())).to_triples()
+        triples[0] = (*triples[0][:2], outcome)
+        sig = gd.syndrome_from_triples(q2, triples)
+        assert sig.fail_mask == 1 and sig.results[0] == 1
+
+    @pytest.mark.parametrize("row", [(0, 1), (0, 1, 0, 0), 5, None])
+    def test_malformed_row_rejected(self, q2, row):
+        with pytest.raises(InputError, match="is not .tester, testee, outcome."):
+            gd.syndrome_from_triples(q2, [row])
 
     def test_repeated_test_rejected(self, q2):
         # a later row must not silently overwrite an earlier one

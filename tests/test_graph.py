@@ -409,6 +409,13 @@ class TestDotExport:
         dot = gd.to_dot(gd.build_path(2))
         assert "  0;\n" in dot
 
+    def test_labels_escaped(self):
+        # a quote or backslash in a label must not end the DOT string early
+        g = gd.Graph(2, [(0, 1)], labels=['a"b', "c\\"])
+        dot = gd.to_dot(g)
+        assert '  0 [label="a\\"b"];\n' in dot
+        assert '  1 [label="c\\\\"];\n' in dot
+
 
 @given(st.integers(2, 16), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
 def test_random_graph_is_simple_and_in_range(n, p, seed):
