@@ -217,11 +217,7 @@ class Syndrome:
 
 
 def syndrome_from_triples(g: Graph, triples) -> Syndrome:
-    """The syndrome of (tester, testee, outcome) rows, one per test in any order.
-
-    Outcomes go to ``Syndrome`` as given, so its 0/1 check refuses anything
-    else rather than rounding it.
-    """
+    """The syndrome of (tester, testee, outcome) rows; outcomes are 0 or 1 as given."""
     unset = object()
     results: list = [unset] * (2 * len(g.edges))
     for row in triples:

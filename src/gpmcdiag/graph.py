@@ -37,12 +37,10 @@ def edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
-    The constructor builds the one structure that every query, the pair
-    primitives, the decoder and the search read: ``edges`` (canonical
-    (min, max) pairs, sorted), ``_edge_index`` (edge -> k) and ``_adj`` (per
-    vertex, ``((neighbor, k), ...)`` in neighbor order).  The decoder and the
-    search add only each vertex's neighbor bits, built on first use and
-    cached in ``_layout`` (``_masks.layout_of``).  Vertex ids are ints, never bools.  ``labels`` optionally attaches
+    The constructor builds the one structure that everything else reads:
+    ``edges`` (canonical (min, max) pairs, sorted), ``_edge_index``
+    (edge -> k) and ``_adj`` (per vertex, ``((neighbor, k), ...)`` in neighbor
+    order).  Vertex ids are ints, never bools.  ``labels`` optionally attaches
     a text label per vertex (hypercubes use their bit strings).
     ``vertex_transitive`` is true only for builders whose output provably
     looks the same from every vertex (hypercube, cycle, complete); search code
@@ -138,11 +136,11 @@ def _canonical_edges(vertex_count: int, edges) -> list:
                 and not any(map(eq, ends[::2], ends[1::2]))):
             return [e if e[0] < e[1] else (e[1], e[0]) for e in pairs]
     canon = []
-    for e in pairs:
+    for item in pairs:
         try:
-            u, v = e
+            u, v = item
         except (TypeError, ValueError):
-            raise InputError(f"edge {e!r} is not a pair of vertices") from None
+            raise InputError(f"edge {item!r} is not a pair of vertices") from None
         if not (_is_int(u) and _is_int(v)):
             raise InputError(f"edge {u!r}-{v!r} has an endpoint that is not an int")
         e = edge(u, v)

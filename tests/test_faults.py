@@ -58,11 +58,14 @@ class TestMakeFaultPair:
     lambda q2: gd.make_fault_pair(q2, 5, []),
     lambda q2: gd.fault_pair_from_record(q2, {"F": 5, "S": []}),
     lambda q2: gd.fault_pair_from_record(q2, {"F": [0], "S": [3]}),
+    lambda q2: gd.syndrome_from_triples(q2, [(0, 1)]),
+    lambda q2: gd.syndrome_from_triples(q2, [5]),
 ], ids=["graph-triple", "graph-int", "check-edge-short", "check-edge-int",
-        "pair-short-edge", "pair-int-vertices", "record-int-F", "record-int-edge"])
+        "pair-short-edge", "pair-int-vertices", "record-int-F", "record-int-edge",
+        "syndrome-short-row", "syndrome-int-row"])
 def test_malformed_entry_raises_input_error(q2, build):
-    # an edge or a vertex collection of the wrong shape is refused with the
-    # documented error, not a bare ValueError or TypeError from unpacking
+    # an edge, a syndrome row or a vertex collection of the wrong shape is
+    # refused with the documented error, not a bare ValueError or TypeError
     with pytest.raises(InputError):
         build(q2)
 
@@ -297,11 +300,6 @@ class TestSyndromeSerialization:
         triples[0] = (*triples[0][:2], outcome)
         sig = gd.syndrome_from_triples(q2, triples)
         assert sig.fail_mask == 1 and sig.results[0] == 1
-
-    @pytest.mark.parametrize("row", [(0, 1), (0, 1, 0, 0), 5, None])
-    def test_malformed_row_rejected(self, q2, row):
-        with pytest.raises(InputError, match="is not .tester, testee, outcome."):
-            gd.syndrome_from_triples(q2, [row])
 
     def test_repeated_test_rejected(self, q2):
         # a later row must not silently overwrite an earlier one
