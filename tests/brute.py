@@ -8,8 +8,9 @@ enumerator ``all_consistent_pairs`` and three oracles,
 ``reference_search_seed`` (for the diagnosability search), work over the
 library's bit encodings of the graph instead (edge and test indices from
 ``graph.edges``, neighbor bits from ``_masks.layout_of``); the definitional
-checks here cover those encodings.  ``forced_masks`` and ``reference_syndrome_mask`` are the shift-or
-references for the library's one-step test-mask builders.
+checks here cover those encodings.  ``forced_masks`` and
+``reference_syndrome_mask`` are the shift-or references for the library's
+one-step test-mask builders.
 """
 
 from __future__ import annotations

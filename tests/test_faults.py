@@ -294,7 +294,7 @@ class TestSyndromeSerialization:
         with pytest.raises(InputError, match="must be 0 .pass. or 1 .fail."):
             gd.syndrome_from_triples(q2, triples)
 
-    @pytest.mark.parametrize("outcome", [1, 1.0, True, gd.TestOutcome.FAIL])
+    @pytest.mark.parametrize("outcome", [1.0, True, gd.TestOutcome.FAIL])
     def test_outcome_equal_to_one_fails_the_test(self, q2, outcome):
         triples = gd.generate_syndrome(gd.make_fault_pair(q2, set(), set())).to_triples()
         triples[0] = (*triples[0][:2], outcome)
