@@ -21,13 +21,13 @@ edge or test space.
 A test-space mask of a fault pattern is sparse: its set bits are the tests
 at the faulty vertices and edges, but its width is 2m.  Or-ing in one
 shifted bit at a time costs time in proportion to the width per bit, so
-``adversary_syndromes``, and ``forced_masks`` on wide masks, first collect
-the positions in one walk over the faulty vertices' adjacencies and the
-faulty edges (``_fault_tests``), and ``mask_of`` then builds each mask in
-one step from a byte buffer read by ``int.from_bytes``.  The dense
-forced-pass mask is the all-tests mask with the collected ones xor-ed out.
-Below ``BUFFER_WIDTH`` test bits the buffer costs more than it saves, so
-there masks are or-ed together one shifted bit at a time.
+``_fault_tests`` collects the positions in one walk over the faulty
+vertices' adjacencies and the faulty edges, and ``mask_of`` builds a mask
+from them in one step, from a byte buffer read by ``int.from_bytes``.
+``BUFFER_WIDTH`` governs only ``mask_of`` and ``forced_masks``: below it
+the buffer costs more than it saves, so both or in shifted bits.
+Syndromes are built from chosen failing positions (``adversary_syndromes``
+and ``faults.generate_syndrome``).
 
 Everything in here is exact arithmetic over those encodings; it only exists
 so the hot loops touch machine integers instead of frozensets.
@@ -145,29 +145,26 @@ def share_syndrome(ff1: int, fp1: int, ff2: int, fp2: int) -> bool:
     return (ff1 & fp2) == 0 and (fp1 & ff2) == 0
 
 
-def adversary_syndromes(g, f: int, s: int, choose):
-    """Fail masks of the syndromes pattern (f, s) produces, one per assignment.
+def adversary_syndromes(g, f: int, s: int):
+    """(free-test count, fail masks of every syndrome) of pattern (f, s).
 
-    ``choose`` receives the indices of the tests with a faulty tester,
-    ascending, and returns the adversary's assignments: bit i of an assignment
-    fails the i-th of those tests.  Every other test gets its forced result.
-    On narrow masks each free test's bit is made once and or-ed in per
-    assignment; on wide ones each assignment's mask is built in one step.
+    A test is free when its tester is faulty.  The masks come lazily, in
+    ascending order of assignment, so nothing is built before the first:
+    bit i of an assignment fails the i-th free test, ascending, and every
+    other test gets its forced result.
     """
     free, fail = _fault_tests(g, f, s)
-    free.sort()
-    width = 2 * len(g.edges)
-    ff = mask_of(fail, width)
-    if width < BUFFER_WIDTH:
-        free_bits = [1 << pos for pos in free]
-        for assignment in choose(free):
+
+    def masks():
+        ff = mask_of(fail, 2 * len(g.edges))
+        free_bits = [1 << pos for pos in sorted(free)]
+        for assignment in range(1 << len(free_bits)):
             mask = ff
             for i in bits(assignment):
                 mask |= free_bits[i]
             yield mask
-    else:
-        for assignment in choose(free):
-            yield ff | mask_of([free[i] for i in bits(assignment)], width)
+
+    return len(free), masks()
 
 
 def condition_hits(g, f1: int, s1: int, f2: int, s2: int):

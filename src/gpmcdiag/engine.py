@@ -69,7 +69,7 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
 
     Every assignment of the faulty testers' results is tried, so the answer
     is exact.  A pair whose faulty testers run more than 16 tests (over 2^16
-    assignments) raises InputError before any decode.  Intended for graphs
+    assignments) raises InputError before any syndrome is built.  Intended for graphs
     already known (t, s)-diagnosable; a False from an in-bound pair on such a
     graph would contradict diagnosability.
     """
@@ -77,16 +77,13 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
         raise GraphMismatchError("fault pair belongs to a different graph")
     if len(fp.faulty_vertices) > t or len(fp.faulty_edges) > s:
         raise InputError("injected pair exceeds the diagnosis bounds")
-
-    def assignments(free):
-        if len(free) > EXHAUSTIVE_ADVERSARY_LIMIT:
-            raise InputError(
-                f"{len(free)} tests have a faulty tester; the roundtrip tries every "
-                f"assignment only up to {EXHAUSTIVE_ADVERSARY_LIMIT}")
-        return range(1 << len(free))
-
+    free_count, syndromes = _masks.adversary_syndromes(g, fp.f_mask, fp.s_mask)
+    if free_count > EXHAUSTIVE_ADVERSARY_LIMIT:
+        raise InputError(
+            f"{free_count} tests have a faulty tester; the roundtrip tries every "
+            f"assignment only up to {EXHAUSTIVE_ADVERSARY_LIMIT}")
     expected = (fp.f_mask, fp.s_mask)
-    for fail in _masks.adversary_syndromes(g, fp.f_mask, fp.s_mask, assignments):
+    for fail in syndromes:
         found = _candidate_masks(g, fail, t, s)
         if len(found) != 1 or found[0] != expected:
             return False

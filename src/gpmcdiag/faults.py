@@ -262,31 +262,26 @@ def generate_syndrome(fp: FaultPair, strategy: str = "all-pass", *,
     if strategy == "explicit" and assignments is None:
         raise InputError("explicit adversary requires assignments")
     g = fp.graph
-
-    def choose(free):
-        if strategy == "all-pass":
-            return [0]
-        if strategy == "all-fail":
-            return [(1 << len(free)) - 1]
-        if strategy == "random":
-            rng = random.Random(seed)
-            return [sum(1 << i for i in range(len(free)) if rng.random() < 0.5)]
+    free, fail = _masks._fault_tests(g, fp.f_mask, fp.s_mask)
+    free.sort()
+    if strategy == "all-fail":
+        fail += free
+    elif strategy == "random":
+        rng = random.Random(seed)
+        fail += [pos for pos in free if rng.random() < 0.5]
+    elif strategy == "explicit":
         assigned = dict(assignments)
-        chosen = 0
-        for i, pos in enumerate(free):
+        for pos in free:
             a, b = g.edges[pos >> 1]    # test 2k is a -> b, test 2k+1 is b -> a
             key = (b, a) if pos & 1 else (a, b)
             if key not in assigned:
                 raise InputError(f"no assignment for adversary-controlled test {key}")
             if assigned.pop(key):
-                chosen |= 1 << i
+                fail.append(pos)
         if assigned:
             extra = sorted(assigned)
             raise InputError(f"assignments given for tests not adversary-controlled: {extra}")
-        return [chosen]
-
-    (fail,) = _masks.adversary_syndromes(g, fp.f_mask, fp.s_mask, choose)
-    return _syndrome_from_mask(g, fail)
+    return _syndrome_from_mask(g, _masks.mask_of(fail, 2 * len(g.edges)))
 
 
 def is_consistent(sig: Syndrome, fp: FaultPair) -> bool:
