@@ -35,7 +35,7 @@ from typing import NamedTuple
 from . import _masks
 from .errors import InputError
 from .faults import FaultPair, _pair_from_masks, make_fault_pair
-from .graph import Graph, degree, incident_edges, min_degree, neighbors
+from .graph import Graph, _check_bound, degree, incident_edges, min_degree, neighbors
 
 
 class TsResult(NamedTuple):
@@ -73,7 +73,7 @@ def analytic_upper_bounds(g: Graph, h: int) -> AnalyticBounds:
     backing the bound does not exist and the request is rejected.
     """
     delta = min_degree(g)
-    if not 0 <= h <= delta:
+    if _check_bound("edge budget h", h) > delta:
         raise InputError(f"edge budget h={h} outside the analyzed range 0..{delta}")
     return AnalyticBounds(t_h_bound=max(delta - h, 0), s1_bound=max(delta - 2, 0))
 
@@ -348,8 +348,8 @@ def is_ts_diagnosable(g: Graph, t: int, s: int, *, method: str = "auto",
     "auto" or "local", which name the same search; anything else raises
     InputError.  ``jobs`` is accepted and ignored: the search runs in-process.
     """
-    if t < 0 or s < 0:
-        raise InputError("bounds t and s must be non-negative")
+    _check_bound("bound t", t)
+    _check_bound("bound s", s)
     _check_method(method)
     masks, stats = _local_search(g, t, s, audit)
     stats = {"method": "local", **stats}
@@ -394,7 +394,7 @@ def edge_restricted_diagnosability(g: Graph, h: int, *, method: str = "auto",
     """
     if g.vertex_count == 0:
         raise InputError("diagnosability of the empty graph is undefined")
-    if not 0 <= h <= len(g.edges):
+    if _check_bound("edge budget h", h) > len(g.edges):
         raise InputError(f"edge budget h={h} outside 0..{len(g.edges)}")
     return _ascend(g, "edge-restricted", h, lambda t: (t, h), g.vertex_count, method, audit,
                    outside_analyzed_range=h > min_degree(g))
@@ -411,8 +411,7 @@ def vertex_restricted_edge_diagnosability(g: Graph, r: int, *, method: str = "au
     """
     if g.vertex_count == 0:
         raise InputError("diagnosability of the empty graph is undefined")
-    if r < 0:
-        raise InputError("vertex budget r must be non-negative")
+    _check_bound("vertex budget r", r)
     _check_method(method)
     if r == 0:
         return DiagnosabilityReport(

@@ -15,7 +15,7 @@ from enum import Enum
 from . import _masks
 from .errors import GraphMismatchError, InputError
 from .faults import FaultPair, Syndrome, _candidate_masks, _pair_from_masks
-from .graph import Graph
+from .graph import Graph, _check_bound
 
 
 class DiagnosisStatus(Enum):
@@ -48,10 +48,9 @@ def diagnose(g: Graph, sig: Syndrome, t: int, s: int, *,
     """All in-bound fault pairs consistent with the syndrome, classified."""
     if sig.graph is not g:
         raise GraphMismatchError("syndrome belongs to a different graph")
-    if t < 0 or s < 0:
-        raise InputError("bounds t and s must be non-negative")
-    if candidate_cap < 1:
-        raise InputError("candidate cap must be positive")
+    _check_bound("bound t", t)
+    _check_bound("bound s", s)
+    _check_bound("candidate cap", candidate_cap, 1)
     found = _candidate_masks(g, sig.fail_mask, t, s)
     total = len(found)
     if total == 0:
@@ -75,6 +74,8 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
     """
     if fp.graph is not g:
         raise GraphMismatchError("fault pair belongs to a different graph")
+    _check_bound("bound t", t)
+    _check_bound("bound s", s)
     if len(fp.faulty_vertices) > t or len(fp.faulty_edges) > s:
         raise InputError("injected pair exceeds the diagnosis bounds")
     free_count, syndromes = _masks.adversary_syndromes(g, fp.f_mask, fp.s_mask)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import _masks
 from .errors import ConsistencyError, GraphMismatchError, InputError
-from .graph import Graph, edge
+from .graph import Graph, _check_bound, edge
 
 
 class TestOutcome(IntEnum):
@@ -253,7 +253,8 @@ def generate_syndrome(fp: FaultPair, strategy: str = "all-pass", *,
     Tests with good testers get their forced value.  Tests by faulty testers
     are assigned by ``strategy``: "all-pass", "all-fail", "random" (requires
     ``seed``; same seed, same syndrome), or "explicit" (``assignments`` maps
-    every (tester, testee) with a faulty tester to 0 or 1).
+    every (tester, testee) with a faulty tester to a value equal to 0 or 1,
+    as ``Syndrome`` reads results; any other value raises InputError).
     """
     if strategy not in ADVERSARY_STRATEGIES:
         raise InputError(f"unknown adversary strategy {strategy!r}")
@@ -276,8 +277,12 @@ def generate_syndrome(fp: FaultPair, strategy: str = "all-pass", *,
             key = (b, a) if pos & 1 else (a, b)
             if key not in assigned:
                 raise InputError(f"no assignment for adversary-controlled test {key}")
-            if assigned.pop(key):
+            value = assigned.pop(key)
+            if value == 1:
                 fail.append(pos)
+            elif value != 0:
+                raise InputError(
+                    f"assignment {value!r} for test {key} must be 0 (pass) or 1 (fail)")
         if assigned:
             extra = sorted(assigned)
             raise InputError(f"assignments given for tests not adversary-controlled: {extra}")
@@ -418,6 +423,6 @@ def enumerate_consistent_pairs(g: Graph, sig: Syndrome, t: int, s: int) -> list[
     """All consistent fault pairs with |F| <= t and |S| <= s explaining sig."""
     if sig.graph is not g:
         raise GraphMismatchError("syndrome belongs to a different graph")
-    if t < 0 or s < 0:
-        raise InputError("bounds must be non-negative")
+    _check_bound("bound t", t)
+    _check_bound("bound s", s)
     return [_pair_from_masks(g, f, sm) for f, sm in _candidate_masks(g, sig.fail_mask, t, s)]

@@ -92,10 +92,6 @@ class Graph:
     def vertex_transitive(self) -> bool:
         return self._vertex_transitive
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def has_edge(self, u: int, v: int) -> bool:
         """True when u and v are adjacent; False for u == v; both must be vertices."""
         u, v = self.check_vertex(u), self.check_vertex(v)
@@ -153,6 +149,15 @@ def _canonical_edges(vertex_count: int, edges) -> list:
 def _is_int(x) -> bool:
     """True for an int that is not a bool (bool subclasses int)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_bound(name: str, value, least: int = 0) -> int:
+    """value when it is an int, not a bool, of at least ``least`` (0 or 1)."""
+    if not _is_int(value):
+        raise InputError(f"{name} must be an int, not {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be {'positive' if least else 'non-negative'}, not {value}")
+    return value
 
 
 def _check_vertex_count(n: int):

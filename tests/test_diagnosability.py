@@ -22,6 +22,44 @@ EXPECTED_EDGE_RESTRICTED = {
 EXPECTED_SINGLE_VERTEX_EDGE = {2: 0, 3: 1, 4: 2}
 
 
+def _fault_free(g):
+    return gd.make_fault_pair(g, set(), set())
+
+
+# every public call that takes a bound, with that bound set to v
+BOUND_CALLS = {
+    "is_ts_diagnosable t": lambda g, v: gd.is_ts_diagnosable(g, v, 0),
+    "is_ts_diagnosable s": lambda g, v: gd.is_ts_diagnosable(g, 0, v),
+    "diagnose t": lambda g, v: gd.diagnose(g, gd.generate_syndrome(_fault_free(g)), v, 0),
+    "diagnose s": lambda g, v: gd.diagnose(g, gd.generate_syndrome(_fault_free(g)), 0, v),
+    "diagnose candidate_cap": lambda g, v: gd.diagnose(
+        g, gd.generate_syndrome(_fault_free(g)), 1, 0, candidate_cap=v),
+    "enumerate_consistent_pairs t": lambda g, v: gd.enumerate_consistent_pairs(
+        g, gd.generate_syndrome(_fault_free(g)), v, 0),
+    "enumerate_consistent_pairs s": lambda g, v: gd.enumerate_consistent_pairs(
+        g, gd.generate_syndrome(_fault_free(g)), 0, v),
+    "adversarial_roundtrip t": lambda g, v: gd.adversarial_roundtrip(g, _fault_free(g), v, 0),
+    "adversarial_roundtrip s": lambda g, v: gd.adversarial_roundtrip(g, _fault_free(g), 0, v),
+    "edge_restricted_diagnosability h": gd.edge_restricted_diagnosability,
+    "vertex_restricted_edge_diagnosability r": gd.vertex_restricted_edge_diagnosability,
+    "analytic_upper_bounds h": gd.analytic_upper_bounds,
+}
+
+
+@pytest.mark.parametrize("value", ["1", 1.5, True, None])
+@pytest.mark.parametrize("call", sorted(BOUND_CALLS))
+def test_bound_that_is_not_an_int_rejected(q2, call, value):
+    with pytest.raises(InputError, match="must be an int"):
+        BOUND_CALLS[call](q2, value)
+
+
+@pytest.mark.parametrize("call", sorted(BOUND_CALLS))
+def test_bound_below_range_rejected(q2, call):
+    cap = call.endswith("candidate_cap")
+    with pytest.raises(InputError, match="must be positive" if cap else "must be non-negative"):
+        BOUND_CALLS[call](q2, 0 if cap else -1)
+
+
 class TestIsTsDiagnosable:
     def test_zero_bounds_always_diagnosable(self):
         for g in [gd.build_hypercube(2), gd.build_path(4), gd.build_complete(4)]:
