@@ -97,6 +97,11 @@ class TestAdversarialRoundtrip:
         with pytest.raises(InputError):
             gd.adversarial_roundtrip(q3, fp, 2, 1)
 
+    def test_wide_graph_roundtrip(self):
+        # Q_8 has 2,048 tests, past BUFFER_WIDTH; 5 runs 8 of them
+        q8 = gd.build_hypercube(8)
+        assert gd.adversarial_roundtrip(q8, gd.make_fault_pair(q8, {5}, {(0, 1)}), 2, 1)
+
     def test_detects_non_diagnosable_bounds(self, q3):
         # (3,1) is past the edge-restricted value, so some adversary can
         # produce an ambiguous syndrome for this seeded pattern
@@ -129,7 +134,7 @@ class TestAdversarialRoundtrip:
         assert not gd.distinguishable(q4, fp, partner).distinguishable
         assert not gd.distinguishable_oracle(q4, fp, partner)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
     def test_sampled_roundtrip_finds_partner(self, q4):
         fp = gd.make_fault_pair(q4, self.SAMPLED_MISS[0], set())
         assert gd.adversarial_roundtrip(q4, fp, 8, 0) is False

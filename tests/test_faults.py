@@ -162,6 +162,21 @@ def test_masks_match_shift_or_reference(build):
             assert sig.fail_mask == want, (g.name, strategy)
 
 
+def test_wide_adversary_masks_match_explicit_reference():
+    # past BUFFER_WIDTH every assignment's mask, in ascending order, is the
+    # explicit strategy's shift-or reference for that assignment
+    g = gd.build_hypercube(8)
+    assert 2 * len(g.edges) >= _masks.BUFFER_WIDTH
+    fp = gd.make_fault_pair(g, {5}, {(0, 1), (2, 6)})
+    free = [(t.tester, t.testee) for t in gd.enumerate_tests(g) if t.tester == 5]
+    count, masks = _masks.adversary_syndromes(g, fp.f_mask, fp.s_mask)
+    assert count == len(free) == 8
+    want = [brute.reference_syndrome_mask(
+                fp, "explicit", assignments={key: (a >> i) & 1 for i, key in enumerate(free)})
+            for a in range(1 << count)]
+    assert list(masks) == want
+
+
 def test_large_hypercube_pair_fits_in_512_mb():
     # the mask layout must stay small enough that Q_13 (53,248 edges) fits a
     # fault pair and its syndrome into 512 MB of address space
@@ -235,6 +250,20 @@ class TestGenerateSyndrome:
         with pytest.raises(InputError):
             gd.generate_syndrome(fp, "explicit",
                                  assignments={(0, 1): 1, (0, 2): 0, (1, 3): 1})
+
+    @pytest.mark.parametrize("value", [1, 1.0, True, gd.TestOutcome.FAIL,
+                                       0, 0.0, False, gd.TestOutcome.PASS])
+    def test_explicit_value_equal_to_zero_or_one(self, q2, value):
+        fp = gd.make_fault_pair(q2, {0}, set())
+        sig = gd.generate_syndrome(fp, "explicit", assignments={(0, 1): value, (0, 2): 0})
+        assert sig.outcome(0, 1) == (value == 1)
+        assert sig.outcome(0, 2) == 0
+
+    @pytest.mark.parametrize("value", [0.5, 2, -1, "0", "1", None])
+    def test_explicit_value_not_zero_or_one_rejected(self, q2, value):
+        fp = gd.make_fault_pair(q2, {0}, set())
+        with pytest.raises(InputError, match="must be 0 .pass. or 1 .fail."):
+            gd.generate_syndrome(fp, "explicit", assignments={(0, 1): value, (0, 2): 1})
 
     def test_unknown_strategy(self, q2):
         fp = gd.make_fault_pair(q2, set(), set())
