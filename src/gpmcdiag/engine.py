@@ -68,9 +68,9 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
 
     Every assignment of the faulty testers' results is tried, so the answer
     is exact.  A pair whose faulty testers run more than 16 tests (over 2^16
-    assignments) raises InputError before any syndrome is built.  Intended for graphs
-    already known (t, s)-diagnosable; a False from an in-bound pair on such a
-    graph would contradict diagnosability.
+    assignments) raises InputError before any syndrome is built.  Intended
+    for graphs already known (t, s)-diagnosable; a False from an in-bound
+    pair on such a graph would contradict diagnosability.
     """
     if fp.graph is not g:
         raise GraphMismatchError("fault pair belongs to a different graph")

@@ -251,8 +251,8 @@ class TestGenerateSyndrome:
             gd.generate_syndrome(fp, "explicit",
                                  assignments={(0, 1): 1, (0, 2): 0, (1, 3): 1})
 
-    @pytest.mark.parametrize("value", [1, 1.0, True, gd.TestOutcome.FAIL,
-                                       0, 0.0, False, gd.TestOutcome.PASS])
+    @pytest.mark.parametrize("value", [1.0, True, gd.TestOutcome.FAIL,
+                                       0.0, False, gd.TestOutcome.PASS])
     def test_explicit_value_equal_to_zero_or_one(self, q2, value):
         fp = gd.make_fault_pair(q2, {0}, set())
         sig = gd.generate_syndrome(fp, "explicit", assignments={(0, 1): value, (0, 2): 0})
