@@ -144,8 +144,7 @@ class TestLiteralEnumerationRoute:
         # the library's full adversary expansion against the set-based one
         for fp in brute.all_consistent_pairs(q2, 2, 1):
             independent = sigma_set(q2, fp.faulty_vertices, fp.faulty_edges)
-            _, syndromes = _masks.adversary_syndromes(q2, fp.f_mask, fp.s_mask)
-            lib = set(syndromes)
+            _, lib = _masks.adversary_syndromes(q2, fp.f_mask, fp.s_mask)
             as_tuples = {tuple((mask >> i) & 1 for i in range(8)) for mask in lib}
             assert as_tuples == independent
 
