@@ -1,0 +1,183 @@
+"""Frontier benchmark: search instances that take seconds, each in a fresh process.
+
+The benchmark under ``perfbench/`` times passes of a few milliseconds; the
+instances here take seconds at the frontier of what the search can answer.
+Each instance runs in its own child process for a fixed number of passes, so
+peak memory does not grow with speed.  A pass builds the graph and answers
+one query.  The child reports the wall time of every pass and its
+``ru_maxrss``, and the counters that do not depend on the machine: the value,
+a digest of the witness and ``structures_examined``.  Each counter is checked
+against its pin; the script exits 1 when a pin does not match, an instance
+fails or runs past ``--timeout``.
+
+Run from the root of a source checkout (standard library only)::
+
+    python bench/frontier.py                          # every instance, 3 passes
+    python bench/frontier.py --smoke                  # small sizes, 1 pass
+    python bench/frontier.py --label change --out BENCH_16.json
+    python bench/frontier.py --src ../parent/src --label parent --out BENCH_16.json
+
+``--src`` picks the ``gpmcdiag`` source tree to import, so two checkouts
+can be compared with one script.  ``--out`` merges this run's instances into
+the JSON file under ``--label``, keeping every other label and instance
+already there, so a slow instance can be run on its own with other
+``--passes`` or ``--timeout``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _random_dense(gd, n, h):
+    return gd.edge_restricted_diagnosability(gd.build_random(n, 0.8, 1), h)
+
+
+def _hypercube_t0(gd, n):
+    return gd.edge_restricted_diagnosability(gd.build_hypercube(n), 0)
+
+
+def _relabelled_hypercube_t0(gd, n):
+    # the same Q_n read without the builder's symmetry flag sweeps every seed
+    q = gd.build_hypercube(n)
+    perm = list(range(q.vertex_count))
+    random.Random(1).shuffle(perm)
+    g = gd.Graph(q.vertex_count, [(perm[a], perm[b]) for a, b in q.edges])
+    return gd.edge_restricted_diagnosability(g, 0)
+
+
+def _roundtrip(gd, n, faulty, t):
+    g = gd.build_hypercube(n)
+    return gd.adversarial_roundtrip(g, gd.make_fault_pair(g, faulty, ()), t, 0)
+
+
+def _digest(witness) -> str | None:
+    if witness is None:
+        return None
+    text = json.dumps([pair.to_record() for pair in witness], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+#: name -> (what, function, full-size arguments, smoke-size arguments,
+#:          full-size pins, smoke-size pins).  A roundtrip has no witness and
+#: no count of structures, so those pins are None.
+INSTANCES = {
+    "random16-t1": (
+        "t_1 of build_random(16, 0.8, 1)", _random_dense, (16, 1), (10, 1),
+        {"value": 7, "witness": "7a4e68fd6c0679ff", "structures_examined": 43502781},
+        {"value": 4, "witness": "aa8eee4b8b7d9284", "structures_examined": 36877}),
+    "random30-t3": (
+        "t_3 of build_random(30, 0.8, 1)", _random_dense, (30, 3), (14, 2),
+        {"value": 14, "witness": "c4aa19c99e097a06", "structures_examined": 400588945483799},
+        {"value": 6, "witness": "56dad87cfecf276e", "structures_examined": 4214527}),
+    "hypercube13-t0": (
+        "t_0 of Q_13, from the single seed 0", _hypercube_t0, (13,), (6,),
+        {"value": 13, "witness": "53fa913a966ef12a", "structures_examined": int(
+            "22090980632502981269705677247912107353348344171387589064352645141493088646765923")},
+        {"value": 6, "witness": "c8534de6a0cd286b", "structures_examined": 355923755607931}),
+    "relabelled-q8-t0": (
+        "t_0 of Q_8 relabelled, every seed swept", _relabelled_hypercube_t0, (8,), (4,),
+        {"value": 8, "witness": "29a60831ad3b4668",
+         "structures_examined": 69441232481247453156913143185},
+        {"value": 4, "witness": "a6bd97efe8139e33", "structures_examined": 1280155}),
+    "roundtrip-q4": (
+        "adversarial_roundtrip on Q_4, F = {0, 3, 5, 6}, S = {} at (4, 0)",
+        _roundtrip, (4, (0, 3, 5, 6), 4), (3, (0, 3), 2),
+        {"value": True, "witness": None, "structures_examined": None},
+        {"value": True, "witness": None, "structures_examined": None}),
+}
+
+
+def child(name: str, passes: int, smoke: bool, src: str):
+    """Run one instance for ``passes`` passes and print one JSON line."""
+    sys.path.insert(0, src)
+    import resource
+
+    import gpmcdiag as gd
+
+    _, function, full_args, smoke_args, _, _ = INSTANCES[name]
+    args = smoke_args if smoke else full_args
+    walls, answers = [], []
+    for _ in range(passes):
+        started = time.perf_counter()
+        result = function(gd, *args)
+        walls.append(time.perf_counter() - started)
+        if isinstance(result, bool):
+            answers.append({"value": result, "witness": None, "structures_examined": None})
+        else:
+            answers.append({"value": result.value, "witness": _digest(result.witness),
+                            "structures_examined": result.stats["structures_examined"]})
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"wall_s": walls, "maxrss_mb": round(maxrss, 1), "answers": answers}))
+
+
+def run(name: str, passes: int, smoke: bool, src: str, timeout: float) -> dict:
+    """One instance in a fresh child process, checked against its pins."""
+    what, _, _, _, full_pins, smoke_pins = INSTANCES[name]
+    pins = smoke_pins if smoke else full_pins
+    command = [sys.executable, __file__, "--child", name, "--passes", str(passes),
+               "--src", src] + (["--smoke"] if smoke else [])
+    row = {"what": what, "passes": passes, "smoke": smoke}
+    try:
+        done = subprocess.run(command, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return {**row, "ok": False, "error": f"timed out after {timeout:g} s"}
+    if done.returncode != 0:
+        return {**row, "ok": False, "error": (done.stderr.strip().splitlines() or ["?"])[-1]}
+    report = json.loads(done.stdout.splitlines()[-1])
+    answers = report.pop("answers")
+    first = answers[0]
+    problems = [f"pass {i} answered differently" for i, a in enumerate(answers) if a != first]
+    problems += [f"{key} {first[key]!r} != pin {pin!r}" for key, pin in pins.items()
+                 if first[key] != pin]
+    return {**row, **first, "wall_s_median": round(statistics.median(report["wall_s"]), 4),
+            "wall_s": [round(w, 4) for w in report["wall_s"]],
+            "maxrss_mb": report["maxrss_mb"], "ok": not problems, "problems": problems}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--passes", type=int, default=3)
+    parser.add_argument("--smoke", action="store_true", help="small sizes, for the test suite")
+    parser.add_argument("--src", default=str(ROOT / "src"), help="gpmcdiag source tree")
+    parser.add_argument("--only", nargs="+", choices=sorted(INSTANCES), help="instances to run")
+    parser.add_argument("--timeout", type=float, default=600, help="seconds per instance")
+    parser.add_argument("--label", default="change")
+    parser.add_argument("--out", help="JSON file to merge this run into")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    src = str(Path(args.src).resolve())
+    if args.child:
+        child(args.child, args.passes, args.smoke, src)
+        return 0
+    results = {}
+    for name in args.only or INSTANCES:
+        results[name] = row = run(name, args.passes, args.smoke, src, args.timeout)
+        wall = row.get("wall_s_median")
+        shown = f"{wall:9.3f} s {row['maxrss_mb']:7.1f} MB" if wall is not None else row["error"]
+        print(f"{name:18} {'ok ' if row['ok'] else 'BAD'} {shown}  {row.get('problems') or ''}")
+    if args.out:
+        path = Path(args.out)
+        data = json.loads(path.read_text()) if path.exists() else {}
+        label = data.setdefault("runs", {}).setdefault(args.label, {})
+        label["machine"] = {"cpus": os.cpu_count(), "python": platform.python_version(),
+                            "platform": platform.platform()}
+        label.setdefault("results", {}).update(results)
+        path.write_text(json.dumps(data, indent=1) + "\n")
+    return 0 if all(row["ok"] for row in results.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,15 +8,19 @@ disjoint (X1, X2, C) exist with X1 or X2 nonempty, |X1| + |C| <= t,
 |X2| + |C| <= t, and each of X1, X2 sends at most s edges to vertices outside
 X1 | X2 | C.  The faulty edge sets are then forced (each side's uncovered
 neighbors are blocked by the other side's edges), so no edge subsets are ever
-enumerated.  X1 and X2 are walked depth first, and a vertex-boundary bound
-cuts every subtree in which no leaf can be a witness; the cut leaves are
-counted with binomial coefficients instead of visited, so the count of
-structures examined is that of a leaf-by-leaf walk.  ``_search_seed`` proves
-the cut admissible, so the search stays exact.  The test suite checks it on
-every gallery graph and on random graphs against an oracle that enumerates
-every consistent pair within bounds and compares them pairwise
-(``full_search`` in ``tests/brute.py``), and checks its leaf order and
-counts against a leaf-by-leaf walk (``reference_search_seed`` there).
+enumerated.  X1 and X2 are walked depth first by two plain recursions that
+return the first witness straight up.  Two bounds cut every subtree in which
+no leaf can be a witness: a vertex-boundary bound, and a heavy-vertex bound
+(a vertex with more than s neighbors in X1 cannot lie outside X2 | C).  The
+cut leaves are counted with binomial coefficients instead of visited, so the
+count of structures examined is that of a leaf-by-leaf walk.
+``_search_seed`` proves both cuts admissible, so the search stays exact.
+The test suite checks it on every gallery graph and on random and dense
+random graphs against an oracle that enumerates every consistent pair within
+bounds and compares them pairwise (``full_search`` in ``tests/brute.py``),
+checks its leaf order and counts against a leaf-by-leaf walk
+(``reference_search_seed`` there), and checks relabelling and shared-syndrome
+relations on graphs of up to 30 vertices (``tests/test_metamorphic.py``).
 
 Vertex-transitive graphs are searched from the single seed vertex 0, since
 any witness can be translated to one whose smallest difference vertex is 0;
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -169,113 +174,192 @@ def _cover_subset(cands, need1, need2, cmax):
     return walk(0, cmax, need1, need2, [])
 
 
+@lru_cache(maxsize=None)
+def _leaf_count(q: int, t: int) -> int:
+    """L(q) = sum of C(q, j) over j = 0..min(t, q): the X2 leaves under one X1."""
+    return sum(comb(q, j) for j in range(min(t, q) + 1))
+
+
 def _search_seed(g: Graph, t: int, s: int, seed: int):
     """Difference-structure witness whose smallest difference vertex is ``seed``.
 
     X1 holds ``seed`` and later vertices; X2 holds later vertices outside X1.
     Both run by size ascending, then lexicographically, and every (X1, X2)
     leaf counts as one structure examined, whether it is visited or cut.
-    Write X = X1 | X2, N(Y) for the union of the neighborhoods of Y, and
-    cover_i for the number of edges from X_i to vertices outside X.  When
-    both covers are at most s the witness has C empty.  Otherwise C, at most
-    cmax_all = t - max(|X1|, |X2|) vertices outside X, must absorb the
-    excess, and ``_cover_subset`` looks for it.
+    Write X = X1 | X2, R = V - (X | C), N(Y) for the union of the
+    neighborhoods of Y, and cover_i for the number of edges from X_i to
+    vertices outside X.  When both covers are at most s the witness has C
+    empty.  Otherwise C, at most cmax_all = t - max(|X1|, |X2|) vertices
+    outside X, must absorb the excess, and ``_cover_subset`` looks for it.
 
-    Both walks (``_bounded_sets``) cut subtrees by a vertex-boundary lemma.
-    In a witness every edge from X1 to a vertex outside U = X | C is one of
-    the at most s edges the other side blames, so each vertex of N(X1) - X
-    outside C is the far end of at least one blamed edge.  Hence
-    |N(X1) - X| <= |C| + s <= cmax_all + s, likewise for X2, and
-    |N(X1) - X1| <= |X2| + |C| + s <= t + s.  The X1 walk cuts a partial X1
-    with r picks left when |N(X1) - X1| - r > t + s; the X2 walk cuts a
+    In a witness every edge from X1 into R is one of the at most s edges
+    the other side blames, and likewise for X2.  Two cuts follow.
+
+    - Boundary: each vertex of N(X1) - X in R is the far end of a blamed
+      edge, so |N(X1) - X| <= |C| + s <= cmax_all + s, likewise for X2, and
+      |N(X1) - X1| <= |X2| + |C| + s <= t + s.
+    - Heavy vertex (the R-side count of S. L. Hakimi and A. T. Amin, IEEE
+      Trans. Computers C-23, 1974, with at most s blamed edges): call a
+      vertex outside X1 heavy when it has more than s neighbors in X1.  A
+      heavy vertex in R would carry more than s blamed edges, so
+      heavy(X1) - X1 lies in X2 | C.  Hence |heavy(X1) - X1| <= t and
+      |heavy(X1) - X| <= |C| <= cmax_all.
+
+    The X1 walk cuts a partial X1 with r picks left when |N(X1) - X1| - r
+    exceeds t + s or |heavy(X1) - X1| - r exceeds t.  The X2 walk cuts a
     partial X2 with r picks left when |N(X2) - X| - r or |N(X1) - X| - r
-    exceeds cmax_all + s.  The cut is admissible: the r picks take at most
-    r vertices out of either boundary, and a neighborhood only grows as its
-    set does.  At r = 0 it rejects exactly the leaves that fail the lemma,
-    and none of them has C empty, since |N(X_i) - X| <= cover_i.  So the
-    first witness is the one a leaf-by-leaf walk would meet.  A cut subtree
-    still counts its leaves: C(q, r) sets, with q pool entries left, and
-    each cut X1 of size k stands for L(k) = sum of C(P, j) over
-    j = 0..min(t, P) X2 leaves, P = n - seed - k.  The count of structures
-    is therefore the one a leaf-by-leaf walk would make.
+    exceeds cmax_all + s, or |heavy(X1) - X| - r exceeds cmax_all.  Each
+    cut is admissible: a neighborhood and a heavy set only grow as their
+    set does, and the r picks take at most r vertices out of any of them.
+    At r = 0 each cut rejects only leaves that break a bound every witness
+    obeys, so no leaf that yields a witness is cut, and the first witness is
+    the one a leaf-by-leaf walk would meet.  With s = 0 the heavy set is
+    N(X1), and the heavy cut implies the boundary cut on N(X1).
+
+    The walks are plain recursions that return the first witness straight
+    up.  A node tests each child's cuts in its own loop, before descending.
+    A cut child with r picks left and q pool entries after it stands for
+    C(q, r) sets, and each X1 of size k for L(P) = sum of C(P, j) over
+    j = 0..min(t, P) X2 leaves, P = n - seed - k (``_leaf_count``, cached
+    per (P, t)).  Every leaf before the first witness is thus counted once,
+    visited or not, so the count of structures is the one a leaf-by-leaf
+    walk makes.  The root {seed} has no heavy vertex when s > 0 and has
+    heavy set N(seed) when s = 0, so it is cut exactly while
+    deg(seed) - (|X1| - 1) > t + s; those sizes are counted without a walk.
+
+    The X1 walk keeps atleast[d], the vertices with at least d + 1
+    neighbors in X1, for d = 0..s.  Adding w to X1 makes atleast'[0] =
+    atleast[0] | N(w) and atleast'[d] = atleast[d] | (atleast[d - 1] & N(w)).
+    atleast[0] is N(X1) and atleast[s] is heavy(X1); a child's cuts need
+    only those two, and the whole list is built only for a child that
+    survives.  In the X2 walk N(X1) and heavy(X1) are fixed, so
+    |N(X1) - X| and |heavy(X1) - X| are kept as counts that drop by one
+    when a pick lies in the set.
 
     Returns ((f1, s1, f2, s2) masks or None, structures_examined).
     """
     n = g.vertex_count
     nbr = _masks.layout_of(g)
     rest = range(seed + 1, n)
+    k1 = len(rest)
+    top = min(t, n)
+    first = max(1, nbr[seed].bit_count() - t - s + 1)
     examined = 0
-    for size1 in range(1, min(t, n) + 1):
-        pool_size = n - seed - size1
-        x2_leaves = sum(comb(pool_size, j) for j in range(min(t, pool_size) + 1))
-        for leaves, x1mask, nx1 in _bounded_sets(nbr, rest, size1 - 1, t + s, start=1 << seed):
-            if x1mask is None:
-                examined += leaves * x2_leaves
+    for size1 in range(1, min(first, top + 1)):
+        examined += comb(k1, size1 - 1) * _leaf_count(n - seed - size1, t)
+    if first > top:
+        return None, examined
+
+    def x1_walk(i, r, x1mask, atleast):
+        # X1 is not cut; r picks are left
+        nonlocal examined
+        if r == 0:
+            return x2_search(x1mask, atleast[0], atleast[s])
+        n1, h1 = atleast[0], atleast[s]
+        below = atleast[s - 1] if s else 0
+        r -= 1
+        for j in range(i, k1 - r):
+            w = rest[j]
+            nw = nbr[w]
+            cx = x1mask | (1 << w)
+            cn = n1 | nw
+            ch = h1 | (below & nw) if s else cn
+            if ((ch & ~cx).bit_count() - r > t
+                    or s and (cn & ~cx).bit_count() - r > t + s):
+                examined += comb(k1 - j - 1, r) * x2_leaves
                 continue
-            pool = [w for w in rest if not (x1mask >> w) & 1]
-            for size2 in range(0, min(t, len(pool)) + 1):
-                cmax_all = t - max(size1, size2)
-                for leaves, x2mask, nx2 in _bounded_sets(nbr, pool, size2, cmax_all + s,
-                                                         base=x1mask, other=nx1):
-                    examined += leaves
-                    if x2mask is None:
-                        continue
-                    outside = ~(x1mask | x2mask)
-                    cover1 = sum((nbr[v] & outside).bit_count() for v in _masks.bits(x1mask))
-                    cover2 = sum((nbr[w] & outside).bit_count() for w in _masks.bits(x2mask))
-                    cmask = 0
-                    if cover1 > s or cover2 > s:
-                        if cmax_all == 0:
-                            continue
-                        need1 = cover1 - s
-                        need2 = cover2 - s
-                        cand_mask = (nx1 if need1 > 0 else 0) | (nx2 if need2 > 0 else 0)
-                        cands = []
-                        for c in _masks.bits(cand_mask & outside):
-                            g1 = (nbr[c] & x1mask).bit_count()
-                            g2 = (nbr[c] & x2mask).bit_count()
-                            cands.append((c, g1, g2))
-                        cands.sort(key=lambda cg: (-(cg[1] + cg[2]), cg[0]))
-                        chosen = _cover_subset(cands, need1, need2, cmax_all)
-                        if chosen is None:
-                            continue
-                        cmask = _masks.vertex_mask(chosen)
-                    f1 = x1mask | cmask
-                    f2 = x2mask | cmask
-                    umask = x1mask | x2mask | cmask
-                    # S is forced: each pair blames the other side's edges leaving U
-                    s1 = _blocking_edges(g, _masks.bits(x2mask), umask)
-                    s2 = _blocking_edges(g, _masks.bits(x1mask), umask)
-                    return (f1, s1, f2, s2), examined
-    return None, examined
+            if s:
+                child = [cn]
+                child.extend(atleast[d] | (atleast[d - 1] & nw) for d in range(1, s))
+                child.append(ch)
+            else:
+                child = (cn,)
+            hit = x1_walk(j + 1, r, cx, child)
+            if hit is not None:
+                return hit
+        return None
 
+    def x2_search(x1mask, nx1, heavy):
+        nonlocal examined
+        pool = [w for w in rest if not (x1mask >> w) & 1]
+        k = len(pool)
+        not1 = ~x1mask
+        # per pool entry: 1 when picking it takes a vertex out of N(X1) - X,
+        # or out of heavy(X1) - X
+        in_n1 = [(nx1 >> w) & 1 for w in pool]
+        in_h1 = [(heavy >> w) & 1 for w in pool]
+        c1_root = (nx1 & not1).bit_count()
+        ch_root = (heavy & not1).bit_count()
 
-def _bounded_sets(nbr, pool, picks: int, slack: int, start: int = 0, base: int = 0,
-                  other: int = 0):
-    """``start`` plus ``picks`` entries of ``pool``, lexicographically, cut by boundary.
-
-    Yields (leaves, mask, N(mask)) per surviving set, with leaves = 1, and
-    (leaves, None, None) per cut subtree.  A node with r picks left is cut
-    when |N(set) - (base | set)| - r or |other - (base | set)| - r exceeds
-    ``slack``; the ``_search_seed`` docstring gives the reason.
-    """
-    k = len(pool)
-
-    def walk(i, r, mask, nset):
-        known = base | mask
-        if max((nset & ~known).bit_count(), (other & ~known).bit_count()) - r > slack:
-            yield comb(k - i, r), None, None
-        elif r == 0:
-            yield 1, mask, nset
-        else:
-            for j in range(i, k - r + 1):
+        def x2_walk(i, r, x2mask, nx2, c1, ch):
+            # X2 is not cut; r picks are left, c1 = |N(X1) - X|, ch = |heavy(X1) - X|
+            nonlocal examined
+            if r == 0:
+                examined += 1
+                return leaf(x2mask, nx2)
+            r -= 1
+            for j in range(i, k - r):
                 w = pool[j]
-                yield from walk(j + 1, r - 1, mask | (1 << w), nset | nbr[w])
+                cc1 = c1 - in_n1[j]
+                cch = ch - in_h1[j]
+                cx = x2mask | (1 << w)
+                cn = nx2 | nbr[w]
+                if (cch - r > cmax_all or cc1 - r > slack
+                        or (cn & not1 & ~cx).bit_count() - r > slack):
+                    examined += comb(k - j - 1, r)
+                    continue
+                hit = x2_walk(j + 1, r, cx, cn, cc1, cch)
+                if hit is not None:
+                    return hit
+            return None
 
-    nstart = 0
-    for v in _masks.bits(start):
-        nstart |= nbr[v]
-    yield from walk(0, picks, start, nstart)
+        def leaf(x2mask, nx2):
+            outside = ~(x1mask | x2mask)
+            cover1 = sum((nbr[v] & outside).bit_count() for v in _masks.bits(x1mask))
+            cover2 = sum((nbr[w] & outside).bit_count() for w in _masks.bits(x2mask))
+            cmask = 0
+            if cover1 > s or cover2 > s:
+                if cmax_all == 0:
+                    return None
+                need1 = cover1 - s
+                need2 = cover2 - s
+                cand_mask = (nx1 if need1 > 0 else 0) | (nx2 if need2 > 0 else 0)
+                cands = []
+                for c in _masks.bits(cand_mask & outside):
+                    g1 = (nbr[c] & x1mask).bit_count()
+                    g2 = (nbr[c] & x2mask).bit_count()
+                    cands.append((c, g1, g2))
+                cands.sort(key=lambda cg: (-(cg[1] + cg[2]), cg[0]))
+                chosen = _cover_subset(cands, need1, need2, cmax_all)
+                if chosen is None:
+                    return None
+                cmask = _masks.vertex_mask(chosen)
+            f1 = x1mask | cmask
+            f2 = x2mask | cmask
+            umask = x1mask | x2mask | cmask
+            # S is forced: each pair blames the other side's edges leaving U
+            s1 = _blocking_edges(g, _masks.bits(x2mask), umask)
+            s2 = _blocking_edges(g, _masks.bits(x1mask), umask)
+            return f1, s1, f2, s2
+
+        for size2 in range(min(t, k) + 1):
+            cmax_all = t - max(size1, size2)
+            slack = cmax_all + s
+            if ch_root - size2 > cmax_all or c1_root - size2 > slack:
+                examined += comb(k, size2)
+                continue
+            hit = x2_walk(0, size2, 0, 0, c1_root, ch_root)
+            if hit is not None:
+                return hit
+        return None
+
+    root = [nbr[seed]] + [0] * s
+    for size1 in range(first, top + 1):
+        x2_leaves = _leaf_count(n - seed - size1, t)
+        hit = x1_walk(0, size1 - 1, 1 << seed, root)
+        if hit is not None:
+            return hit, examined
+    return None, examined
 
 
 def _blocking_edges(g: Graph, side, umask: int) -> int:

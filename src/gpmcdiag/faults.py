@@ -271,7 +271,11 @@ def generate_syndrome(fp: FaultPair, strategy: str = "all-pass", *,
         rng = random.Random(seed)
         fail += [pos for pos in free if rng.random() < 0.5]
     elif strategy == "explicit":
-        assigned = dict(assignments)
+        try:
+            assigned = dict(assignments)
+        except (TypeError, ValueError):
+            raise InputError("assignments must map each (tester, testee) to 0 or 1, "
+                             f"not {assignments!r}") from None
         for pos in free:
             a, b = g.edges[pos >> 1]    # test 2k is a -> b, test 2k+1 is b -> a
             key = (b, a) if pos & 1 else (a, b)

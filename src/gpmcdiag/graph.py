@@ -151,11 +151,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_bound(name: str, value, least: int = 0) -> int:
-    """value when it is an int, not a bool, of at least ``least`` (0 or 1)."""
+def _check_int(name: str, value) -> int:
+    """value when it is an int, not a bool."""
     if not _is_int(value):
         raise InputError(f"{name} must be an int, not {value!r}")
-    if value < least:
+    return value
+
+
+def _check_bound(name: str, value, least: int = 0) -> int:
+    """value when it is an int, not a bool, of at least ``least`` (0 or 1)."""
+    if _check_int(name, value) < least:
         raise InputError(f"{name} must be {'positive' if least else 'non-negative'}, not {value}")
     return value
 
@@ -247,7 +252,7 @@ def build_hypercube(n: int) -> Graph:
     label toggles integer bit (n - d).  This is the one place that fixes the
     label/bit mapping; hypercube_neighbor follows it.
     """
-    if not 1 <= n <= HYPERCUBE_DIMENSION_CAP:
+    if not 1 <= _check_int("hypercube dimension", n) <= HYPERCUBE_DIMENSION_CAP:
         raise InputError(f"hypercube dimension must be in 1..{HYPERCUBE_DIMENSION_CAP}")
     size = 1 << n
     edges = [(v, v ^ (1 << b)) for v in range(size) for b in range(n) if v < v ^ (1 << b)]
@@ -267,14 +272,14 @@ def hypercube_neighbor(label: str, dim: int) -> str:
 
 
 def build_path(n: int) -> Graph:
-    if n < 1:
+    if _check_int("path length n", n) < 1:
         raise InputError("path needs at least one vertex")
     _check_vertex_count(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)], name=f"path-{n}")
 
 
 def build_cycle(n: int) -> Graph:
-    if n < 3:
+    if _check_int("cycle length n", n) < 3:
         raise InputError("cycle needs at least three vertices")
     _check_vertex_count(n)
     edges = [(i, (i + 1) % n) for i in range(n)]
@@ -282,7 +287,7 @@ def build_cycle(n: int) -> Graph:
 
 
 def build_complete(n: int) -> Graph:
-    if n < 1:
+    if _check_int("complete graph size n", n) < 1:
         raise InputError("complete graph needs at least one vertex")
     _check_edge_count(n * (n - 1) // 2)
     return _transitive(Graph(n, list(combinations(range(n), 2)), name=f"complete-{n}"))
@@ -290,8 +295,11 @@ def build_complete(n: int) -> Graph:
 
 def build_random(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with each candidate edge kept independently; fixed seed, fixed graph."""
-    if n < 1:
+    if _check_int("random graph size n", n) < 1:
         raise InputError("random graph needs at least one vertex")
+    _check_int("random graph seed", seed)
+    if not isinstance(p, (int, float)) or isinstance(p, bool):
+        raise InputError(f"edge probability must be a number, not {p!r}")
     if not 0.0 <= p <= 1.0:
         raise InputError("edge probability must be in [0, 1]")
     _check_edge_count(n * (n - 1) // 2)     # every candidate edge draws a number

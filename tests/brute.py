@@ -290,6 +290,19 @@ def full_edge_restricted_diagnosability(g, h: int) -> gd.DiagnosabilityReport:
         elapsed_seconds=time.perf_counter() - started, stats=stats)
 
 
+def shared_syndrome(g, p1, p2) -> gd.Syndrome:
+    """The syndrome failing every test that ``p1`` or ``p2`` forces to fail.
+
+    Every other test passes.  When the two pairs are indistinguishable no
+    test is forced to fail under one and to pass under the other, so both
+    pairs fit this syndrome; ``syndrome_fits`` checks that by definition.
+    """
+    results = [int(forced_value(tst, p1.faulty_vertices, p1.faulty_edges) == 1
+                   or forced_value(tst, p2.faulty_vertices, p2.faulty_edges) == 1)
+               for tst in gd.enumerate_tests(g)]
+    return gd.Syndrome(g, results)
+
+
 def sigma_set(g, fset, sset) -> frozenset:
     """All syndromes (result tuples) the circumstance can produce."""
     tests = gd.enumerate_tests(g)

@@ -265,6 +265,12 @@ class TestGenerateSyndrome:
         with pytest.raises(InputError, match="must be 0 .pass. or 1 .fail."):
             gd.generate_syndrome(fp, "explicit", assignments={(0, 1): value, (0, 2): 1})
 
+    @pytest.mark.parametrize("assignments", [5, "ab", [[[0], 1]], [(0, 1, 1)]])
+    def test_explicit_assignments_not_a_mapping_rejected(self, q2, assignments):
+        fp = gd.make_fault_pair(q2, {0}, set())
+        with pytest.raises(InputError, match="assignments must map"):
+            gd.generate_syndrome(fp, "explicit", assignments=assignments)
+
     def test_unknown_strategy(self, q2):
         fp = gd.make_fault_pair(q2, set(), set())
         with pytest.raises(InputError):

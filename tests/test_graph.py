@@ -219,6 +219,22 @@ class TestNamedTopologies:
         with pytest.raises(InputError):
             gd.build_named_topology("torus", n=4)
 
+    @pytest.mark.parametrize("build", [
+        lambda: gd.build_hypercube("3"),
+        lambda: gd.build_hypercube(3.0),
+        lambda: gd.build_hypercube(True),
+        lambda: gd.build_path(4.0),
+        lambda: gd.build_cycle(4.0),
+        lambda: gd.build_complete("4"),
+        lambda: gd.build_random(4.0, 0.5, 1),
+        lambda: gd.build_random(4, "0.5", 1),
+        lambda: gd.build_random(4, None, 1),
+        lambda: gd.build_random(4, 0.5, "1"),
+    ])
+    def test_builder_numbers_of_the_wrong_type_rejected(self, build):
+        with pytest.raises(InputError, match="must be an int|must be a number"):
+            build()
+
     def test_missing_parameter(self):
         with pytest.raises(InputError):
             gd.build_named_topology("random", n=6)
