@@ -1,7 +1,8 @@
 """Frontier benchmark: search instances that take seconds, each in a fresh process.
 
 The benchmark under ``perfbench/`` times passes of a few milliseconds; the
-instances here take seconds at the frontier of what the search can answer.
+instances here take seconds at the frontier of what the search can answer,
+or, for ``inject-q15``, hold the largest graph the library accepts.
 Each instance runs in its own child process for a fixed number of passes, so
 peak memory does not grow with speed.  A pass builds the graph and answers
 one query.  The child reports the wall time of every pass and its
@@ -14,8 +15,8 @@ Run from the root of a source checkout (standard library only)::
 
     python bench/frontier.py                          # every instance, 3 passes
     python bench/frontier.py --smoke                  # small sizes, 1 pass
-    python bench/frontier.py --label change --out BENCH_16.json
-    python bench/frontier.py --src ../parent/src --label parent --out BENCH_16.json
+    python bench/frontier.py --label change --out BENCH_17.json
+    python bench/frontier.py --src ../parent/src --label parent --out BENCH_17.json
 
 ``--src`` picks the ``gpmcdiag`` source tree to import, so two checkouts
 can be compared with one script.  ``--out`` merges this run's instances into
@@ -63,6 +64,18 @@ def _roundtrip(gd, n, faulty, t):
     return gd.adversarial_roundtrip(g, gd.make_fault_pair(g, faulty, ()), t, 0)
 
 
+def _inject(gd, n):
+    # the pair, its syndrome and the second pair touch a few vertices, so
+    # the graph's own structure sets the peak memory
+    g = gd.build_hypercube(n)
+    pair = gd.make_fault_pair(g, (0, 3, g.vertex_count - 1), [(5, 7)])
+    sig = gd.generate_syndrome(pair, "random", seed=1)
+    other = gd.make_fault_pair(g, (0,), ())
+    verdict = gd.distinguishable(g, pair, other)
+    return (gd.is_consistent(sig, pair)
+            and verdict.distinguishable == gd.distinguishable_oracle(g, pair, other))
+
+
 def _digest(witness) -> str | None:
     if witness is None:
         return None
@@ -71,8 +84,9 @@ def _digest(witness) -> str | None:
 
 
 #: name -> (what, function, full-size arguments, smoke-size arguments,
-#:          full-size pins, smoke-size pins).  A roundtrip has no witness and
-#: no count of structures, so those pins are None.
+#:          full-size pins, smoke-size pins).  A roundtrip and an injection
+#: answer True or False, with no witness and no count of structures, so
+#: those pins are None.
 INSTANCES = {
     "random16-t1": (
         "t_1 of build_random(16, 0.8, 1)", _random_dense, (16, 1), (10, 1),
@@ -95,6 +109,11 @@ INSTANCES = {
     "roundtrip-q4": (
         "adversarial_roundtrip on Q_4, F = {0, 3, 5, 6}, S = {} at (4, 0)",
         _roundtrip, (4, (0, 3, 5, 6), 4), (3, (0, 3), 2),
+        {"value": True, "witness": None, "structures_examined": None},
+        {"value": True, "witness": None, "structures_examined": None}),
+    "inject-q15": (
+        "Q_15: one pair, its random syndrome, is_consistent and both distinguishability "
+        "routes (True: consistent, and the routes agree)", _inject, (15,), (8,),
         {"value": True, "witness": None, "structures_examined": None},
         {"value": True, "witness": None, "structures_examined": None}),
 }

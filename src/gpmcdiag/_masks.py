@@ -9,7 +9,8 @@ Encodings, for a graph with n vertices and m edges:
   see ``faults.enumerate_tests``).  Both tests of edge k are ``3 << 2k``.
 
 The code here reads the graph's own edge list (``graph.edges``) and
-adjacency (``graph._adj``, per vertex ``((neighbor id, k), ...)``).  The one
+adjacency (per vertex u, ``graph._nbrs[u]``, its neighbor ids ascending, and
+``graph._eids[u]``, the index k of the edge to each of them).  The one
 per-graph structure added is ``layout_of``: each vertex's neighbor bits,
 O(n^2) bits in all, which only the syndrome decoder and the
 difference-structure search read, so syndromes and distinguishability build
@@ -39,7 +40,7 @@ from __future__ import annotations
 def layout_of(g) -> tuple:
     """Per-vertex neighbor bits of g, built once and cached on the graph."""
     if g._layout is None:
-        g._layout = tuple(vertex_mask(v for v, _ in es) for es in g._adj)
+        g._layout = tuple(map(vertex_mask, g._nbrs))
     return g._layout
 
 
@@ -94,7 +95,7 @@ def _fault_tests(g, f: int, s: int) -> tuple[list, list]:
     faulty = set(bits(f))
     arbitrary, fail = [], []
     for u in faulty:
-        for v, k in g._adj[u]:
+        for v, k in zip(g._nbrs[u], g._eids[u]):
             t = 2 * k       # the test of the smaller endpoint
             if u < v:
                 arbitrary.append(t)
@@ -128,7 +129,7 @@ def forced_masks(g, f: int, s: int) -> tuple[int, int]:
     if width < BUFFER_WIDTH:
         arb = touched = 0
         for u in bits(f):
-            for v, k in g._adj[u]:
+            for v, k in zip(g._nbrs[u], g._eids[u]):
                 # u tests its neighbor at bit 2k when u is the smaller endpoint
                 arb |= 1 << (2 * k + (v < u))
                 touched |= 3 << (2 * k)
@@ -185,7 +186,7 @@ def condition_hits(g, f1: int, s1: int, f2: int, s2: int):
     both_f = f1 | f2
     for d, other_s, direction in ((f1 & ~f2, s2, 1), (f2 & ~f1, s1, 2)):
         for u in bits(d):
-            for v, k in g._adj[u]:
+            for v, k in zip(g._nbrs[u], g._eids[u]):
                 if not (both_f >> v) & 1 and not (other_s >> k) & 1:
                     yield k, 1, direction
 

@@ -366,7 +366,7 @@ def _blocking_edges(g: Graph, side, umask: int) -> int:
     """Edge mask of every edge from a vertex of ``side`` to a vertex outside ``umask``."""
     smask = 0
     for v in side:
-        for w, k in g._adj[v]:
+        for w, k in zip(g._nbrs[v], g._eids[v]):
             if not (umask >> w) & 1:
                 smask |= 1 << k
     return smask

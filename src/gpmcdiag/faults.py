@@ -11,6 +11,7 @@ of results to all tests.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -67,7 +68,7 @@ class FaultPair:
             if ce[0] in self.faulty_vertices or ce[1] in self.faulty_vertices:
                 raise ConsistencyError(
                     f"faulty edge {ce[0]}-{ce[1]} is incident to a faulty vertex", edge=ce)
-            sm |= 1 << g._edge_index[ce]
+            sm |= 1 << g._edge_id(*ce)
         object.__setattr__(self, "f_mask", fm)
         object.__setattr__(self, "s_mask", sm)
 
@@ -131,21 +132,27 @@ def enumerate_tests(g: Graph) -> tuple[Test, ...]:
 
 
 def _test_index(g: Graph, tester: int, testee: int) -> int:
-    k = g._edge_index.get(edge(g.check_vertex(tester), g.check_vertex(testee)))
-    if k is None:
+    """Position of the test tester -> testee: 2k or 2k + 1 for the edge k joining them."""
+    row = g._nbrs[g.check_vertex(tester)]
+    i = bisect_left(row, g.check_vertex(testee))
+    if i == len(row) or row[i] != testee:
         raise InputError(f"vertices {tester} and {testee} are not adjacent in {g.name}")
-    return 2 * k if tester < testee else 2 * k + 1
+    return 2 * g._eids[tester][i] + (testee < tester)
 
 
 def forced_outcome(t: Test, fp: FaultPair) -> ForcedOutcome:
     """What the model forces for one test under a fault pair."""
     g = fp.graph
-    idx = _test_index(g, t.tester, t.testee)
-    if g.edges[idx // 2] != edge(*t.edge):
-        raise InputError(f"test edge {t.edge} does not join {t.tester} and {t.testee}")
-    if t.tester in fp.faulty_vertices:
+    try:
+        tester, testee, (a, b) = t
+    except (TypeError, ValueError):
+        raise InputError(f"test {t!r} is not (tester, testee, edge)") from None
+    ce = g.edges[_test_index(g, tester, testee) >> 1]
+    if ce != (a, b) and ce != (b, a):
+        raise InputError(f"test edge {(a, b)} does not join {tester} and {testee}")
+    if tester in fp.faulty_vertices:
         return ForcedOutcome.ARBITRARY
-    if t.testee in fp.faulty_vertices or edge(*t.edge) in fp.faulty_edges:
+    if testee in fp.faulty_vertices or ce in fp.faulty_edges:
         return ForcedOutcome.FORCED_FAIL
     return ForcedOutcome.FORCED_PASS
 
@@ -175,7 +182,11 @@ class Syndrome:
     fail_mask: int
 
     def __init__(self, graph: Graph, results):
-        results = tuple(results)
+        try:
+            results = tuple(results)
+        except TypeError:
+            raise InputError(
+                f"syndrome results must be a sequence of 0 and 1, not {results!r}") from None
         m = len(graph.edges)
         if len(results) != 2 * m:
             raise InputError(f"syndrome must assign all {2 * m} tests")

@@ -7,14 +7,16 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import deque
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from operator import eq
 
 from .errors import InputError
 
 #: Largest supported hypercube dimension.  Building Q_15, one fault pair, its
-#: syndrome and both distinguishability routes peaks near 129 MB of RSS.  The
+#: syndrome and both distinguishability routes peaks near 86 MB of RSS
+#: (``inject-q15`` in ``bench/frontier.py``, Python 3.11).  The
 #: neighbor bits (``_masks.layout_of``), which only the decoder and the search
 #: build, dominate beyond that: one vertex-wide int per vertex, about 4^n / 9
 #: bytes for Q_n (115 MB for Q_15).
@@ -38,10 +40,12 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
     The constructor builds the one structure that everything else reads:
-    ``edges`` (canonical (min, max) pairs, sorted), ``_edge_index``
-    (edge -> k) and ``_adj`` (per vertex, ``((neighbor, k), ...)`` in neighbor
-    order).  Vertex ids are ints, never bools.  ``labels`` optionally attaches
-    a text label per vertex (hypercubes use their bit strings).
+    ``edges`` (canonical (min, max) pairs, sorted) and, per vertex u,
+    ``_nbrs[u]`` (its neighbor ids, ascending) and ``_eids[u]`` (the index in
+    ``edges`` of the edge to each of those neighbors, one int shared by both
+    endpoints).  An edge is found by bisecting an endpoint's ``_nbrs`` row
+    (``_edge_id``).  Vertex ids are ints, never bools.  ``labels`` optionally
+    attaches a text label per vertex (hypercubes use their bit strings).
     ``vertex_transitive`` is true only for builders whose output provably
     looks the same from every vertex (hypercube, cycle, complete); search code
     uses it to fix a single seed vertex, so callers cannot set it.
@@ -53,8 +57,8 @@ class Graph:
         "labels",
         "name",
         "_vertex_transitive",
-        "_edge_index",
-        "_adj",
+        "_nbrs",
+        "_eids",
         "_layout",
     )
 
@@ -67,35 +71,49 @@ class Graph:
         canon = _canonical_edges(vertex_count, edges)
         _check_edge_count(len(canon))
         canon.sort()
-        edge_index = {e: k for k, e in enumerate(canon)}
-        if len(edge_index) != len(canon):
+        # sorted, so a repeated edge sits next to its copy
+        if any(map(eq, canon, islice(canon, 1, None))):
             raise InputError("duplicate edge in edge list")
         if labels is not None:
-            labels = tuple(labels)
+            try:
+                labels = tuple(labels)
+            except TypeError:
+                raise InputError(f"labels must be a sequence, not {labels!r}") from None
             if len(labels) != vertex_count:
                 raise InputError("labels must cover every vertex")
         # edges are sorted, so each vertex meets its neighbors in ascending order
-        adj = [[] for _ in range(vertex_count)]
+        nbrs = [[] for _ in range(vertex_count)]
+        eids = [[] for _ in range(vertex_count)]
         for k, (u, v) in enumerate(canon):
-            adj[u].append((v, k))
-            adj[v].append((u, k))
+            nbrs[u].append(v)
+            eids[u].append(k)
+            nbrs[v].append(u)
+            eids[v].append(k)
         self.vertex_count = vertex_count
         self.edges = tuple(canon)
         self.labels = labels
         self.name = name
         self._vertex_transitive = False
-        self._edge_index = edge_index
-        self._adj = tuple(map(tuple, adj))
+        self._nbrs = tuple(map(tuple, nbrs))
+        del nbrs        # freed before the second copy, which lowers the peak
+        self._eids = tuple(map(tuple, eids))
         self._layout = None  # neighbor-bits cache, built on demand by _masks.layout_of
 
     @property
     def vertex_transitive(self) -> bool:
         return self._vertex_transitive
 
+    def _edge_id(self, u: int, v: int):
+        """Index in ``edges`` of the edge u-v, or None; u and v must be vertex ids."""
+        row = self._nbrs[u]
+        i = bisect_left(row, v)
+        if i < len(row) and row[i] == v:
+            return self._eids[u][i]
+        return None
+
     def has_edge(self, u: int, v: int) -> bool:
         """True when u and v are adjacent; False for u == v; both must be vertices."""
-        u, v = self.check_vertex(u), self.check_vertex(v)
-        return ((u, v) if u < v else (v, u)) in self._edge_index
+        return self._edge_id(self.check_vertex(u), self.check_vertex(v)) is not None
 
     def check_vertex(self, u: int) -> int:
         if not _is_int(u) or not 0 <= u < self.vertex_count:
@@ -108,7 +126,7 @@ class Graph:
         except (TypeError, ValueError):
             raise InputError(f"edge {e!r} is not a pair of vertices") from None
         ce = edge(self.check_vertex(u), self.check_vertex(v))
-        if ce not in self._edge_index:
+        if self._edge_id(*ce) is None:
             raise InputError(f"edge {u}-{v} is not an edge of {self.name}")
         return ce
 
@@ -181,22 +199,22 @@ def _check_edge_count(m: int):
 
 def neighbors(g: Graph, u: int) -> frozenset[int]:
     """All vertices adjacent to u."""
-    return frozenset(v for v, _ in g._adj[g.check_vertex(u)])
+    return frozenset(g._nbrs[g.check_vertex(u)])
 
 
 def incident_edges(g: Graph, u: int) -> frozenset[tuple[int, int]]:
     """All edges having u as an endpoint."""
-    return frozenset(g.edges[k] for _, k in g._adj[g.check_vertex(u)])
+    return frozenset(map(g.edges.__getitem__, g._eids[g.check_vertex(u)]))
 
 
 def degree(g: Graph, u: int) -> int:
-    return len(g._adj[g.check_vertex(u)])
+    return len(g._nbrs[g.check_vertex(u)])
 
 
 def min_degree(g: Graph) -> int:
     if g.vertex_count == 0:
         raise InputError("minimum degree of the empty graph is undefined")
-    return min(map(len, g._adj))
+    return min(map(len, g._nbrs))
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
@@ -222,7 +240,7 @@ def girth(g: Graph):
             cur = queue.popleft()
             if dist[cur] * 2 >= best:
                 continue
-            for nxt, _ in g._adj[cur]:
+            for nxt in g._nbrs[cur]:
                 if nxt not in dist:
                     dist[nxt] = dist[cur] + 1
                     parent[nxt] = cur

@@ -125,7 +125,7 @@ def forced_masks(g, f: int, s: int) -> tuple[int, int]:
     arb = 0
     touched = 0
     for u in _masks.bits(f):
-        for v, k in g._adj[u]:
+        for v, k in zip(g._nbrs[u], g._eids[u]):
             arb |= 1 << (2 * k + (v < u))
             touched |= 3 << (2 * k)
     for k in _masks.bits(s):

@@ -60,9 +60,14 @@ class TestMakeFaultPair:
     lambda q2: gd.fault_pair_from_record(q2, {"F": [0], "S": [3]}),
     lambda q2: gd.syndrome_from_triples(q2, [(0, 1)]),
     lambda q2: gd.syndrome_from_triples(q2, [5]),
+    lambda q2: gd.Graph(2, [(0, 1)], labels=5),
+    lambda q2: gd.Syndrome(q2, 5),
+    lambda q2: gd.forced_outcome((0, 1), gd.make_fault_pair(q2, [0], [])),
+    lambda q2: gd.forced_outcome((0, 1, 5), gd.make_fault_pair(q2, [0], [])),
 ], ids=["graph-triple", "graph-int", "check-edge-short", "check-edge-int",
         "pair-short-edge", "pair-int-vertices", "record-int-F", "record-int-edge",
-        "syndrome-short-row", "syndrome-int-row"])
+        "syndrome-short-row", "syndrome-int-row", "graph-int-labels", "syndrome-int-results",
+        "forced-outcome-pair", "forced-outcome-int-edge"])
 def test_malformed_entry_raises_input_error(q2, build):
     # an edge, a syndrome row or a vertex collection of the wrong shape is
     # refused with the documented error, not a bare ValueError or TypeError
@@ -519,13 +524,13 @@ class TestCandidateMasksFixedCases:
     def test_zero_vertex_budget(self, q3):
         clean = gd.generate_syndrome(gd.make_fault_pair(q3, set(), {(3, 7)}))
         assert _agrees_with_reference(q3, clean.fail_mask, 0, 1) == [
-            (0, 1 << q3._edge_index[(3, 7)])]
+            (0, 1 << q3.edges.index((3, 7)))]
         assert _agrees_with_reference(q3, clean.fail_mask, 0, 0) == []
         vertex = gd.generate_syndrome(gd.make_fault_pair(q3, {0}, set()), "all-fail")
         # vertex 0's three both-fail edges fit S only when s >= 3
         assert _agrees_with_reference(q3, vertex.fail_mask, 0, 2) == []
         assert _agrees_with_reference(q3, vertex.fail_mask, 0, 3) == [
-            (0, sum(1 << q3._edge_index[e] for e in q3.edges if 0 in e))]
+            (0, sum(1 << k for k, e in enumerate(q3.edges) if 0 in e))]
 
     def test_budget_at_or_above_max_degree(self, q3, q4):
         # every vertex has at most t-1 passing in-tests, so every vertex

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 import gpmcdiag as gd
 from gpmcdiag import _masks
 from gpmcdiag.errors import InputError
+from gpmcdiag.faults import _test_index
 
 from gallery import full_gallery
 
@@ -63,11 +64,45 @@ def test_queries_and_layout_agree_with_edge_list(n, p, seed):
         for v in range(n):
             assert g.has_edge(u, v) == (v in nbrs[u])
     assert gd.min_degree(g) == min(map(len, nbrs))
-    assert g._edge_index == index
-    assert g._adj == tuple(tuple((v, index[gd.graph.edge(u, v)]) for v in sorted(nbrs[u]))
-                           for u in range(n))
+    assert g._nbrs == tuple(tuple(sorted(nbrs[u])) for u in range(n))
+    assert g._eids == tuple(tuple(index[gd.graph.edge(u, v)] for v in sorted(nbrs[u]))
+                            for u in range(n))
     assert _masks.layout_of(g) == tuple(sum(1 << v for v in nbrs[u]) for u in range(n))
     assert _masks.layout_of(g) is _masks.layout_of(g)
+
+
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 10 ** 6), st.data())
+def test_edge_lookups_agree_with_edge_list(n, p, seed, data):
+    # every lookup bisects a neighbor row; each must find the edge's position
+    # in g.edges, and refuse a non-edge and a vertex paired with itself
+    g = gd.build_random(n, p, seed)
+    tests = gd.enumerate_tests(g)
+    for u in range(n):
+        for v in range(n):
+            e = (min(u, v), max(u, v))
+            k = g.edges.index(e) if e in g.edges else None
+            assert g._edge_id(u, v) == k
+            assert g.has_edge(u, v) is (k is not None)
+            if k is None:
+                with pytest.raises(InputError):
+                    g.check_edge((u, v))
+                with pytest.raises(InputError):
+                    _test_index(g, u, v)
+            else:
+                assert g.check_edge((u, v)) == e
+                assert gd.make_fault_pair(g, (), [(u, v)]).s_mask == 1 << k
+                i = _test_index(g, u, v)
+                assert i >> 1 == k and tests[i] == (u, v, e)
+    if g.edges:
+        # a repeat in either orientation, anywhere, on either validation path
+        u, v = data.draw(st.sampled_from(g.edges))
+        edges = list(g.edges)
+        edges.insert(data.draw(st.integers(0, len(edges))),
+                     data.draw(st.sampled_from([(u, v), (v, u)])))
+        if data.draw(st.booleans()):
+            edges = [list(e) for e in edges]
+        with pytest.raises(InputError, match="duplicate edge"):
+            gd.Graph(n, edges)
 
 
 class TestIncidentEdges:
