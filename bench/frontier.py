@@ -5,30 +5,39 @@ instances here take seconds at the frontier of what the search can answer,
 or, for ``inject-q15``, hold the largest graph the library accepts.
 Each instance runs in its own child process for a fixed number of passes, so
 peak memory does not grow with speed.  A pass builds the graph and answers
-one query.  The child reports the wall time of every pass and its
-``ru_maxrss``, and the counters that do not depend on the machine: the value,
-a digest of the witness and ``structures_examined``.  Each counter is checked
-against its pin; the script exits 1 when a pin does not match, an instance
-fails or runs past ``--timeout``.
+one query; for ``cli-q4`` it makes a thousand in-process ``cli.main`` calls
+of the ``search-q4`` command line, as a script or a test suite does.  The
+child reports the wall time of every pass and its ``ru_maxrss``, and the
+counters that do not depend on the machine: the value, a digest of the
+witness and ``structures_examined``.  Each counter is checked against its
+pin; the script exits 1 when a pin does not match, an instance fails or runs
+past ``--timeout``.
 
 Run from the root of a source checkout (standard library only)::
 
     python bench/frontier.py                          # every instance, 3 passes
     python bench/frontier.py --smoke                  # small sizes, 1 pass
-    python bench/frontier.py --label change --out BENCH_17.json
-    python bench/frontier.py --src ../parent/src --label parent --out BENCH_17.json
+    python bench/frontier.py --label change --out BENCH_18.json
+    python bench/frontier.py --src ../parent/src --label parent --out BENCH_18.json
 
 ``--src`` picks the ``gpmcdiag`` source tree to import, so two checkouts
 can be compared with one script.  ``--out`` merges this run's instances into
 the JSON file under ``--label``, keeping every other label and instance
 already there, so a slow instance can be run on its own with other
-``--passes`` or ``--timeout``.
+``--passes`` or ``--timeout``.  A run of an instance already recorded under
+the label adds its passes to the row: ``wall_s`` keeps every pass of every
+run and ``wall_s_median`` is taken over all of them, so alternating parent
+and change runs, each merged in turn, give one row per side in which a
+single noisy run weighs no more than its own passes.  A row is ``ok`` only
+when every run in it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -76,6 +85,25 @@ def _inject(gd, n):
             and verdict.distinguishable == gd.distinguishable_oracle(g, pair, other))
 
 
+#: the ``search-q4`` command line of the benchmark under ``perfbench/``
+CLI_Q4_ARGV = ["diagnosability", "--topology", "hypercube", "--n", "4",
+               "--edge-restricted", "1", "--format", "json"]
+
+
+def _cli_repeat(gd, calls):
+    # True when every call exits 0 with the same bytes and t_1(Q_4) = 3
+    from gpmcdiag import cli
+
+    outputs = set()
+    for _ in range(calls):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            if cli.main(CLI_Q4_ARGV) != 0:
+                return False
+        outputs.add(buffer.getvalue())
+    return len(outputs) == 1 and json.loads(outputs.pop())["result"]["value"] == 3
+
+
 def _digest(witness) -> str | None:
     if witness is None:
         return None
@@ -84,9 +112,9 @@ def _digest(witness) -> str | None:
 
 
 #: name -> (what, function, full-size arguments, smoke-size arguments,
-#:          full-size pins, smoke-size pins).  A roundtrip and an injection
-#: answer True or False, with no witness and no count of structures, so
-#: those pins are None.
+#:          full-size pins, smoke-size pins).  A roundtrip, an injection and
+#: the CLI calls answer True or False, with no witness and no count of
+#: structures, so those pins are None.
 INSTANCES = {
     "random16-t1": (
         "t_1 of build_random(16, 0.8, 1)", _random_dense, (16, 1), (10, 1),
@@ -114,6 +142,11 @@ INSTANCES = {
     "inject-q15": (
         "Q_15: one pair, its random syndrome, is_consistent and both distinguishability "
         "routes (True: consistent, and the routes agree)", _inject, (15,), (8,),
+        {"value": True, "witness": None, "structures_examined": None},
+        {"value": True, "witness": None, "structures_examined": None}),
+    "cli-q4": (
+        "1,000 cli.main calls of t_1(Q_4) in one process (True: every call exits 0 "
+        "with the same bytes, and the value is 3)", _cli_repeat, (1000,), (20,),
         {"value": True, "witness": None, "structures_examined": None},
         {"value": True, "witness": None, "structures_examined": None}),
 }
@@ -148,22 +181,48 @@ def run(name: str, passes: int, smoke: bool, src: str, timeout: float) -> dict:
     pins = smoke_pins if smoke else full_pins
     command = [sys.executable, __file__, "--child", name, "--passes", str(passes),
                "--src", src] + (["--smoke"] if smoke else [])
-    row = {"what": what, "passes": passes, "smoke": smoke}
+    row = {"what": what, "smoke": smoke, "runs": 1, "passes": 0, "wall_s_median": None,
+           "wall_s": [], "maxrss_mb": None, "maxrss_mb_runs": [], "ok": False}
     try:
         done = subprocess.run(command, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return {**row, "ok": False, "error": f"timed out after {timeout:g} s"}
+        return {**row, "problems": [f"timed out after {timeout:g} s"]}
     if done.returncode != 0:
-        return {**row, "ok": False, "error": (done.stderr.strip().splitlines() or ["?"])[-1]}
+        return {**row, "problems": [(done.stderr.strip().splitlines() or ["?"])[-1]]}
     report = json.loads(done.stdout.splitlines()[-1])
     answers = report.pop("answers")
     first = answers[0]
     problems = [f"pass {i} answered differently" for i, a in enumerate(answers) if a != first]
     problems += [f"{key} {first[key]!r} != pin {pin!r}" for key, pin in pins.items()
                  if first[key] != pin]
-    return {**row, **first, "wall_s_median": round(statistics.median(report["wall_s"]), 4),
-            "wall_s": [round(w, 4) for w in report["wall_s"]],
-            "maxrss_mb": report["maxrss_mb"], "ok": not problems, "problems": problems}
+    walls = [round(w, 4) for w in report["wall_s"]]
+    return {**row, **first, "passes": len(walls),
+            "wall_s_median": round(statistics.median(report["wall_s"]), 4), "wall_s": walls,
+            "maxrss_mb": report["maxrss_mb"], "maxrss_mb_runs": [report["maxrss_mb"]],
+            "ok": not problems, "problems": problems}
+
+
+def merge(old: dict | None, new: dict) -> dict:
+    """The row of ``old``'s runs and ``new``'s, of one instance under one label.
+
+    The passes of every run are kept, and ``wall_s_median`` is taken over
+    all of them (``maxrss_mb`` over the runs' peaks); the answer is the
+    first run's that has one.  Every run was checked against the same pins,
+    so a run that answered otherwise, failed or timed out left a problem,
+    and the row is ``ok`` only when no run did.  A row of another instance
+    or size is replaced, not merged.
+    """
+    if old is None or (old["what"], old["smoke"]) != (new["what"], new["smoke"]):
+        return new
+    walls = old["wall_s"] + new["wall_s"]
+    peaks = old["maxrss_mb_runs"] + new["maxrss_mb_runs"]
+    answered = old if "value" in old else new
+    return {**answered, "runs": old["runs"] + new["runs"], "passes": len(walls),
+            "wall_s_median": round(statistics.median(walls), 4) if walls else None,
+            "wall_s": walls, "maxrss_mb": round(statistics.median(peaks), 1) if peaks else None,
+            "maxrss_mb_runs": peaks, "ok": old["ok"] and new["ok"],
+            "problems": old["problems"] + [p for p in new["problems"]
+                                           if p not in old["problems"]]}
 
 
 def main(argv=None) -> int:
@@ -184,16 +243,18 @@ def main(argv=None) -> int:
     results = {}
     for name in args.only or INSTANCES:
         results[name] = row = run(name, args.passes, args.smoke, src, args.timeout)
-        wall = row.get("wall_s_median")
-        shown = f"{wall:9.3f} s {row['maxrss_mb']:7.1f} MB" if wall is not None else row["error"]
-        print(f"{name:18} {'ok ' if row['ok'] else 'BAD'} {shown}  {row.get('problems') or ''}")
+        wall = row["wall_s_median"]
+        shown = f"{wall:9.3f} s {row['maxrss_mb']:7.1f} MB" if wall is not None else ""
+        print(f"{name:18} {'ok ' if row['ok'] else 'BAD'} {shown}  {row['problems'] or ''}")
     if args.out:
         path = Path(args.out)
         data = json.loads(path.read_text()) if path.exists() else {}
         label = data.setdefault("runs", {}).setdefault(args.label, {})
         label["machine"] = {"cpus": os.cpu_count(), "python": platform.python_version(),
                             "platform": platform.platform()}
-        label.setdefault("results", {}).update(results)
+        recorded = label.setdefault("results", {})
+        for name, row in results.items():
+            recorded[name] = merge(recorded.get(name), row)
         path.write_text(json.dumps(data, indent=1) + "\n")
     return 0 if all(row["ok"] for row in results.values()) else 1
 

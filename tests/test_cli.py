@@ -1,3 +1,4 @@
+import argparse
 import json
 from collections import OrderedDict
 from pathlib import Path
@@ -414,3 +415,49 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_repeated_main_calls_share_one_parser(monkeypatch, capsys):
+    # scripts and test suites call main() many times in one process: after
+    # the first call no parser is built again, and usage errors, help, input
+    # errors and reports come out exactly as from a fresh process
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    sequence = [
+        ["diagnosability", "--topology", "hypercube", "--n", "4", "--h", "1", "--r", "1"],
+        ["diagnose", "--topology", "hypercube", "--n", "3", "--s", "0"],
+        ["--help"],
+        ["diagnosability", "--help"],
+        ["topology", "--topology", "hypercube", "--n", "99"],
+    ]
+    expected_codes = [("exit", 2), ("exit", 2), ("exit", 0), ("exit", 0), 2]
+    first = [outcome(argv) for argv in sequence]
+
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    again = [outcome(argv) for argv in sequence]
+    assert again == first
+    assert [code for code, _, _ in again] == expected_codes
+    assert "not allowed with argument" in again[0][2]
+    assert "the following arguments are required: --t" in again[1][2]
+    assert again[2][1].startswith("usage: gpmcdiag") and again[3][1].startswith(
+        "usage: gpmcdiag diagnosability")
+    assert again[4][2].startswith("error: ")
+    for name in sorted(GOLDEN_CONFIGS):
+        code, out, err = outcome(GOLDEN_CONFIGS[name])
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / name).read_bytes(), name
+    assert built == 0
