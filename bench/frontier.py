@@ -6,12 +6,13 @@ or, for ``inject-q15``, hold the largest graph the library accepts.
 Each instance runs in its own child process for a fixed number of passes, so
 peak memory does not grow with speed.  A pass builds the graph and answers
 one query; for ``cli-q4`` it makes a thousand in-process ``cli.main`` calls
-of the ``search-q4`` command line, as a script or a test suite does.  The
-child reports the wall time of every pass and its ``ru_maxrss``, and the
-counters that do not depend on the machine: the value, a digest of the
-witness and ``structures_examined``.  Each counter is checked against its
-pin; the script exits 1 when a pin does not match, an instance fails or runs
-past ``--timeout``.
+of the ``search-q4`` command line, as a script or a test suite does, and for
+``cli-inject-q12`` five per format of the ``inject-large`` one, each output
+checked against its pinned sha256.  The child reports the wall time of every
+pass and its ``ru_maxrss``, and the counters that do not depend on the
+machine: the value, a digest of the witness and ``structures_examined``.
+Each counter is checked against its pin; the script exits 1 when a pin does
+not match, an instance fails or runs past ``--timeout``.
 
 Run from the root of a source checkout (standard library only)::
 
@@ -104,6 +105,47 @@ def _cli_repeat(gd, calls):
     return len(outputs) == 1 and json.loads(outputs.pop())["result"]["value"] == 3
 
 
+#: the ``inject-large`` command line of the benchmark under ``perfbench/`` at
+#: its default seed 1, and one of the same shape on Q_8, without ``--format``
+CLI_INJECT_Q12_ARGV = ["inject", "--topology", "hypercube", "--n", "12",
+                       "--faulty-vertices", "516,965,2089",
+                       "--faulty-edges", "391-2439,964-980,1859-1867,2240-3264,2354-2418,"
+                                         "2438-2470,3386-3387",
+                       "--adversary", "random", "--seed", "3098990846"]
+CLI_INJECT_Q8_ARGV = ["inject", "--topology", "hypercube", "--n", "8",
+                      "--faulty-vertices", "4,197,201",
+                      "--faulty-edges", "8-9,40-104,130-138,240-241",
+                      "--adversary", "random", "--seed", "3098990846"]
+
+#: per format, the sha256 of the output of those command lines, recorded
+#: when the syndrome was still rendered from its ``to_triples`` rows
+CLI_INJECT_Q12_SHA256 = {
+    "json": "fc918084ce724dfbd01fdee024c792abd4771a7867960333de77fe8ca4822fa3",
+    "csv": "f8a9e222dbb05f1327523f8d86b944a6aa14704de553dbf4d798663dccf0ae35",
+    "table": "c1ad47bffa0f8f595f56722617cc9306cfef5fc4a8fff21182a6765e99a041ad",
+}
+CLI_INJECT_Q8_SHA256 = {
+    "json": "abff69c45690c1ef9eee95e8b7f2f79f5ffedf7e58cfd315b6b4b596ef4c2f3f",
+    "csv": "18fbc67a4c05ec2ce9603f73b8b3368ed9d57ba9ef3d9333db2c63ed44bb3014",
+    "table": "1e58cdcc3bcf0eca8168f5f2ff236a6e5f874d6e2c47f9e52613093ef6ade567",
+}
+
+
+def _cli_inject(gd, argv, calls, digests):
+    # True when every call exits 0 and prints the pinned bytes of its format
+    from gpmcdiag import cli
+
+    for fmt, digest in digests.items():
+        for _ in range(calls):
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                if cli.main(argv + ["--format", fmt]) != 0:
+                    return False
+            if hashlib.sha256(buffer.getvalue().encode()).hexdigest() != digest:
+                return False
+    return True
+
+
 def _digest(witness) -> str | None:
     if witness is None:
         return None
@@ -147,6 +189,13 @@ INSTANCES = {
     "cli-q4": (
         "1,000 cli.main calls of t_1(Q_4) in one process (True: every call exits 0 "
         "with the same bytes, and the value is 3)", _cli_repeat, (1000,), (20,),
+        {"value": True, "witness": None, "structures_examined": None},
+        {"value": True, "witness": None, "structures_examined": None}),
+    "cli-inject-q12": (
+        "5 cli.main calls per format of perfbench's inject-large line on Q_12 (True: "
+        "every call exits 0 with its format's pinned sha256)", _cli_inject,
+        (CLI_INJECT_Q12_ARGV, 5, CLI_INJECT_Q12_SHA256),
+        (CLI_INJECT_Q8_ARGV, 1, CLI_INJECT_Q8_SHA256),
         {"value": True, "witness": None, "structures_examined": None},
         {"value": True, "witness": None, "structures_examined": None}),
 }

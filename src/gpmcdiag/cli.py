@@ -11,6 +11,9 @@ command lines still parse: every search runs in one process.
 Exit codes: 0 success (all checks passed), 1 verification mismatch,
 2 invalid input.
 
+The ``inject`` report holds the ``Syndrome`` itself, and JSON, CSV and the
+table write its rows straight from its columns (``_syndrome_pieces``).
+
 ``main()`` may be called repeatedly in one process, as scripts and test
 suites do: the argument parser is built on the first call and kept for the
 process (``build_parser`` is cached).  argparse keeps no state between
@@ -28,7 +31,6 @@ import json
 import math
 import random
 import sys
-from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -40,7 +42,7 @@ from .diagnosability import (
 )
 from .engine import DEFAULT_CANDIDATE_CAP, DiagnosisStatus, diagnose
 from .errors import InputError
-from .faults import generate_syndrome, make_fault_pair
+from .faults import Syndrome, generate_syndrome, make_fault_pair
 from .graph import (
     Graph,
     build_named_topology,
@@ -268,7 +270,7 @@ def cmd_inject(args):
     sig = _make_syndrome(pair, args)
     config = {"topology": topo_cfg, "faults": fault_cfg,
               "adversary": args.adversary, "seed": args.seed}
-    result = {"pair": pair.to_record(), "syndrome": sig.to_triples()}
+    result = {"pair": pair.to_record(), "syndrome": sig}
     return _report("inject", config, result, {}), {}, 0
 
 
@@ -390,9 +392,9 @@ def _render_json(report) -> str:
     dispatch: dicts whose keys are all strs sort their keys, lists and tuples
     render as lists, ints and strs render directly, and every other value
     (bools, None, floats, subclasses, dicts with other keys) goes through
-    ``json.dumps`` with the same settings, re-indented to its depth.  A list
-    of equal-width int rows, such as a syndrome's, renders in one step
-    (``_int_rows``).
+    ``json.dumps`` with the same settings, re-indented to its depth.  A
+    ``Syndrome`` renders as its list of [tester, testee, outcome] rows, read
+    from its columns in one step (``_syndrome_pieces``).
     """
     out: list[str] = []
     _emit_json(report, "\n", out)
@@ -418,10 +420,6 @@ def _emit_json(value, newline: str, out: list):
             sep = "," + inner
         out.append(newline + "}")
     elif (kind is list or kind is tuple) and value:
-        rows = _int_rows(value, newline)
-        if rows is not None:
-            out.append(rows)
-            return
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
@@ -432,28 +430,33 @@ def _emit_json(value, newline: str, out: list):
                 _emit_json(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
+    elif kind is Syndrome:
+        inner = newline + "  "
+        slot = inner + "  "
+        sep = inner + "]," + inner + "[" + slot
+        pieces = _syndrome_pieces(value, sep, "," + slot, "," + slot)
+        if pieces:      # the first row opens the list, where the others close a row
+            pieces[0] = "[" + inner + "[" + slot + pieces[0][len(sep):]
+            pieces.append(inner + "]" + newline + "]")
+        out.append("".join(pieces) or "[]")
     else:
         out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
 
 
-def _int_rows(rows, newline: str):
-    """The rendering of rows that are all lists or tuples of one width, holding
-    only exact ints, or None for any other shape.
-
-    One row template of ``%r`` slots, indented for the rows' depth, renders
-    each row in one step, instead of one ``_emit_json`` call per row.
-    """
-    if type(rows[0]) not in (list, tuple):     # most lists are not tables
-        return None
-    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
-        return None
-    # exact ints only: %r would write True, 1.5 or an IntEnum's repr
-    if set(map(type, chain.from_iterable(rows))) != {int}:     # refuses empty rows too
-        return None
-    inner = newline + "  "
-    slot = inner + "  "
-    row = "[" + slot + ("," + slot).join(["%r"] * len(rows[0])) + inner + "]"
-    return "[" + inner + ("," + inner).join([row % tuple(r) for r in rows]) + newline + "]"
+def _syndrome_pieces(sig: Syndrome, sep: str, mid: str, last: str, words=None) -> list:
+    """Three text pieces per test, in canonical test order: ``sep`` and the
+    tester, ``mid``, the testee and ``last``, then the outcome digit or its
+    entry in ``words``.  Each vertex's pieces are made once, and each column
+    fills its slots in one step, so no row is a tuple or formatted alone."""
+    testers, testees, digits = sig._columns()
+    names = list(map(str, range(sig.graph.vertex_count)))
+    heads = [sep + name for name in names]
+    tails = [mid + name + last for name in names]
+    pieces = [None] * (3 * len(digits))
+    pieces[::3] = map(heads.__getitem__, testers)
+    pieces[1::3] = map(tails.__getitem__, testees)
+    pieces[2::3] = digits if words is None else map(words.__getitem__, digits)
+    return pieces
 
 
 def _csv_text(header, rows) -> str:
@@ -479,7 +482,8 @@ def _render_csv(report: dict) -> str:
             [[result["name"], result["vertices"], result["edges"],
               result["min_degree"], result["girth"]]])
     if command == "inject":
-        return _csv_text(["tester", "testee", "outcome"], result["syndrome"])
+        rows = _syndrome_pieces(result["syndrome"], "\n", ",", ",")
+        return "tester,testee,outcome" + "".join(rows) + "\n"
     if command == "diagnose":
         rows = [[result["status"], result["total_candidates"], result["recovered"],
                  _pair_cell(c)] for c in result["candidates"]]
@@ -518,10 +522,9 @@ def _render_table(report: dict, extras: dict) -> str:
             ("girth", "infinite" if gv is None else gv),
         ])
     if command == "inject":
-        lines = [f"pair      {_pair_cell(result['pair'])}", "syndrome"]
-        lines += [f"  {t} -> {v}: {'fail' if r else 'pass'}"
-                  for t, v, r in result["syndrome"]]
-        return "\n".join(lines) + "\n"
+        rows = _syndrome_pieces(result["syndrome"], "\n  ", " -> ", ": ",
+                                {"0": "pass", "1": "fail"})
+        return f"pair      {_pair_cell(result['pair'])}\nsyndrome" + "".join(rows) + "\n"
     if command == "diagnose":
         pairs = [
             ("status", result["status"]),

@@ -15,11 +15,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from . import _masks
 from .errors import ConsistencyError, GraphMismatchError, InputError
-from .graph import Graph, _check_bound, edge
+from .graph import Graph, _check_bound, _check_int, edge
 
 
 class TestOutcome(IntEnum):
@@ -172,10 +173,10 @@ class Syndrome:
 
     ``fail_mask`` has bit i set when test i of ``enumerate_tests`` fails.
     ``Syndrome(graph, results)`` takes one 0 (pass) or 1 (fail) per test in
-    that order.  ``results`` is derived from the mask on first use and
-    cached, and ``to_triples`` reads it, so both hold ints whatever the
-    constructor was given.  Two syndromes are equal when they belong to the
-    same graph and fail the same tests.
+    that order.  ``results`` (cached) and ``to_triples`` are read from the
+    mask by ``_columns`` and hold ints whatever the constructor was given.
+    Two syndromes are equal when they belong to the same graph and fail the
+    same tests.
     """
 
     graph: Graph
@@ -201,23 +202,28 @@ class Syndrome:
     @cached_property
     def results(self) -> tuple[int, ...]:
         """One 0 (pass) or 1 (fail) per test, in canonical test order."""
-        width = 2 * len(self.graph.edges)
+        return tuple(self._columns()[2].encode().translate(_DIGITS_TO_RESULTS))
+
+    def _columns(self) -> tuple[list[int], list[int], str]:
+        """Tester ids, testee ids and outcome digits ("0" pass, "1" fail), in
+        canonical test order: the one row source of every view of the rows.
+
+        Test 2k is u -> v and test 2k+1 is v -> u for the edge k = (u, v).
+        """
+        testers = list(chain.from_iterable(self.graph.edges))
+        testees = testers[:]
+        testees[::2], testees[1::2] = testers[1::2], testers[::2]
+        width = len(testers)
         # format() writes one digit for 0 even at width 0, hence the slice
-        digits = format(self.fail_mask, f"0{width}b")[::-1][:width]
-        return tuple(digits.encode().translate(_DIGITS_TO_RESULTS))
+        return testers, testees, format(self.fail_mask, f"0{width}b")[::-1][:width]
 
     def outcome(self, tester: int, testee: int) -> TestOutcome:
         return TestOutcome((self.fail_mask >> _test_index(self.graph, tester, testee)) & 1)
 
     def to_triples(self) -> list[tuple[int, int, int]]:
         """(tester, testee, outcome) rows in canonical test order."""
-        rows = []
-        append = rows.append
-        it = iter(self.results)     # edge k owns results 2k and 2k+1
-        for (u, v), forward, backward in zip(self.graph.edges, it, it):
-            append((u, v, forward))
-            append((v, u, backward))
-        return rows
+        testers, testees, digits = self._columns()
+        return list(zip(testers, testees, digits.encode().translate(_DIGITS_TO_RESULTS)))
 
     def __len__(self):
         return 2 * len(self.graph.edges)
@@ -229,9 +235,13 @@ class Syndrome:
 
 def syndrome_from_triples(g: Graph, triples) -> Syndrome:
     """The syndrome of (tester, testee, outcome) rows; outcomes are 0 or 1 as given."""
+    try:
+        rows = iter(triples)
+    except TypeError:
+        raise InputError(f"syndrome rows must be iterable, not {triples!r}") from None
     unset = object()
     results: list = [unset] * (2 * len(g.edges))
-    for row in triples:
+    for row in rows:
         try:
             tester, testee, outcome = row
         except (TypeError, ValueError):
@@ -265,12 +275,15 @@ def generate_syndrome(fp: FaultPair, strategy: str = "all-pass", *,
     are assigned by ``strategy``: "all-pass", "all-fail", "random" (requires
     ``seed``; same seed, same syndrome), or "explicit" (``assignments`` maps
     every (tester, testee) with a faulty tester to a value equal to 0 or 1,
-    as ``Syndrome`` reads results; any other value raises InputError).
+    as ``Syndrome`` reads results; any other value raises InputError).  A
+    seed that is given must be an int, not a bool.
     """
     if strategy not in ADVERSARY_STRATEGIES:
         raise InputError(f"unknown adversary strategy {strategy!r}")
     if strategy == "random" and seed is None:
         raise InputError("random adversary requires an explicit seed")
+    if seed is not None:
+        _check_int("adversary seed", seed)
     if strategy == "explicit" and assignments is None:
         raise InputError("explicit adversary requires assignments")
     g = fp.graph

@@ -370,6 +370,8 @@ def parse_edge_list(text: str, name: str = "edge-list") -> Graph:
     Lines starting with '#' and blank lines are ignored.  Errors carry the
     1-based line number of the offending line.
     """
+    if not isinstance(text, str):
+        raise InputError(f"edge list text must be a str, not {text!r}")
     header = None
     edges = []
     expected = None

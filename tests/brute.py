@@ -10,11 +10,16 @@ library's bit encodings of the graph instead (edge and test indices from
 ``graph.edges``, neighbor bits from ``_masks.layout_of``); the definitional
 checks here cover those encodings.  ``forced_masks`` and
 ``reference_syndrome_mask`` are the shift-or references for the library's
-one-step test-mask builders.
+one-step test-mask builders.  ``reference_inject_render`` writes an inject
+report row by row from ``Syndrome.to_triples``, as the CLI's renderers did
+before they read the syndrome's columns.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import random
 import time
 from itertools import combinations, product
@@ -373,6 +378,32 @@ def pmc_brute_diagnosability(g) -> int:
             return t
         t += 1
     return t
+
+
+# ---------------------------------------------------------------------------
+# reference rendering of an inject report
+# ---------------------------------------------------------------------------
+
+def reference_inject_render(report: dict, fmt: str) -> str:
+    """The text the CLI writes for an ``inject`` report, as it was written
+    from the ``to_triples`` rows: the stdlib's JSON with the rows as lists,
+    ``csv.writer`` rows, or one formatted table line per row."""
+    result = report["result"]
+    rows = result["syndrome"].to_triples()
+    if fmt == "json":
+        plain = {**report, "result": {**result, "syndrome": rows}}
+        return json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["tester", "testee", "outcome"])
+        writer.writerows(rows)
+        return buffer.getvalue()
+    fs = ",".join(map(str, result["pair"]["F"]))
+    ss = ",".join(f"{u}-{v}" for u, v in result["pair"]["S"])
+    lines = [f"pair      F={{{fs}}} S={{{ss}}}", "syndrome"]
+    lines += [f"  {t} -> {v}: {'fail' if r else 'pass'}" for t, v, r in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ from hypothesis import given, strategies as st
 import gpmcdiag as gd
 from gpmcdiag import cli, faults
 from gpmcdiag.cli import _render_json, main
+from gpmcdiag.faults import _syndrome_from_mask
+
+import brute
 
 SCHEMA_KEYS = {"command", "config", "result", "stats", "version"}
 
@@ -320,6 +323,9 @@ GOLDEN_CONFIGS = {
     "inject-q3.json": ["inject", "--topology", "hypercube", "--n", "3",
                        "--faulty-vertices", "0,5", "--faulty-edges", "2-6",
                        "--adversary", "random", "--seed", "3", "--format", "json"],
+    "inject-q3.txt": ["inject", "--topology", "hypercube", "--n", "3",
+                      "--faulty-vertices", "0,5", "--faulty-edges", "2-6",
+                      "--adversary", "random", "--seed", "3", "--format", "table"],
     "topology-q4.json": ["topology", "--topology", "hypercube", "--n", "4", "--format", "json"],
 }
 
@@ -385,11 +391,64 @@ def test_render_int_rows_matches_stdlib_bytes(value):
     assert _render_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+FORMATS = ("json", "csv", "table")
+
+#: the ``inject-large`` command line of the benchmark under ``perfbench/``,
+#: at its default seed 1
+INJECT_Q12_ARGV = ["inject", "--topology", "hypercube", "--n", "12",
+                   "--faulty-vertices", "516,965,2089",
+                   "--faulty-edges", "391-2439,964-980,1859-1867,2240-3264,2354-2418,"
+                                     "2438-2470,3386-3387",
+                   "--adversary", "random", "--seed", "3098990846"]
+
+
+def _inject_report(argv):
+    report, extras, code = cli.cmd_inject(cli.build_parser().parse_args(argv))
+    assert code == 0
+    return report, extras
+
+
+@given(st.integers(1, 12), st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(0, 99),
+       st.data())
+def test_inject_renders_match_the_row_by_row_reference(n, p, seed, data):
+    # random graphs, edgeless ones included, with an arbitrary syndrome and
+    # a random fault pair: every format keeps the bytes of the per-row render
+    nv = data.draw(st.integers(0, n))
+    report, extras = _inject_report([
+        "inject", "--topology", "random", "--n", str(n), "--p", str(p),
+        "--topology-seed", str(seed), "--random-faults", f"{nv},0", "--seed", str(seed)])
+    g = report["result"]["syndrome"].graph
+    mask = data.draw(st.integers(0, (1 << (2 * len(g.edges))) - 1))
+    sig = report["result"]["syndrome"] = _syndrome_from_mask(g, mask)
+    assert sig.to_triples() == [(t.tester, t.testee, (mask >> i) & 1)
+                                for i, t in enumerate(gd.enumerate_tests(g))]
+    for fmt in FORMATS:
+        assert cli.render(report, fmt, extras) == brute.reference_inject_render(report, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", [["inject", "--topology", "path", "--n", "1"], INJECT_Q12_ARGV],
+                         ids=["path-1", "benchmark-q12"])
+def test_inject_output_matches_the_row_by_row_reference(capsys, argv, fmt):
+    report, extras = _inject_report(argv)
+    expected = brute.reference_inject_render(report, fmt)
+    assert main(argv + ["--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
+    if argv[2] == "path":   # no edges, so no tests: an empty list and a bare header
+        assert {"json": '"syndrome": []' in expected,
+                "csv": expected == "tester,testee,outcome\n",
+                "table": expected == "pair      F={} S={}\nsyndrome\n"}[fmt]
+
+
 def test_inject_json_builds_no_test_objects(monkeypatch, capsys):
     # the syndrome rows come from the edge list and the fail mask alone, and
-    # render in one step, not one _emit_json call per row
+    # render in one step, not one _emit_json call per row or one to_triples row
     def refuse(g):
         raise AssertionError("inject enumerated Test objects")
+
+    def refuse_rows(sig):
+        raise AssertionError("inject built the to_triples rows")
 
     emit = cli._emit_json
     calls = 0
@@ -399,16 +458,21 @@ def test_inject_json_builds_no_test_objects(monkeypatch, capsys):
         calls += 1
         return emit(*args)
 
+    argv = ["inject", "--topology", "hypercube", "--n", "10",
+            "--faulty-vertices", "3,700", "--faulty-edges", "0-1",
+            "--adversary", "random", "--seed", "2", "--format"]
     monkeypatch.setattr(faults, "enumerate_tests", refuse)
+    monkeypatch.setattr(faults.Syndrome, "to_triples", refuse_rows)
     monkeypatch.setattr(cli, "_emit_json", counted)
-    assert main(["inject", "--topology", "hypercube", "--n", "10",
-                 "--faulty-vertices", "3,700", "--faulty-edges", "0-1",
-                 "--adversary", "random", "--seed", "2", "--format", "json"]) == 0
+    assert main(argv + ["json"]) == 0
     out = capsys.readouterr().out
     report = json.loads(out)
     assert len(report["result"]["syndrome"]) == 2 * 5120
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert calls < 100
+    for fmt, header_lines in (("csv", 1), ("table", 2)):
+        assert main(argv + [fmt]) == 0
+        assert capsys.readouterr().out.count("\n") == header_lines + 2 * 5120
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -60,14 +60,15 @@ class TestMakeFaultPair:
     lambda q2: gd.fault_pair_from_record(q2, {"F": [0], "S": [3]}),
     lambda q2: gd.syndrome_from_triples(q2, [(0, 1)]),
     lambda q2: gd.syndrome_from_triples(q2, [5]),
+    lambda q2: gd.syndrome_from_triples(q2, 5),
     lambda q2: gd.Graph(2, [(0, 1)], labels=5),
     lambda q2: gd.Syndrome(q2, 5),
     lambda q2: gd.forced_outcome((0, 1), gd.make_fault_pair(q2, [0], [])),
     lambda q2: gd.forced_outcome((0, 1, 5), gd.make_fault_pair(q2, [0], [])),
 ], ids=["graph-triple", "graph-int", "check-edge-short", "check-edge-int",
         "pair-short-edge", "pair-int-vertices", "record-int-F", "record-int-edge",
-        "syndrome-short-row", "syndrome-int-row", "graph-int-labels", "syndrome-int-results",
-        "forced-outcome-pair", "forced-outcome-int-edge"])
+        "syndrome-short-row", "syndrome-int-row", "syndrome-int-rows", "graph-int-labels",
+        "syndrome-int-results", "forced-outcome-pair", "forced-outcome-int-edge"])
 def test_malformed_entry_raises_input_error(q2, build):
     # an edge, a syndrome row or a vertex collection of the wrong shape is
     # refused with the documented error, not a bare ValueError or TypeError
@@ -237,6 +238,14 @@ class TestGenerateSyndrome:
         fp = gd.make_fault_pair(q3, {0}, set())
         with pytest.raises(InputError):
             gd.generate_syndrome(fp, "random")
+
+    @pytest.mark.parametrize("seed", [[1], object(), True, 1.5, "ab", b"x"],
+                             ids=["list", "object", "bool", "float", "str", "bytes"])
+    def test_seed_not_an_int_rejected(self, q3, seed):
+        # random.Random would raise a bare TypeError or silently hash the value
+        fp = gd.make_fault_pair(q3, {0}, set())
+        with pytest.raises(InputError, match="adversary seed must be an int"):
+            gd.generate_syndrome(fp, "random", seed=seed)
 
     def test_explicit_assignments(self, q2):
         fp = gd.make_fault_pair(q2, {0}, set())

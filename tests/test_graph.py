@@ -448,6 +448,10 @@ class TestEdgeListFormat:
         with pytest.raises(InputError, match="line 1"):
             gd.parse_edge_list("# only comments\n")
 
+    def test_text_not_a_str_rejected(self):
+        with pytest.raises(InputError, match="must be a str"):
+            gd.parse_edge_list(5)
+
 
 class TestDotExport:
     def test_labels_present(self, q2):
