@@ -38,14 +38,10 @@ from .engine import (
 from .errors import ConsistencyError, GraphMismatchError, InputError
 from .faults import (
     FaultPair,
-    ForcedOutcome,
     Syndrome,
-    Test,
     TestOutcome,
     enumerate_consistent_pairs,
-    enumerate_tests,
     fault_pair_from_record,
-    forced_outcome,
     generate_syndrome,
     is_consistent,
     make_fault_pair,
@@ -59,12 +55,10 @@ from .graph import (
     build_named_topology,
     build_path,
     build_random,
-    common_neighbors,
     degree,
     edge,
     format_edge_list,
     girth,
-    hypercube_neighbor,
     incident_edges,
     min_degree,
     neighbors,
@@ -79,12 +73,10 @@ __all__ = [
     "DiagnosisResult",
     "DiagnosisStatus",
     "FaultPair",
-    "ForcedOutcome",
     "Graph",
     "GraphMismatchError",
     "InputError",
     "Syndrome",
-    "Test",
     "TestOutcome",
     "TsResult",
     "Verdict",
@@ -97,7 +89,6 @@ __all__ = [
     "build_named_topology",
     "build_path",
     "build_random",
-    "common_neighbors",
     "construct_edge_witness",
     "construct_indistinguishable_witness",
     "degree",
@@ -107,13 +98,10 @@ __all__ = [
     "edge",
     "edge_restricted_diagnosability",
     "enumerate_consistent_pairs",
-    "enumerate_tests",
     "fault_pair_from_record",
-    "forced_outcome",
     "format_edge_list",
     "generate_syndrome",
     "girth",
-    "hypercube_neighbor",
     "incident_edges",
     "is_consistent",
     "is_ts_diagnosable",

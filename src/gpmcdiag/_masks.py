@@ -5,8 +5,8 @@ Encodings, for a graph with n vertices and m edges:
 - a vertex set is an int with bit u set for vertex u;
 - an edge set is an int with bit k set for the k-th edge of ``graph.edges``;
 - a test set is an int over 2m bits: edge k = (a, b), a < b, owns bit 2k for
-  the test a -> b and bit 2k+1 for the test b -> a (the canonical test order,
-  see ``faults.enumerate_tests``).  Both tests of edge k are ``3 << 2k``.
+  the test a -> b and bit 2k+1 for the test b -> a (the canonical test order
+  of ``faults.Syndrome``).  Both tests of edge k are ``3 << 2k``.
 
 The code here reads the graph's own edge list (``graph.edges``) and
 adjacency (per vertex u, ``graph._nbrs[u]``, its neighbor ids ascending, and

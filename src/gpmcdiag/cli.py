@@ -11,8 +11,10 @@ command lines still parse: every search runs in one process.
 Exit codes: 0 success (all checks passed), 1 verification mismatch,
 2 invalid input.
 
-The ``inject`` report holds the ``Syndrome`` itself, and JSON, CSV and the
-table write its rows straight from its columns (``_syndrome_pieces``).
+JSON is the stdlib's ``json.dumps(report, indent=2, sort_keys=True)``.  The
+``inject`` report holds the ``Syndrome`` itself, and JSON, CSV and the table
+write its rows straight from its columns (``_syndrome_pieces``); JSON splices
+them into the dump of the rest of the report.
 
 ``main()`` may be called repeatedly in one process, as scripts and test
 suites do: the argument parser is built on the first call and kept for the
@@ -381,66 +383,32 @@ COMMANDS = {
 # rendering
 # ---------------------------------------------------------------------------
 
-_json_str = json.encoder.encode_basestring_ascii    # the stdlib's ensure_ascii quoting
-
-
 def _render_json(report) -> str:
-    """The bytes of ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.
+    """``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.
 
-    The stdlib renders indented JSON in pure Python, one generator frame per
-    container; this walks the report once into a list of pieces.  Exact types
-    dispatch: dicts whose keys are all strs sort their keys, lists and tuples
-    render as lists, ints and strs render directly, and every other value
-    (bools, None, floats, subclasses, dicts with other keys) goes through
-    ``json.dumps`` with the same settings, re-indented to its depth.  A
-    ``Syndrome`` renders as its list of [tester, testee, outcome] rows, read
-    from its columns in one step (``_syndrome_pieces``).
+    An ``inject`` report holds a ``Syndrome``, which renders as its list of
+    [tester, testee, outcome] rows: the report is dumped with an empty list
+    in its place, and the rows, read from the syndrome's columns in one step
+    (``_syndrome_pieces``), are spliced in at that key by one join.
     """
-    out: list[str] = []
-    _emit_json(report, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _emit_json(value, newline: str, out: list):
-    """Append the rendering of value; ``newline`` is a line break plus its indent."""
-    kind = type(value)
-    if kind is str:
-        out.append(_json_str(value))
-    elif kind is int:
-        out.append(repr(value))
-    elif kind is dict and value and type(min(value)) is str:
-        # only strs order with a str, so all keys are strs (a mix raises
-        # TypeError, as in json.dumps); other keys take the stdlib path
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            out.append(sep + _json_str(key) + ": ")
-            _emit_json(value[key], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif (kind is list or kind is tuple) and value:
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            if type(item) is int:
-                out.append(sep + repr(item))
-            else:
-                out.append(sep)
-                _emit_json(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif kind is Syndrome:
-        inner = newline + "  "
-        slot = inner + "  "
-        sep = inner + "]," + inner + "[" + slot
-        pieces = _syndrome_pieces(value, sep, "," + slot, "," + slot)
-        if pieces:      # the first row opens the list, where the others close a row
-            pieces[0] = "[" + inner + "[" + slot + pieces[0][len(sep):]
-            pieces.append(inner + "]" + newline + "]")
-        out.append("".join(pieces) or "[]")
-    else:
-        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
+    sig = report["result"].get("syndrome") if report["command"] == "inject" else None
+    if type(sig) is not Syndrome:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps({**report, "result": {**report["result"], "syndrome": []}},
+                      indent=2, sort_keys=True) + "\n"
+    # JSON escapes every '"' inside a string, so only the key itself matches
+    head, _, tail = text.partition('"syndrome": []')
+    newline = head[head.rindex("\n"):]
+    inner = newline + "  "
+    slot = inner + "  "
+    sep = inner + "]," + inner + "[" + slot
+    pieces = _syndrome_pieces(sig, sep, "," + slot, "," + slot)
+    if not pieces:
+        return text
+    # the first row opens the list, where the others close a row
+    pieces[0] = head + '"syndrome": [' + inner + "[" + slot + pieces[0][len(sep):]
+    pieces.append(inner + "]" + newline + "]" + tail)
+    return "".join(pieces)
 
 
 def _syndrome_pieces(sig: Syndrome, sep: str, mid: str, last: str, words=None) -> list:

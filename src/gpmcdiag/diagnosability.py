@@ -98,7 +98,7 @@ def construct_indistinguishable_witness(g: Graph, u: int, h: int) -> tuple[Fault
     """
     g.check_vertex(u)
     nbrs = sorted(neighbors(g, u))
-    if not 0 <= h <= len(nbrs):
+    if _check_bound("edge budget h", h) > len(nbrs):
         raise InputError(f"edge budget h={h} outside 0..deg({u})={len(nbrs)}")
     first, rest = nbrs[:h], nbrs[h:]
     p1 = make_fault_pair(g, {u, *rest}, set())

@@ -13,10 +13,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import IntEnum
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
 
 from . import _masks
 from .errors import ConsistencyError, GraphMismatchError, InputError
@@ -26,20 +25,6 @@ from .graph import Graph, _check_bound, _check_int, edge
 class TestOutcome(IntEnum):
     PASS = 0
     FAIL = 1
-
-
-class ForcedOutcome(Enum):
-    FORCED_PASS = "forced-pass"
-    FORCED_FAIL = "forced-fail"
-    ARBITRARY = "arbitrary"
-
-
-class Test(NamedTuple):
-    """Directed test: ``tester`` evaluates adjacent ``testee`` across ``edge``."""
-
-    tester: int
-    testee: int
-    edge: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -120,17 +105,8 @@ def _pair_from_masks(g: Graph, f_mask: int, s_mask: int) -> FaultPair:
 
 
 # ---------------------------------------------------------------------------
-# tests and forced outcomes
+# syndromes
 # ---------------------------------------------------------------------------
-
-def enumerate_tests(g: Graph) -> tuple[Test, ...]:
-    """Both directed tests of every edge, in canonical edge order."""
-    out = []
-    for (u, v) in g.edges:
-        out.append(Test(u, v, (u, v)))
-        out.append(Test(v, u, (u, v)))
-    return tuple(out)
-
 
 def _test_index(g: Graph, tester: int, testee: int) -> int:
     """Position of the test tester -> testee: 2k or 2k + 1 for the edge k joining them."""
@@ -141,27 +117,6 @@ def _test_index(g: Graph, tester: int, testee: int) -> int:
     return 2 * g._eids[tester][i] + (testee < tester)
 
 
-def forced_outcome(t: Test, fp: FaultPair) -> ForcedOutcome:
-    """What the model forces for one test under a fault pair."""
-    g = fp.graph
-    try:
-        tester, testee, (a, b) = t
-    except (TypeError, ValueError):
-        raise InputError(f"test {t!r} is not (tester, testee, edge)") from None
-    ce = g.edges[_test_index(g, tester, testee) >> 1]
-    if ce != (a, b) and ce != (b, a):
-        raise InputError(f"test edge {(a, b)} does not join {tester} and {testee}")
-    if tester in fp.faulty_vertices:
-        return ForcedOutcome.ARBITRARY
-    if testee in fp.faulty_vertices or ce in fp.faulty_edges:
-        return ForcedOutcome.FORCED_FAIL
-    return ForcedOutcome.FORCED_PASS
-
-
-# ---------------------------------------------------------------------------
-# syndromes
-# ---------------------------------------------------------------------------
-
 # results <-> binary digits, one byte per test, so conversions stay linear in m
 _DIGITS_TO_RESULTS = bytes.maketrans(b"01", b"\x00\x01")
 _RESULTS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -171,10 +126,12 @@ _RESULTS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 class Syndrome:
     """A complete test-result assignment, held as the mask of failing tests.
 
-    ``fail_mask`` has bit i set when test i of ``enumerate_tests`` fails.
-    ``Syndrome(graph, results)`` takes one 0 (pass) or 1 (fail) per test in
-    that order.  ``results`` (cached) and ``to_triples`` are read from the
-    mask by ``_columns`` and hold ints whatever the constructor was given.
+    Tests come in canonical order: test 2k is u -> v and test 2k+1 is v -> u
+    for the edge k = (u, v) of ``graph.edges``.  ``fail_mask`` has bit i set
+    when test i fails.  ``Syndrome(graph, results)`` takes one 0 (pass) or
+    1 (fail) per test in that order.  ``results`` (cached) and
+    ``to_triples`` are read from the mask by ``_columns`` and hold ints
+    whatever the constructor was given.
     Two syndromes are equal when they belong to the same graph and fail the
     same tests.
     """
@@ -206,10 +163,7 @@ class Syndrome:
 
     def _columns(self) -> tuple[list[int], list[int], str]:
         """Tester ids, testee ids and outcome digits ("0" pass, "1" fail), in
-        canonical test order: the one row source of every view of the rows.
-
-        Test 2k is u -> v and test 2k+1 is v -> u for the edge k = (u, v).
-        """
+        canonical test order: the one row source of every view of the rows."""
         testers = list(chain.from_iterable(self.graph.edges))
         testees = testers[:]
         testees[::2], testees[1::2] = testers[1::2], testers[::2]

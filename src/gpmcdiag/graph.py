@@ -217,13 +217,6 @@ def min_degree(g: Graph) -> int:
     return min(map(len, g._nbrs))
 
 
-def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
-    """Vertices adjacent to both u and v; u and v must be distinct."""
-    if u == v:
-        raise InputError("common_neighbors requires two distinct vertices")
-    return neighbors(g, u) & neighbors(g, v)
-
-
 def girth(g: Graph):
     """Length of a shortest cycle, or math.inf for forests.
 
@@ -266,9 +259,8 @@ def build_hypercube(n: int) -> Graph:
     """The n-dimensional hypercube: 2^n vertices, adjacency = one flipped bit.
 
     Vertex i carries the label format(i, "0nb").  Label positions are counted
-    from 1 starting at the leftmost character, so flipping position d of the
-    label toggles integer bit (n - d).  This is the one place that fixes the
-    label/bit mapping; hypercube_neighbor follows it.
+    from 1 starting at the leftmost character, so the neighbor across
+    dimension d, whose label differs in position d, is i ^ (1 << (n - d)).
     """
     if not 1 <= _check_int("hypercube dimension", n) <= HYPERCUBE_DIMENSION_CAP:
         raise InputError(f"hypercube dimension must be in 1..{HYPERCUBE_DIMENSION_CAP}")
@@ -276,17 +268,6 @@ def build_hypercube(n: int) -> Graph:
     edges = [(v, v ^ (1 << b)) for v in range(size) for b in range(n) if v < v ^ (1 << b)]
     labels = [format(v, f"0{n}b") for v in range(size)]
     return _transitive(Graph(size, edges, labels=labels, name=f"hypercube-{n}"))
-
-
-def hypercube_neighbor(label: str, dim: int) -> str:
-    """Label of the neighbor across dimension ``dim`` (1-based, from the left)."""
-    if not label or any(c not in "01" for c in label):
-        raise InputError(f"{label!r} is not a binary string")
-    if not 1 <= dim <= len(label):
-        raise InputError(f"dimension {dim} out of range 1..{len(label)}")
-    i = dim - 1
-    flipped = "1" if label[i] == "0" else "0"
-    return label[:i] + flipped + label[i + 1:]
 
 
 def build_path(n: int) -> Graph:
@@ -326,14 +307,13 @@ def build_random(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges, name=f"random-{n}-p{p}-s{seed}")
 
 
-#: Per stock topology: its builder and the parameters it takes, in order,
-#: each with the conversion applied to the given value.
+#: Per stock topology: its builder and the keyword parameters it takes.
 _BUILDERS = {
-    "hypercube": (build_hypercube, {"n": int}),
-    "path": (build_path, {"n": int}),
-    "cycle": (build_cycle, {"n": int}),
-    "complete": (build_complete, {"n": int}),
-    "random": (build_random, {"n": int, "p": float, "seed": int}),
+    "hypercube": (build_hypercube, ("n",)),
+    "path": (build_path, ("n",)),
+    "cycle": (build_cycle, ("n",)),
+    "complete": (build_complete, ("n",)),
+    "random": (build_random, ("n", "p", "seed")),
 }
 
 
@@ -341,7 +321,8 @@ def build_named_topology(name: str, **params) -> Graph:
     """Build one of the stock topologies: hypercube, path, cycle, complete, random.
 
     Every parameter the topology takes is required, and a parameter it does
-    not take is refused rather than ignored.
+    not take is refused rather than ignored.  Values go to the builder as
+    given, so it refuses a value of the wrong type rather than converting it.
     """
     try:
         builder, takes = _BUILDERS[name]
@@ -352,12 +333,10 @@ def build_named_topology(name: str, **params) -> Graph:
         if key not in takes:
             raise InputError(
                 f"topology {name!r} does not take parameter {key!r} (takes: {', '.join(takes)})")
-    args = []
-    for key, convert in takes.items():
+    for key in takes:
         if params.get(key) is None:
             raise InputError(f"topology parameter {key!r} is required")
-        args.append(convert(params[key]))
-    return builder(*args)
+    return builder(**params)
 
 
 # ---------------------------------------------------------------------------

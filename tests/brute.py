@@ -8,9 +8,10 @@ enumerator ``all_consistent_pairs`` and three oracles,
 ``reference_search_seed`` (for the diagnosability search), work over the
 library's bit encodings of the graph instead (edge and test indices from
 ``graph.edges``, neighbor bits from ``_masks.layout_of``); the definitional
-checks here cover those encodings.  ``forced_masks`` and
-``reference_syndrome_mask`` are the shift-or references for the library's
-one-step test-mask builders.  ``reference_inject_render`` writes an inject
+checks here cover those encodings.  ``directed_tests`` lists the tests in
+canonical order and ``forced_value`` applies the model's rule to one of
+them.  ``forced_masks`` and ``reference_syndrome_mask`` are the shift-or
+references for the library's one-step test-mask builders.  ``reference_inject_render`` writes an inject
 report row by row from ``Syndrome.to_triples``, as the CLI's renderers did
 before they read the syndrome's columns.
 """
@@ -32,17 +33,24 @@ from gpmcdiag.diagnosability import _blocking_edges, _cover_subset
 from gpmcdiag.faults import _pair_from_masks
 
 
-def forced_value(test: gd.Test, fset: frozenset, sset: frozenset):
+def directed_tests(g) -> list:
+    """(tester, testee, edge) of both tests of every edge, in canonical test
+    order: test 2k is u -> v and test 2k+1 is v -> u for the edge k = (u, v)."""
+    return [test for e in g.edges for test in ((e[0], e[1], e), (e[1], e[0], e))]
+
+
+def forced_value(test, fset: frozenset, sset: frozenset):
     """0, 1, or None (unconstrained) straight from the model's assumptions."""
-    if test.tester in fset:
+    tester, testee, e = test
+    if tester in fset:
         return None
-    if test.testee in fset or test.edge in sset:
+    if testee in fset or e in sset:
         return 1
     return 0
 
 
 def syndrome_fits(g, sig, fset, sset) -> bool:
-    for test, result in zip(gd.enumerate_tests(g), sig.results):
+    for test, result in zip(directed_tests(g), sig.results):
         forced = forced_value(test, fset, sset)
         if forced is not None and forced != result:
             return False
@@ -304,13 +312,13 @@ def shared_syndrome(g, p1, p2) -> gd.Syndrome:
     """
     results = [int(forced_value(tst, p1.faulty_vertices, p1.faulty_edges) == 1
                    or forced_value(tst, p2.faulty_vertices, p2.faulty_edges) == 1)
-               for tst in gd.enumerate_tests(g)]
+               for tst in directed_tests(g)]
     return gd.Syndrome(g, results)
 
 
 def sigma_set(g, fset, sset) -> frozenset:
     """All syndromes (result tuples) the circumstance can produce."""
-    tests = gd.enumerate_tests(g)
+    tests = directed_tests(g)
     base = [forced_value(tst, fset, sset) for tst in tests]
     free = [i for i, v in enumerate(base) if v is None]
     out = set()
@@ -354,7 +362,7 @@ def reference_witness(g, p1, p2):
 def vertex_sets_indistinguishable(g, f1: frozenset, f2: frozenset) -> bool:
     """Vertex-fault-only comparison: no test may be forced to opposite values."""
     empty = frozenset()
-    for test in gd.enumerate_tests(g):
+    for test in directed_tests(g):
         a = forced_value(test, f1, empty)
         b = forced_value(test, f2, empty)
         if a is not None and b is not None and a != b:
@@ -418,7 +426,7 @@ def pair_mask_arrays(g, pairs):
     Built from the frozensets, not from the library's cached masks.
     """
     edges = g.edges
-    tests = gd.enumerate_tests(g)
+    tests = directed_tests(g)
     k = len(pairs)
     A = np.zeros(k, dtype=np.uint64)
     B = np.zeros(k, dtype=np.uint64)

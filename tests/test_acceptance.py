@@ -172,8 +172,8 @@ def test_criterion_7_diagnosis_roundtrip():
     failures = 0
     pairs = brute.all_consistent_pairs(g, 2, 1)
     for fp in pairs:
-        free_tests = sum(1 for t in gd.enumerate_tests(g)
-                         if t.tester in fp.faulty_vertices)
+        free_tests = sum(1 for tester, _, _ in brute.directed_tests(g)
+                         if tester in fp.faulty_vertices)
         assert free_tests <= 16
         if not gd.adversarial_roundtrip(g, fp, 2, 1):
             failures += 1
@@ -191,7 +191,7 @@ def test_criterion_8_hypercube_structure():
             bad.append(f"girth(Q_{n}) = {gd.girth(g)}")
         for u in range(g.vertex_count):
             for v in range(u + 1, g.vertex_count):
-                if len(gd.common_neighbors(g, u, v)) not in (0, 2):
+                if len(gd.neighbors(g, u) & gd.neighbors(g, v)) not in (0, 2):
                     bad.append(f"Q_{n}: vertices {u},{v}")
     ok = _verdict("criterion-8 hypercube structure", not bad, "; ".join(bad[:5]))
     assert ok

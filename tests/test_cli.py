@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import gpmcdiag as gd
 from gpmcdiag import cli, faults
-from gpmcdiag.cli import _render_json, main
+from gpmcdiag.cli import main
 from gpmcdiag.faults import _syndrome_from_mask
 
 import brute
@@ -355,40 +355,15 @@ _JSON_VALUES = st.recursive(
     max_leaves=24)
 
 
-@given(_JSON_VALUES)
-def test_render_json_matches_stdlib_bytes(value):
-    assert _render_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-
-@st.composite
-def _int_row_tables(draw):
-    """Equal-width int rows, as lists and tuples, or one spoiled variant of them."""
-    width = draw(st.integers(1, 4))
-    row = st.lists(st.integers(), min_size=width, max_size=width)
-    rows = draw(st.lists(row | row.map(tuple), min_size=1, max_size=5))
-    spoil = draw(st.sampled_from(["none", "cell", "ragged", "empty"]))
-    if spoil == "cell":     # a bool, an IntEnum member, a float or a list in a row
-        i = draw(st.integers(0, len(rows) - 1))
-        cells = list(rows[i])
-        cells[draw(st.integers(0, width - 1))] = draw(
-            st.booleans() | st.sampled_from(list(gd.TestOutcome)) | st.floats()
-            | st.lists(st.integers(), max_size=2))
-        rows[i] = draw(st.sampled_from([cells, tuple(cells)]))
-    elif spoil == "ragged":
-        rows.insert(draw(st.integers(0, len(rows))),
-                    draw(st.lists(st.integers(), max_size=5).filter(lambda r: len(r) != width)))
-    elif spoil == "empty":
-        rows = draw(st.lists(st.sampled_from([[], ()]), min_size=1, max_size=3))
-    table = draw(st.sampled_from([rows, tuple(rows)]))
-    # at a drawn depth, so the rows' indent varies
-    for _ in range(draw(st.integers(0, 2))):
-        table = draw(st.sampled_from([[table], {"rows": table}]))
-    return table
-
-
-@given(_int_row_tables())
-def test_render_int_rows_matches_stdlib_bytes(value):
-    assert _render_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+@given(st.sampled_from(sorted(cli.COMMANDS)), _JSON_VALUES, _JSON_VALUES, _JSON_VALUES,
+       st.dictionaries(st.text(), _JSON_VALUES, max_size=3), st.data())
+def test_render_json_matches_stdlib_bytes(command, config, stats, syndrome, rest, data):
+    # every report renders as the stdlib dumps it; a result["syndrome"] that
+    # is not a Syndrome, in an inject report or any other, is a plain value
+    result = data.draw(st.sampled_from([{**rest, "syndrome": syndrome}, rest])
+                       if command == "inject" else _JSON_VALUES)
+    report = cli._report(command, config, result, stats)
+    assert cli.render(report, "json", {}) == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 FORMATS = ("json", "csv", "table")
@@ -420,8 +395,8 @@ def test_inject_renders_match_the_row_by_row_reference(n, p, seed, data):
     g = report["result"]["syndrome"].graph
     mask = data.draw(st.integers(0, (1 << (2 * len(g.edges))) - 1))
     sig = report["result"]["syndrome"] = _syndrome_from_mask(g, mask)
-    assert sig.to_triples() == [(t.tester, t.testee, (mask >> i) & 1)
-                                for i, t in enumerate(gd.enumerate_tests(g))]
+    assert sig.to_triples() == [(tester, testee, (mask >> i) & 1)
+                                for i, (tester, testee, _) in enumerate(brute.directed_tests(g))]
     for fmt in FORMATS:
         assert cli.render(report, fmt, extras) == brute.reference_inject_render(report, fmt)
 
@@ -442,37 +417,48 @@ def test_inject_output_matches_the_row_by_row_reference(capsys, argv, fmt):
 
 
 def test_inject_json_builds_no_test_objects(monkeypatch, capsys):
-    # the syndrome rows come from the edge list and the fail mask alone, and
-    # render in one step, not one _emit_json call per row or one to_triples row
-    def refuse(g):
-        raise AssertionError("inject enumerated Test objects")
-
+    # the syndrome rows come from the edge list and the fail mask alone, in
+    # one _syndrome_pieces call per render, and never as to_triples rows
     def refuse_rows(sig):
         raise AssertionError("inject built the to_triples rows")
 
-    emit = cli._emit_json
+    pieces = cli._syndrome_pieces
     calls = 0
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return emit(*args)
+        return pieces(*args)
 
     argv = ["inject", "--topology", "hypercube", "--n", "10",
             "--faulty-vertices", "3,700", "--faulty-edges", "0-1",
             "--adversary", "random", "--seed", "2", "--format"]
-    monkeypatch.setattr(faults, "enumerate_tests", refuse)
     monkeypatch.setattr(faults.Syndrome, "to_triples", refuse_rows)
-    monkeypatch.setattr(cli, "_emit_json", counted)
+    monkeypatch.setattr(cli, "_syndrome_pieces", counted)
     assert main(argv + ["json"]) == 0
     out = capsys.readouterr().out
     report = json.loads(out)
     assert len(report["result"]["syndrome"]) == 2 * 5120
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert calls < 100
     for fmt, header_lines in (("csv", 1), ("table", 2)):
         assert main(argv + [fmt]) == 0
         assert capsys.readouterr().out.count("\n") == header_lines + 2 * 5120
+    assert calls == 3
+
+
+def test_inject_edge_list_path_holding_the_key(tmp_path, capsys):
+    # the path, a string in the config, holds the text the JSON splice looks
+    # for; JSON escapes its quotes, so only the result's key matches
+    path = tmp_path / 'x"syndrome": []y.txt'
+    path.write_text("3 2\n0 1\n1 2\n")
+    argv = ["inject", "--edge-list", str(path), "--faulty-vertices", "1"]
+    report, _ = _inject_report(argv)
+    assert main(argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == brute.reference_inject_render(report, "json")
+    parsed = json.loads(out)
+    assert parsed["config"]["topology"]["edge_list"] == str(path)
+    assert len(parsed["result"]["syndrome"]) == 4
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -329,8 +329,16 @@ class TestVertexSeededWitness:
                     assert not gd.distinguishable_oracle(g, p1, p2)
 
     def test_budget_beyond_degree_rejected(self, q3):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"edge budget h=4 outside 0..deg\(0\)=3"):
             gd.construct_indistinguishable_witness(q3, 0, 4)
+        with pytest.raises(InputError, match="edge budget h must be non-negative"):
+            gd.construct_indistinguishable_witness(q3, 0, -1)
+
+    @pytest.mark.parametrize("h", ["a", 1.0, True, None])
+    def test_budget_not_an_int_rejected(self, q3, h):
+        # refused by name, not a bare TypeError, and True is not taken for 1
+        with pytest.raises(InputError, match="edge budget h must be an int"):
+            gd.construct_indistinguishable_witness(q3, 0, h)
 
     def test_sizes_prove_the_bound(self, q4):
         for h in range(0, 5):

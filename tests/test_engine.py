@@ -4,7 +4,7 @@ import gpmcdiag as gd
 from gpmcdiag import DiagnosisStatus, GraphMismatchError, InputError, engine
 
 import brute
-from brute import brute_force_decode
+from brute import brute_force_decode, directed_tests, forced_value
 
 
 class TestDiagnose:
@@ -26,11 +26,10 @@ class TestDiagnose:
         p1, p2 = gd.construct_indistinguishable_witness(q3, 0, 1)
         # set p1's free results to p2's forced values: consistent with both
         assignments = {}
-        for t in gd.enumerate_tests(q3):
-            if t.tester in p1.faulty_vertices:
-                forced = gd.forced_outcome(t, p2)
-                assignments[(t.tester, t.testee)] = (
-                    1 if forced is gd.ForcedOutcome.FORCED_FAIL else 0)
+        for test in directed_tests(q3):
+            if test[0] in p1.faulty_vertices:
+                forced = forced_value(test, p2.faulty_vertices, p2.faulty_edges)
+                assignments[test[:2]] = int(forced == 1)
         sig = gd.generate_syndrome(p1, "explicit", assignments=assignments)
         assert gd.is_consistent(sig, p1) and gd.is_consistent(sig, p2)
         res = gd.diagnose(q3, sig, 3, 1)

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpmcdiag as gd
-from gpmcdiag import ConsistencyError, ForcedOutcome, GraphMismatchError, InputError, _masks
-from gpmcdiag.faults import ADVERSARY_STRATEGIES, _candidate_masks, _syndrome_from_mask
+from gpmcdiag import ConsistencyError, GraphMismatchError, InputError, _masks
+from gpmcdiag.faults import ADVERSARY_STRATEGIES, _candidate_masks, _syndrome_from_mask, _test_index
 
 import brute
-from brute import brute_force_decode, forced_value, reference_candidate_masks, sigma_set
+from brute import (brute_force_decode, directed_tests, forced_value, reference_candidate_masks,
+                   sigma_set)
 from gallery import full_gallery
 
 
@@ -63,12 +64,10 @@ class TestMakeFaultPair:
     lambda q2: gd.syndrome_from_triples(q2, 5),
     lambda q2: gd.Graph(2, [(0, 1)], labels=5),
     lambda q2: gd.Syndrome(q2, 5),
-    lambda q2: gd.forced_outcome((0, 1), gd.make_fault_pair(q2, [0], [])),
-    lambda q2: gd.forced_outcome((0, 1, 5), gd.make_fault_pair(q2, [0], [])),
 ], ids=["graph-triple", "graph-int", "check-edge-short", "check-edge-int",
         "pair-short-edge", "pair-int-vertices", "record-int-F", "record-int-edge",
         "syndrome-short-row", "syndrome-int-row", "syndrome-int-rows", "graph-int-labels",
-        "syndrome-int-results", "forced-outcome-pair", "forced-outcome-int-edge"])
+        "syndrome-int-results"])
 def test_malformed_entry_raises_input_error(q2, build):
     # an edge, a syndrome row or a vertex collection of the wrong shape is
     # refused with the documented error, not a bare ValueError or TypeError
@@ -77,55 +76,70 @@ def test_malformed_entry_raises_input_error(q2, build):
 
 
 class TestEnumerateTests:
+    # the oracle's test list and the library's test positions share one order
     def test_counts(self, q2, q3):
-        assert len(gd.enumerate_tests(q2)) == 8
-        assert len(gd.enumerate_tests(q3)) == 24
-        assert len(gd.enumerate_tests(gd.build_hypercube(1))) == 2
+        for g, count in ((q2, 8), (q3, 24), (gd.build_hypercube(1), 2)):
+            assert len(directed_tests(g)) == count == len(gd.generate_syndrome(
+                gd.make_fault_pair(g, set(), set())))
 
     def test_both_directions_of_every_edge(self, q2):
-        tests = gd.enumerate_tests(q2)
-        directed = {(t.tester, t.testee) for t in tests}
+        directed = {(tester, testee) for tester, testee, _ in directed_tests(q2)}
         for (u, v) in q2.edges:
             assert (u, v) in directed and (v, u) in directed
 
     def test_deterministic_order(self, q3):
-        assert gd.enumerate_tests(q3) == gd.enumerate_tests(q3)
+        sig = gd.generate_syndrome(gd.make_fault_pair(q3, {5}, set()), "random", seed=1)
+        tests = directed_tests(q3)
+        assert [(a, b) for a, b, _ in tests] == [(a, b) for a, b, _ in sig.to_triples()]
+        assert [_test_index(q3, a, b) for a, b, _ in tests] == list(range(len(tests)))
+
+
+def _forced(fp, tester, testee):
+    """The library's forced value of one test: 1, 0, or None (unconstrained)."""
+    ff, fpm = _masks.forced_masks(fp.graph, fp.f_mask, fp.s_mask)
+    i = _test_index(fp.graph, tester, testee)
+    return 1 if (ff >> i) & 1 else 0 if (fpm >> i) & 1 else None
 
 
 class TestForcedOutcome:
+    # each rule of the model, by the oracle's forced_value and by the
+    # library's forced masks
     def test_good_tester_faulty_testee(self, q3):
         fp = gd.make_fault_pair(q3, {1}, set())
-        t = gd.Test(0, 1, (0, 1))
-        assert gd.forced_outcome(t, fp) is ForcedOutcome.FORCED_FAIL
+        assert forced_value((0, 1, (0, 1)), fp.faulty_vertices, fp.faulty_edges) == 1
+        assert _forced(fp, 0, 1) == 1
 
     def test_fault_free_system_passes(self, q3):
         fp = gd.make_fault_pair(q3, set(), set())
-        for t in gd.enumerate_tests(q3):
-            assert gd.forced_outcome(t, fp) is ForcedOutcome.FORCED_PASS
+        for test in directed_tests(q3):
+            assert forced_value(test, fp.faulty_vertices, fp.faulty_edges) == 0
+            assert _forced(fp, *test[:2]) == 0
 
     def test_faulty_tester_is_arbitrary(self, q3):
         fp = gd.make_fault_pair(q3, {0}, set())
-        t = gd.Test(0, 1, (0, 1))
-        assert gd.forced_outcome(t, fp) is ForcedOutcome.ARBITRARY
+        assert forced_value((0, 1, (0, 1)), fp.faulty_vertices, fp.faulty_edges) is None
+        assert _forced(fp, 0, 1) is None
 
     def test_faulty_edge_forces_fail(self, q2):
         fp = gd.make_fault_pair(q2, set(), {(0, 1)})
-        assert gd.forced_outcome(gd.Test(0, 1, (0, 1)), fp) is ForcedOutcome.FORCED_FAIL
-        assert gd.forced_outcome(gd.Test(1, 0, (0, 1)), fp) is ForcedOutcome.FORCED_FAIL
+        for tester, testee in ((0, 1), (1, 0)):
+            assert forced_value((tester, testee, (0, 1)), set(), fp.faulty_edges) == 1
+            assert _forced(fp, tester, testee) == 1
 
     def test_arbitrary_iff_tester_faulty(self, q2):
         # exhaustive over every pair and test of the 2-cube
         for fp in brute.all_consistent_pairs(q2, 2, 2):
-            for t in gd.enumerate_tests(q2):
-                arb = gd.forced_outcome(t, fp) is ForcedOutcome.ARBITRARY
-                assert arb == (t.tester in fp.faulty_vertices)
+            for test in directed_tests(q2):
+                arb = forced_value(test, fp.faulty_vertices, fp.faulty_edges) is None
+                assert arb == (test[0] in fp.faulty_vertices)
+                assert (_forced(fp, *test[:2]) is None) == arb
 
 
     def test_forced_masks_match_model_bit_by_bit(self):
         # forced_masks derives test bits from the edge index alone (2k for the
         # smaller endpoint's test, 2k+1 for the larger's); check every bit
         for g in full_gallery():
-            tests = gd.enumerate_tests(g)
+            tests = directed_tests(g)
             for fp in brute.all_consistent_pairs(g, 3, 2):
                 ff, fpm = _masks.forced_masks(g, fp.f_mask, fp.s_mask)
                 assert ff & fpm == 0
@@ -174,7 +188,7 @@ def test_wide_adversary_masks_match_explicit_reference():
     g = gd.build_hypercube(8)
     assert 2 * len(g.edges) >= _masks.BUFFER_WIDTH
     fp = gd.make_fault_pair(g, {5}, {(0, 1), (2, 6)})
-    free = [(t.tester, t.testee) for t in gd.enumerate_tests(g) if t.tester == 5]
+    free = [(tester, testee) for tester, testee, _ in directed_tests(g) if tester == 5]
     count, masks = _masks.adversary_syndromes(g, fp.f_mask, fp.s_mask)
     assert count == len(free) == 8
     want = [brute.reference_syndrome_mask(
@@ -363,10 +377,9 @@ class TestSyndromeSerialization:
         # neighbor masks
         g = gd.build_hypercube(10)
         fp = gd.fault_pair_from_record(g, {"F": [3], "S": [[0, 1]]})
-        triples = [(t.tester, t.testee, 0) for t in gd.enumerate_tests(g)]
+        triples = [(tester, testee, 0) for tester, testee, _ in directed_tests(g)]
         sig = gd.syndrome_from_triples(g, triples)
         assert sig.outcome(1, 0) == gd.TestOutcome.PASS
-        assert gd.forced_outcome(gd.enumerate_tests(g)[0], fp) == ForcedOutcome.FORCED_FAIL
         assert fp == gd.make_fault_pair(g, {3}, {(1, 0)})
         generated = gd.generate_syndrome(fp, "random", seed=4)
         assert gd.is_consistent(generated, fp)
@@ -481,8 +494,8 @@ def test_syndrome_count_is_power_of_arbitrary_tests():
     # every consistent pair of some <=10-test graphs, against literal enumeration
     for g in [gd.build_hypercube(1), gd.build_path(3), gd.build_cycle(4)]:
         for fp in brute.all_consistent_pairs(g, g.vertex_count, len(g.edges)):
-            arb = sum(1 for t in gd.enumerate_tests(g)
-                      if t.tester in fp.faulty_vertices)
+            arb = sum(1 for tester, _, _ in directed_tests(g)
+                      if tester in fp.faulty_vertices)
             assert len(sigma_set(g, fp.faulty_vertices, fp.faulty_edges)) == 2 ** arb
 
 

@@ -13,6 +13,7 @@ from gpmcdiag import _masks
 from gpmcdiag.errors import InputError
 from gpmcdiag.faults import _test_index
 
+import brute
 from gallery import full_gallery
 
 
@@ -76,7 +77,7 @@ def test_edge_lookups_agree_with_edge_list(n, p, seed, data):
     # every lookup bisects a neighbor row; each must find the edge's position
     # in g.edges, and refuse a non-edge and a vertex paired with itself
     g = gd.build_random(n, p, seed)
-    tests = gd.enumerate_tests(g)
+    tests = brute.directed_tests(g)
     for u in range(n):
         for v in range(n):
             e = (min(u, v), max(u, v))
@@ -168,30 +169,25 @@ class TestHypercube:
             assert sum(diff) == 1
 
 
+def flip(label, d):
+    """The label with position d (1-based, from the left) flipped."""
+    return label[:d - 1] + "10"[int(label[d - 1])] + label[d:]
+
+
 class TestHypercubeNeighbor:
-    def test_first_position_is_leftmost(self):
-        assert gd.hypercube_neighbor("000", 1) == "100"
+    # label position d, counted from 1 at the left, is integer bit n - d
+    def test_first_position_is_leftmost(self, q3):
+        assert label_id(q3, "100") == 1 << 2
+        assert label_id(q3, "100") in gd.neighbors(q3, label_id(q3, "000"))
 
-    def test_last_position(self):
-        assert gd.hypercube_neighbor("0101", 4) == "0100"
-
-    @given(st.integers(1, 6), st.data())
-    def test_involution(self, n, data):
-        label = "".join(data.draw(st.sampled_from("01")) for _ in range(n))
-        i = data.draw(st.integers(1, n))
-        assert gd.hypercube_neighbor(gd.hypercube_neighbor(label, i), i) == label
-
-    def test_out_of_range(self):
-        with pytest.raises(InputError):
-            gd.hypercube_neighbor("010", 4)
-        with pytest.raises(InputError):
-            gd.hypercube_neighbor("0a0", 1)
+    def test_last_position(self, q4):
+        assert label_id(q4, "0100") == label_id(q4, "0101") ^ 1
+        assert label_id(q4, "0100") in gd.neighbors(q4, label_id(q4, "0101"))
 
     def test_matches_graph_adjacency(self, q3):
         for u in range(8):
-            for i in (1, 2, 3):
-                w = label_id(q3, gd.hypercube_neighbor(q3.labels[u], i))
-                assert w in gd.neighbors(q3, u)
+            flips = {label_id(q3, flip(q3.labels[u], d)) for d in (1, 2, 3)}
+            assert flips == gd.neighbors(q3, u) == {u ^ (1 << (3 - d)) for d in (1, 2, 3)}
 
 
 class TestGirth:
@@ -210,28 +206,28 @@ class TestGirth:
         assert gd.girth(gd.build_complete(4)) == 3
 
 
+def common(g, u, v):
+    return gd.neighbors(g, u) & gd.neighbors(g, v)
+
+
 class TestCommonNeighbors:
     def test_two_bits_apart(self, q3):
-        got = gd.common_neighbors(q3, label_id(q3, "000"), label_id(q3, "011"))
+        got = common(q3, label_id(q3, "000"), label_id(q3, "011"))
         assert {q3.labels[v] for v in got} == {"001", "010"}
 
     def test_three_bits_apart(self, q3):
-        assert gd.common_neighbors(q3, 0, 7) == frozenset()
+        assert common(q3, 0, 7) == frozenset()
 
     def test_adjacent_vertices_have_none(self, q3):
         for (u, v) in q3.edges:
-            assert gd.common_neighbors(q3, u, v) == frozenset()
-
-    def test_equal_vertices_rejected(self, q3):
-        with pytest.raises(InputError):
-            gd.common_neighbors(q3, 3, 3)
+            assert common(q3, u, v) == frozenset()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_zero_or_two_everywhere(self, n):
         g = gd.build_hypercube(n)
         for u in range(g.vertex_count):
             for v in range(u + 1, g.vertex_count):
-                assert len(gd.common_neighbors(g, u, v)) in (0, 2)
+                assert len(common(g, u, v)) in (0, 2)
 
 
 class TestNamedTopologies:
@@ -273,6 +269,23 @@ class TestNamedTopologies:
     def test_missing_parameter(self):
         with pytest.raises(InputError):
             gd.build_named_topology("random", n=6)
+
+    @pytest.mark.parametrize("name, params", [
+        ("hypercube", {"n": 3.7}),
+        ("hypercube", {"n": True}),
+        ("hypercube", {"n": "a"}),
+        ("hypercube", {"n": [3]}),
+        ("random", {"n": 4, "p": "x", "seed": 1}),
+    ], ids=["float-n", "bool-n", "str-n", "list-n", "str-p"])
+    def test_parameters_reach_the_builder_unconverted(self, name, params):
+        # the builder refuses a value of the wrong type; nothing truncates
+        # 3.7 to 3 or lets a bare ValueError or TypeError out
+        with pytest.raises(InputError, match="must be an int|must be a number"):
+            gd.build_named_topology(name, **params)
+
+    def test_int_probability_names_the_graph_as_the_builder_does(self):
+        g = gd.build_named_topology("random", n=4, p=1, seed=1)
+        assert g.name == gd.build_random(4, 1, 1).name == "random-4-p1-s1"
 
     @pytest.mark.parametrize("name, params", [
         ("hypercube", {"n": 3, "p": 0.5}),

@@ -13,3 +13,15 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_public_names_resolve_once():
+    # every exported name exists and is listed once; the per-test object
+    # model and the unused graph helpers stay out of the public API
+    names = gd.__all__
+    assert [name for name in names if not hasattr(gd, name)] == []
+    assert len(set(names)) == len(names)
+    removed = {"Test", "enumerate_tests", "ForcedOutcome", "forced_outcome",
+               "common_neighbors", "hypercube_neighbor"}
+    assert removed.isdisjoint(names)
+    assert not any(hasattr(gd, name) for name in removed)
