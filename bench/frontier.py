@@ -2,6 +2,7 @@
 
 The benchmark under ``perfbench/`` times passes of a few milliseconds; the
 instances here take seconds at the frontier of what the search can answer,
+or, for ``diagnose-q12``, decode syndromes of a graph with 4,096 vertices,
 or, for ``inject-q15``, hold the largest graph the library accepts.
 Each instance runs in its own child process for a fixed number of passes, so
 peak memory does not grow with speed.  A pass builds the graph and answers
@@ -72,6 +73,27 @@ def _relabelled_hypercube_t0(gd, n):
 def _roundtrip(gd, n, faulty, t):
     g = gd.build_hypercube(n)
     return gd.adversarial_roundtrip(g, gd.make_fault_pair(g, faulty, ()), t, 0)
+
+
+def _diagnose_random(gd, n, t, s, count):
+    # how many random-adversary syndromes of random in-bound pairs decode
+    # UNIQUE back to their pair; faulty edges are drawn by index and redrawn
+    # when they touch F, so no pass filters the whole edge list
+    g = gd.build_hypercube(n)
+    rng = random.Random(1)
+    unique = 0
+    for _ in range(count):
+        faulty = set(rng.sample(range(g.vertex_count), rng.randint(0, t)))
+        edges, size = set(), rng.randint(0, s)
+        while len(edges) < size:
+            a, b = g.edges[rng.randrange(len(g.edges))]
+            if a not in faulty and b not in faulty:
+                edges.add((a, b))
+        pair = gd.make_fault_pair(g, faulty, edges)
+        result = gd.diagnose(g, gd.generate_syndrome(pair, "random", seed=rng.getrandbits(32)),
+                             t, s)
+        unique += result.status is gd.DiagnosisStatus.UNIQUE and result.unique_pair == pair
+    return unique
 
 
 def _inject(gd, n):
@@ -155,8 +177,8 @@ def _digest(witness) -> str | None:
 
 #: name -> (what, function, full-size arguments, smoke-size arguments,
 #:          full-size pins, smoke-size pins).  A roundtrip, an injection and
-#: the CLI calls answer True or False, with no witness and no count of
-#: structures, so those pins are None.
+#: the CLI calls answer True or False and the diagnoses a count, with no
+#: witness and no count of structures, so those pins are None.
 INSTANCES = {
     "random16-t1": (
         "t_1 of build_random(16, 0.8, 1)", _random_dense, (16, 1), (10, 1),
@@ -181,6 +203,12 @@ INSTANCES = {
         _roundtrip, (4, (0, 3, 5, 6), 4), (3, (0, 3), 2),
         {"value": True, "witness": None, "structures_examined": None},
         {"value": True, "witness": None, "structures_examined": None}),
+    "diagnose-q12": (
+        "diagnose on Q_12 at (8, 3), 150 random-adversary syndromes of random in-bound "
+        "pairs (the value: how many decode UNIQUE back to their pair)", _diagnose_random,
+        (12, 8, 3, 150), (6, 3, 1, 30),
+        {"value": 150, "witness": None, "structures_examined": None},
+        {"value": 30, "witness": None, "structures_examined": None}),
     "inject-q15": (
         "Q_15: one pair, its random syndrome, is_consistent and both distinguishability "
         "routes (True: consistent, and the routes agree)", _inject, (15,), (8,),
@@ -215,7 +243,7 @@ def child(name: str, passes: int, smoke: bool, src: str):
         started = time.perf_counter()
         result = function(gd, *args)
         walls.append(time.perf_counter() - started)
-        if isinstance(result, bool):
+        if isinstance(result, int):
             answers.append({"value": result, "witness": None, "structures_examined": None})
         else:
             answers.append({"value": result.value, "witness": _digest(result.witness),

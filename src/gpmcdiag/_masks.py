@@ -152,17 +152,21 @@ def adversary_syndromes(g, f: int, s: int):
     A test is free when its tester is faulty.  The masks come lazily, in
     ascending order of assignment, so nothing is built before the first:
     bit i of an assignment fails the i-th free test, ascending, and every
-    other test gets its forced result.
+    other test gets its forced result.  Counting from assignment a to a + 1
+    flips bits 0..j, where j is the lowest set bit of a + 1, so each mask is
+    the one before it xor the precomputed run of free tests 0..j.
     """
     free, fail = _fault_tests(g, f, s)
 
     def masks():
-        ff = mask_of(fail, 2 * len(g.edges))
-        free_bits = [1 << pos for pos in sorted(free)]
-        for assignment in range(1 << len(free_bits)):
-            mask = ff
-            for i in bits(assignment):
-                mask |= free_bits[i]
+        mask = mask_of(fail, 2 * len(g.edges))
+        runs, run = [], 0
+        for pos in sorted(free):
+            run |= 1 << pos
+            runs.append(run)
+        yield mask
+        for assignment in range(1, 1 << len(runs)):
+            mask ^= runs[(assignment & -assignment).bit_length() - 1]
             yield mask
 
     return len(free), masks()

@@ -19,7 +19,7 @@ from itertools import chain
 
 from . import _masks
 from .errors import ConsistencyError, GraphMismatchError, InputError
-from .graph import Graph, _check_bound, _check_int, edge
+from .graph import Graph, _check_bound, _check_int, _min_degree, edge
 
 
 class TestOutcome(IntEnum):
@@ -293,7 +293,11 @@ def _candidate_masks(g: Graph, fail_mask: int, t: int, s: int):
     model, so no consistent pair is ever lost:
 
     - Suspects: a faulty v is failed by every good neighbour, so at most t-1
-      of its in-tests pass; any other vertex is good from the start.
+      of its in-tests pass; any other vertex is good from the start.  A
+      vertex is tested when one of its in-tests fails.  An untested vertex
+      has all deg(v) >= delta(G) in-tests passing, so when t <= delta(G)
+      only the tested vertices are scanned for suspects; when t > delta(G)
+      every vertex is.
     - Pass closure: a passing test u->v with v faulty needs u faulty, so a
       faulty v makes its passing testers faulty and a good u makes its passing
       testees good.
@@ -307,11 +311,34 @@ def _candidate_masks(g: Graph, fail_mask: int, t: int, s: int):
     A fully decided assignment that passes the rules is consistent: every
     test by a good tester then reads what the pair forces.  Each branch fixes
     one vertex either way, so every pair is reached exactly once.
+
+    The work follows the syndrome.  The setup reads only the failing tests,
+    and the root marks the set G of non-suspects good in one step, reading
+    only tested vertices and suspects:
+
+    - each tested w in G adds its far ends fail_in ^ fail_out to F and
+      charges its both-fail edges into G to S; each such edge is seen from
+      both ends, so the count is halved;
+    - a suspect u turns good when some w in G passes it, and faulty when
+      some w in G fails it while u passes w.
+
+    Settling G one vertex at a time gives, after its first round, the same
+    charge, the same new good vertices (the passing testees of G outside G
+    are the suspects some w in G passes) and, unless that round conflicts,
+    the same new faulty vertices.  Every far end added here is one a w in G
+    adds there, and the only far ends omitted are those of an untested w in
+    G: fail_out[w], the vertices x that w fails while x passes w (no test of
+    w fails).  A suspect x is made faulty by the last rule.  An x in G is
+    tested, and its own far ends hold w, which is in G: the one-step root
+    conflicts there, exactly where settling one by one made x faulty and
+    conflicted.  So both roots conflict together, and otherwise hand pass
+    closure and covering the same state.
     """
     n = g.vertex_count
     nbr = _masks.layout_of(g)
     fail_in = [0] * n       # per vertex: testers whose test of it fails
     fail_out = [0] * n      # per vertex: testees its own tests fail
+    tested = 0              # vertices with a failing in-test
     both_fail_edges = []    # (edge index, endpoint bits) of edges failed both ways
     rest = fail_mask
     while rest:
@@ -323,8 +350,10 @@ def _candidate_masks(g: Graph, fail_mask: int, t: int, s: int):
             a, b = b, a
         elif rest & (low << 1):
             both_fail_edges.append((k, (1 << a) | (1 << b)))
-        fail_out[a] |= 1 << b
+        testee = 1 << b
+        fail_out[a] |= testee
         fail_in[b] |= 1 << a
+        tested |= testee
         rest ^= low
 
     def settle(faulty, good, charged, add_faulty, add_good):
@@ -361,13 +390,38 @@ def _candidate_masks(g: Graph, fail_mask: int, t: int, s: int):
             add_good = more_good & ~good
         return faulty, good, charged
 
-    not_suspect = 0
-    for v in range(n):
-        if (nbr[v] & ~fail_in[v]).bit_count() >= t:
-            not_suspect |= 1 << v
     everyone = (1 << n) - 1
+    suspects = 0
+    rest = tested if t <= _min_degree(g) else everyone
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        if (nbr[v] & ~fail_in[v]).bit_count() < t:
+            suspects |= low
+        rest ^= low
+    good = everyone ^ suspects
+    charged = add_faulty = add_good = 0
+    rest = tested & good
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        fi, fo = fail_in[v], fail_out[v]
+        add_faulty |= fi ^ fo
+        charged += (fi & fo & good).bit_count()
+        rest ^= low
+    charged >>= 1
+    rest = suspects
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        fi = fail_in[v]
+        if nbr[v] & good & ~fi:
+            add_good |= low
+        if fi & good & ~fail_out[v]:
+            add_faulty |= low
+        rest ^= low
     solutions = []
-    root = settle(0, 0, 0, 0, not_suspect)
+    root = settle(0, good, charged, add_faulty, add_good) if charged <= s else None
     stack = [root] if root else []
     while stack:
         faulty, good, charged = stack.pop()
@@ -390,7 +444,8 @@ def _candidate_masks(g: Graph, fail_mask: int, t: int, s: int):
                        settle(faulty, good, charged, 0, pick)):
             if branch:
                 stack.append(branch)
-    solutions.sort(key=lambda f: (f.bit_count(), tuple(_masks.bits(f))))
+    if len(solutions) > 1:
+        solutions.sort(key=lambda f: (f.bit_count(), tuple(_masks.bits(f))))
     found = []
     for f in solutions:
         smask = 0

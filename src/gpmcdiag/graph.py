@@ -60,6 +60,7 @@ class Graph:
         "_nbrs",
         "_eids",
         "_layout",
+        "_min_degree",
     )
 
     def __init__(self, vertex_count, edges, labels=None, name="graph"):
@@ -98,6 +99,7 @@ class Graph:
         del nbrs        # freed before the second copy, which lowers the peak
         self._eids = tuple(map(tuple, eids))
         self._layout = None  # neighbor-bits cache, built on demand by _masks.layout_of
+        self._min_degree = None  # delta(G) cache, set on first use by _min_degree
 
     @property
     def vertex_transitive(self) -> bool:
@@ -214,7 +216,17 @@ def degree(g: Graph, u: int) -> int:
 def min_degree(g: Graph) -> int:
     if g.vertex_count == 0:
         raise InputError("minimum degree of the empty graph is undefined")
-    return min(map(len, g._nbrs))
+    return _min_degree(g)
+
+
+def _min_degree(g: Graph) -> int:
+    """delta(G), 0 for the empty graph, computed on first use and cached on g.
+
+    The decoder and ``min_degree`` share this one cache, so building a graph
+    does no work for it."""
+    if g._min_degree is None:
+        g._min_degree = min(map(len, g._nbrs), default=0)
+    return g._min_degree
 
 
 def girth(g: Graph):

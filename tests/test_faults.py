@@ -183,18 +183,20 @@ def test_masks_match_shift_or_reference(build):
 
 
 def test_wide_adversary_masks_match_explicit_reference():
-    # past BUFFER_WIDTH every assignment's mask, in ascending order, is the
+    # below (Q_3) and past (Q_8) BUFFER_WIDTH every assignment's mask, each
+    # stepped from the one before by one xor, is in ascending order the
     # explicit strategy's shift-or reference for that assignment
-    g = gd.build_hypercube(8)
-    assert 2 * len(g.edges) >= _masks.BUFFER_WIDTH
-    fp = gd.make_fault_pair(g, {5}, {(0, 1), (2, 6)})
-    free = [(tester, testee) for tester, testee, _ in directed_tests(g) if tester == 5]
-    count, masks = _masks.adversary_syndromes(g, fp.f_mask, fp.s_mask)
-    assert count == len(free) == 8
-    want = [brute.reference_syndrome_mask(
-                fp, "explicit", assignments={key: (a >> i) & 1 for i, key in enumerate(free)})
-            for a in range(1 << count)]
-    assert list(masks) == want
+    for n in (3, 8):
+        g = gd.build_hypercube(n)
+        assert (2 * len(g.edges) >= _masks.BUFFER_WIDTH) == (n == 8)
+        fp = gd.make_fault_pair(g, {5}, {(0, 1), (2, 6)})
+        free = [(tester, testee) for tester, testee, _ in directed_tests(g) if tester == 5]
+        count, masks = _masks.adversary_syndromes(g, fp.f_mask, fp.s_mask)
+        assert count == len(free) == n
+        want = [brute.reference_syndrome_mask(
+                    fp, "explicit", assignments={key: (a >> i) & 1 for i, key in enumerate(free)})
+                for a in range(1 << count)]
+        assert list(masks) == want
 
 
 def test_large_hypercube_pair_fits_in_512_mb():
@@ -516,7 +518,15 @@ def test_generated_syndromes_consistent_by_construction(n, seed, data):
 # the syndrome-driven decoder against its exhaustive predecessor
 # ---------------------------------------------------------------------------
 
-DECODER_GRAPHS = full_gallery() + [gd.build_hypercube(4)]   # the gallery has Q_3
+# the gallery has Q_3.  The last three have delta(G) <= 1, so most t exceed
+# it: they add suspects that no test fails and, on one vertex, a syndrome
+# of no tests
+DECODER_GRAPHS = full_gallery() + [
+    gd.build_hypercube(4),
+    gd.Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]),    # isolated 5, 6; pendant 4
+    gd.build_path(5),
+    gd.Graph(1, []),
+]
 
 
 def _agrees_with_reference(g, fail_mask, t, s):

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 import gpmcdiag as gd
 from gpmcdiag import _masks
 from gpmcdiag.errors import InputError
-from gpmcdiag.faults import _test_index
+from gpmcdiag.faults import _candidate_masks, _test_index
 
 import brute
 from gallery import full_gallery
@@ -132,6 +132,15 @@ class TestDegrees:
     def test_min_degree_empty_graph(self):
         with pytest.raises(InputError):
             gd.min_degree(gd.Graph(0, []))
+
+    def test_min_degree_is_cached_once(self):
+        # construction computes nothing; the decoder or min_degree caches delta(G)
+        for g in full_gallery():
+            assert g._min_degree is None
+            assert gd.min_degree(g) == g._min_degree == min(map(len, g._nbrs))
+        g = gd.build_path(4)
+        _candidate_masks(g, 0, 1, 0)
+        assert g._min_degree == gd.min_degree(g) == 1
 
     def test_handshake_identity(self):
         for g in full_gallery():
