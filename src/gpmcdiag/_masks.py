@@ -27,8 +27,11 @@ vertices' adjacencies and the faulty edges, and ``mask_of`` builds a mask
 from them in one step, from a byte buffer read by ``int.from_bytes``.
 ``BUFFER_WIDTH`` governs only ``mask_of`` and ``forced_masks``: below it
 the buffer costs more than it saves, so both or in shifted bits.
-Syndromes are built from chosen failing positions (``adversary_syndromes``
-and ``faults.generate_syndrome``).
+Syndromes are built from the positions ``_fault_tests`` returns:
+``faults.generate_syndrome`` adds the chosen free positions to the
+forced-fail ones, and ``engine.adversarial_roundtrip`` builds the decoder's
+failure tables from the forced-fail ones and steps them one free test at a
+time, so no adversary expansion builds a mask per syndrome.
 
 Everything in here is exact arithmetic over those encodings; it only exists
 so the hot loops touch machine integers instead of frozensets.
@@ -144,32 +147,6 @@ def forced_masks(g, f: int, s: int) -> tuple[int, int]:
 def share_syndrome(ff1: int, fp1: int, ff2: int, fp2: int) -> bool:
     """True when no test is forced to opposite outcomes under the two patterns."""
     return (ff1 & fp2) == 0 and (fp1 & ff2) == 0
-
-
-def adversary_syndromes(g, f: int, s: int):
-    """(free-test count, fail masks of every syndrome) of pattern (f, s).
-
-    A test is free when its tester is faulty.  The masks come lazily, in
-    ascending order of assignment, so nothing is built before the first:
-    bit i of an assignment fails the i-th free test, ascending, and every
-    other test gets its forced result.  Counting from assignment a to a + 1
-    flips bits 0..j, where j is the lowest set bit of a + 1, so each mask is
-    the one before it xor the precomputed run of free tests 0..j.
-    """
-    free, fail = _fault_tests(g, f, s)
-
-    def masks():
-        mask = mask_of(fail, 2 * len(g.edges))
-        runs, run = [], 0
-        for pos in sorted(free):
-            run |= 1 << pos
-            runs.append(run)
-        yield mask
-        for assignment in range(1, 1 << len(runs)):
-            mask ^= runs[(assignment & -assignment).bit_length() - 1]
-            yield mask
-
-    return len(free), masks()
 
 
 def condition_hits(g, f1: int, s1: int, f2: int, s2: int):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import _masks
 from .errors import GraphMismatchError, InputError
 from .faults import FaultPair
-from .graph import Graph
+from .graph import Graph, _check_instance
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,8 @@ class Verdict:
 
 
 def _check_pair_args(g: Graph, p1: FaultPair, p2: FaultPair):
+    for p in (p1, p2):
+        _check_instance(p, FaultPair)
     if p1.graph is not g or p2.graph is not g:
         raise GraphMismatchError("fault pairs must be bound to the given graph")
     if p1.faulty_vertices == p2.faulty_vertices and p1.faulty_edges == p2.faulty_edges:

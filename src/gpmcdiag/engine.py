@@ -14,8 +14,9 @@ from enum import Enum
 
 from . import _masks
 from .errors import GraphMismatchError, InputError
-from .faults import FaultPair, Syndrome, _candidate_masks, _pair_from_masks
-from .graph import Graph, _check_bound
+from .faults import (FaultPair, Syndrome, _candidate_masks, _fail_tables, _pair_from_masks,
+                     _search_candidates)
+from .graph import Graph, _check_bound, _check_instance
 
 
 class DiagnosisStatus(Enum):
@@ -46,7 +47,7 @@ class DiagnosisResult:
 def diagnose(g: Graph, sig: Syndrome, t: int, s: int, *,
              candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> DiagnosisResult:
     """All in-bound fault pairs consistent with the syndrome, classified."""
-    if sig.graph is not g:
+    if _check_instance(sig, Syndrome).graph is not g:
         raise GraphMismatchError("syndrome belongs to a different graph")
     _check_bound("bound t", t)
     _check_bound("bound s", s)
@@ -68,24 +69,41 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
 
     Every assignment of the faulty testers' results is tried, so the answer
     is exact.  A pair whose faulty testers run more than 16 tests (over 2^16
-    assignments) raises InputError before any syndrome is built.  Intended
+    assignments) raises InputError before any table is built.  Intended
     for graphs already known (t, s)-diagnosable; a False from an in-bound
     pair on such a graph would contradict diagnosability.
+
+    The decoder's failure tables are built once, from the tests the pair
+    forces to fail, and the assignments are visited in Gray-code order: each
+    step toggles one free test a -> b in fail_out[a], fail_in[b] and b's
+    tested bit, then searches the stepped tables.
     """
-    if fp.graph is not g:
+    if _check_instance(fp, FaultPair).graph is not g:
         raise GraphMismatchError("fault pair belongs to a different graph")
     _check_bound("bound t", t)
     _check_bound("bound s", s)
     if len(fp.faulty_vertices) > t or len(fp.faulty_edges) > s:
         raise InputError("injected pair exceeds the diagnosis bounds")
-    free_count, syndromes = _masks.adversary_syndromes(g, fp.f_mask, fp.s_mask)
-    if free_count > EXHAUSTIVE_ADVERSARY_LIMIT:
+    free, fail = _masks._fault_tests(g, fp.f_mask, fp.s_mask)
+    if len(free) > EXHAUSTIVE_ADVERSARY_LIMIT:
         raise InputError(
-            f"{free_count} tests have a faulty tester; the roundtrip tries every "
+            f"{len(free)} tests have a faulty tester; the roundtrip tries every "
             f"assignment only up to {EXHAUSTIVE_ADVERSARY_LIMIT}")
-    expected = (fp.f_mask, fp.s_mask)
-    for fail in syndromes:
-        found = _candidate_masks(g, fail, t, s)
-        if len(found) != 1 or found[0] != expected:
+    steps = []
+    for pos in free:
+        a, b = g.edges[pos >> 1]    # test 2k is a -> b, test 2k+1 is b -> a
+        if pos & 1:
+            a, b = b, a
+        steps.append((a, 1 << a, b, 1 << b))
+    fail_in, fail_out, tested = _fail_tables(g, _masks.mask_of(fail, 2 * len(g.edges)))
+    expected = [(fp.f_mask, fp.s_mask)]
+    if _search_candidates(g, fail_in, fail_out, tested, t, s) != expected:
+        return False
+    for step in range(1, 1 << len(steps)):
+        a, abit, b, bbit = steps[(step & -step).bit_length() - 1]
+        fail_out[a] ^= bbit
+        fail_in[b] ^= abit
+        tested = tested | bbit if fail_in[b] else tested & ~bbit
+        if _search_candidates(g, fail_in, fail_out, tested, t, s) != expected:
             return False
     return True

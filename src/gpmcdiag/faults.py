@@ -19,7 +19,7 @@ from itertools import chain
 
 from . import _masks
 from .errors import ConsistencyError, GraphMismatchError, InputError
-from .graph import Graph, _check_bound, _check_int, _min_degree, edge
+from .graph import Graph, _check_bound, _check_instance, _check_int, _min_degree, edge
 
 
 class TestOutcome(IntEnum):
@@ -42,7 +42,7 @@ class FaultPair:
     s_mask: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
-        g = self.graph
+        g = _check_instance(self.graph, Graph)
         for v in self.faulty_vertices:
             g.check_vertex(v)
         fm = _masks.vertex_mask(self.faulty_vertices)
@@ -140,6 +140,7 @@ class Syndrome:
     fail_mask: int
 
     def __init__(self, graph: Graph, results):
+        _check_instance(graph, Graph)
         try:
             results = tuple(results)
         except TypeError:
@@ -232,6 +233,7 @@ def generate_syndrome(fp: FaultPair, strategy: str = "all-pass", *,
     as ``Syndrome`` reads results; any other value raises InputError).  A
     seed that is given must be an int, not a bool.
     """
+    _check_instance(fp, FaultPair)
     if strategy not in ADVERSARY_STRATEGIES:
         raise InputError(f"unknown adversary strategy {strategy!r}")
     if strategy == "random" and seed is None:
@@ -273,7 +275,7 @@ def generate_syndrome(fp: FaultPair, strategy: str = "all-pass", *,
 
 def is_consistent(sig: Syndrome, fp: FaultPair) -> bool:
     """True when no test result contradicts its forced outcome under fp."""
-    if sig.graph is not fp.graph:
+    if _check_instance(sig, Syndrome).graph is not _check_instance(fp, FaultPair).graph:
         raise GraphMismatchError("syndrome and fault pair belong to different graphs")
     ff, fpm = _masks.forced_masks(fp.graph, fp.f_mask, fp.s_mask)
     fail = sig.fail_mask
@@ -284,20 +286,53 @@ def is_consistent(sig: Syndrome, fp: FaultPair) -> bool:
 # consistent-pair enumeration (syndrome decoding core)
 # ---------------------------------------------------------------------------
 
-def _candidate_masks(g: Graph, fail_mask: int, t: int, s: int):
-    """(f_mask, s_mask) of every in-bound fault pair consistent with the syndrome.
+def _fail_tables(g: Graph, fail_mask: int) -> tuple[list[int], list[int], int]:
+    """(fail_in, fail_out, tested) of the syndrome failing the tests of fail_mask.
 
+    Per vertex v, fail_in[v] holds the testers whose test of v fails and
+    fail_out[v] the testees that v's own tests fail; tested holds the
+    vertices with a failing in-test.  The failing positions are read from
+    the mask's binary digits, one ``str.find`` per failing test, so the
+    2m-bit mask is walked once whatever its width, and each failing test
+    then costs work on vertex masks only.
+    """
+    n = g.vertex_count
+    edges = g.edges
+    fail_in = [0] * n
+    fail_out = [0] * n
+    tested = 0
+    digits = format(fail_mask, "b")     # test i is the digit at top - i
+    top = len(digits) - 1
+    j = digits.find("1")
+    while j >= 0:
+        i = top - j
+        a, b = edges[i >> 1]
+        if i & 1:
+            a, b = b, a
+        testee = 1 << b
+        fail_out[a] |= testee
+        fail_in[b] |= 1 << a
+        tested |= testee
+        j = digits.find("1", j + 1)
+    return fail_in, fail_out, tested
+
+
+def _search_candidates(g: Graph, fail_in: list[int], fail_out: list[int], tested: int,
+                       t: int, s: int):
+    """(f_mask, s_mask) of every in-bound fault pair consistent with the
+    syndrome whose failure tables ``_fail_tables`` built.
+
+    The tables are only read, so a caller may step them between calls.
     Results come out in (|F|, F) lexicographic order.  Rather than trying
     every vertex set of size at most t, the search decides vertices faulty
     (in F) or good and applies four rules, each a necessary condition of the
     model, so no consistent pair is ever lost:
 
     - Suspects: a faulty v is failed by every good neighbour, so at most t-1
-      of its in-tests pass; any other vertex is good from the start.  A
-      vertex is tested when one of its in-tests fails.  An untested vertex
-      has all deg(v) >= delta(G) in-tests passing, so when t <= delta(G)
-      only the tested vertices are scanned for suspects; when t > delta(G)
-      every vertex is.
+      of its in-tests pass; any other vertex is good from the start.  An
+      untested vertex has all deg(v) >= delta(G) in-tests passing, so when
+      t <= delta(G) only the tested vertices are scanned for suspects; when
+      t > delta(G) every vertex is.
     - Pass closure: a passing test u->v with v faulty needs u faulty, so a
       faulty v makes its passing testers faulty and a good u makes its passing
       testees good.
@@ -306,15 +341,17 @@ def _candidate_masks(g: Graph, fail_mask: int, t: int, s: int):
       vertices is charged to S, which holds at most s edges.  Branching first
       on disagreeing edges is a vertex-cover search tree of depth at most t.
     - Forced S: once every vertex is decided, S is exactly the set of
-      both-fail edges between good vertices.
+      both-fail edges between good vertices, and the charge counts them.
+      Each one joins two good tested vertices, so it is read off
+      fail_in[v] & fail_out[v] at its smaller end v, until the charge is
+      used up.
 
     A fully decided assignment that passes the rules is consistent: every
     test by a good tester then reads what the pair forces.  Each branch fixes
     one vertex either way, so every pair is reached exactly once.
 
-    The work follows the syndrome.  The setup reads only the failing tests,
-    and the root marks the set G of non-suspects good in one step, reading
-    only tested vertices and suspects:
+    The work follows the syndrome: the root marks the set G of non-suspects
+    good in one step, reading only tested vertices and suspects:
 
     - each tested w in G adds its far ends fail_in ^ fail_out to F and
       charges its both-fail edges into G to S; each such edge is seen from
@@ -336,25 +373,6 @@ def _candidate_masks(g: Graph, fail_mask: int, t: int, s: int):
     """
     n = g.vertex_count
     nbr = _masks.layout_of(g)
-    fail_in = [0] * n       # per vertex: testers whose test of it fails
-    fail_out = [0] * n      # per vertex: testees its own tests fail
-    tested = 0              # vertices with a failing in-test
-    both_fail_edges = []    # (edge index, endpoint bits) of edges failed both ways
-    rest = fail_mask
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        k = i >> 1
-        a, b = g.edges[k]
-        if i & 1:
-            a, b = b, a
-        elif rest & (low << 1):
-            both_fail_edges.append((k, (1 << a) | (1 << b)))
-        testee = 1 << b
-        fail_out[a] |= testee
-        fail_in[b] |= 1 << a
-        tested |= testee
-        rest ^= low
 
     def settle(faulty, good, charged, add_faulty, add_good):
         """Apply pass closure and covering to a fixpoint; None on conflict.
@@ -427,7 +445,7 @@ def _candidate_masks(g: Graph, fail_mask: int, t: int, s: int):
         faulty, good, charged = stack.pop()
         undecided = everyone & ~(faulty | good)
         if not undecided:
-            solutions.append(faulty)
+            solutions.append((faulty, charged))
             continue
         # prefer an undecided endpoint of a disagreeing edge between undecided
         # vertices: either branch then adds a vertex to F
@@ -445,20 +463,38 @@ def _candidate_masks(g: Graph, fail_mask: int, t: int, s: int):
             if branch:
                 stack.append(branch)
     if len(solutions) > 1:
-        solutions.sort(key=lambda f: (f.bit_count(), tuple(_masks.bits(f))))
+        solutions.sort(key=lambda sol: (sol[0].bit_count(), tuple(_masks.bits(sol[0]))))
     found = []
-    for f in solutions:
+    for f, left in solutions:
+        # S holds exactly the `left` edges charged on the way here
+        good = everyone ^ f
         smask = 0
-        for k, ends in both_fail_edges:
-            if not ends & f:
-                smask |= 1 << k
+        rest = tested & good
+        while left:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            # both-fail edges to good vertices above v
+            ends = fail_in[v] & fail_out[v] & good & -(low << 1)
+            while ends:
+                top = ends & -ends
+                smask |= 1 << g._edge_id(v, top.bit_length() - 1)
+                left -= 1
+                ends ^= top
+            rest ^= low
         found.append((f, smask))
     return found
 
 
+def _candidate_masks(g: Graph, fail_mask: int, t: int, s: int):
+    """(f_mask, s_mask) of every in-bound fault pair consistent with the
+    syndrome failing the tests of fail_mask, in (|F|, F) lexicographic order:
+    ``_search_candidates`` on the tables ``_fail_tables`` builds."""
+    return _search_candidates(g, *_fail_tables(g, fail_mask), t, s)
+
+
 def enumerate_consistent_pairs(g: Graph, sig: Syndrome, t: int, s: int) -> list[FaultPair]:
     """All consistent fault pairs with |F| <= t and |S| <= s explaining sig."""
-    if sig.graph is not g:
+    if _check_instance(sig, Syndrome).graph is not g:
         raise GraphMismatchError("syndrome belongs to a different graph")
     _check_bound("bound t", t)
     _check_bound("bound s", s)

@@ -178,6 +178,13 @@ def _check_int(name: str, value) -> int:
     return value
 
 
+def _check_instance(value, cls):
+    """value when it is an instance of cls; InputError otherwise."""
+    if not isinstance(value, cls):
+        raise InputError(f"expected a {cls.__name__}, not {value!r}")
+    return value
+
+
 def _check_bound(name: str, value, least: int = 0) -> int:
     """value when it is an int, not a bool, of at least ``least`` (0 or 1)."""
     if _check_int(name, value) < least:

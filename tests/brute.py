@@ -8,7 +8,9 @@ enumerator ``all_consistent_pairs`` and three oracles,
 ``reference_search_seed`` (for the diagnosability search), work over the
 library's bit encodings of the graph instead (edge and test indices from
 ``graph.edges``, neighbor bits from ``_masks.layout_of``); the definitional
-checks here cover those encodings.  ``directed_tests`` lists the tests in
+checks here cover those encodings.  ``adversary_syndromes`` expands every
+syndrome of a fault pattern as a fail mask, the replay oracle for
+``adversarial_roundtrip``.  ``directed_tests`` lists the tests in
 canonical order and ``forced_value`` applies the model's rule to one of
 them.  ``forced_masks`` and ``reference_syndrome_mask`` are the shift-or
 references for the library's one-step test-mask builders.  ``reference_inject_render`` writes an inject
@@ -172,6 +174,34 @@ def reference_syndrome_mask(fp, strategy: str, seed=None, assignments=None) -> i
             return (b, a) if pos & 1 else (a, b)
         chosen = [pos for pos in free if assignments[tester_testee(pos)]]
     return ff | sum(1 << pos for pos in chosen)
+
+
+def adversary_syndromes(g, f: int, s: int):
+    """(free-test count, fail masks of every syndrome) of pattern (f, s).
+
+    The replay oracle for ``adversarial_roundtrip``, which steps the
+    decoder's failure tables instead of building masks.  A test is free
+    when its tester is faulty.  The masks come lazily, in ascending order of
+    assignment, so nothing is built before the first: bit i of an
+    assignment fails the i-th free test, ascending, and every other test
+    gets its forced result.  Counting from assignment a to a + 1 flips bits
+    0..j, where j is the lowest set bit of a + 1, so each mask is the one
+    before it xor the precomputed run of free tests 0..j.
+    """
+    free, fail = _masks._fault_tests(g, f, s)
+
+    def masks():
+        mask = _masks.mask_of(fail, 2 * len(g.edges))
+        runs, run = [], 0
+        for pos in sorted(free):
+            run |= 1 << pos
+            runs.append(run)
+        yield mask
+        for assignment in range(1, 1 << len(runs)):
+            mask ^= runs[(assignment & -assignment).bit_length() - 1]
+            yield mask
+
+    return len(free), masks()
 
 
 def full_search(g, t: int, s: int):

@@ -1,7 +1,7 @@
 import pytest
 
 import gpmcdiag as gd
-from gpmcdiag import InputError, _masks
+from gpmcdiag import InputError
 
 import brute
 from brute import all_pairs_agreement, literal_distinguishable, reference_witness, sigma_set
@@ -141,11 +141,12 @@ class TestLiteralEnumerationRoute:
                             == gd.distinguishable_oracle(g, p1, p2))
 
     def test_sigma_sets_match_independent_enumeration(self, q2):
-        # the library's full adversary expansion against the set-based one
+        # the roundtrip's replay oracle, stepped fail masks over the
+        # library's forced positions, against the set-based expansion
         for fp in brute.all_consistent_pairs(q2, 2, 1):
             independent = sigma_set(q2, fp.faulty_vertices, fp.faulty_edges)
-            _, lib = _masks.adversary_syndromes(q2, fp.f_mask, fp.s_mask)
-            as_tuples = {tuple((mask >> i) & 1 for i in range(8)) for mask in lib}
+            _, replayed = brute.adversary_syndromes(q2, fp.f_mask, fp.s_mask)
+            as_tuples = {tuple((mask >> i) & 1 for i in range(8)) for mask in replayed}
             assert as_tuples == independent
 
 

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gpmcdiag as gd
 from gpmcdiag import DiagnosisStatus, GraphMismatchError, InputError, engine
+from gpmcdiag.faults import _candidate_masks
 
 import brute
 from brute import brute_force_decode, directed_tests, forced_value
@@ -81,6 +83,17 @@ class TestDiagnose:
             gd.diagnose(q2, sig, 1, 1, candidate_cap=0)
 
 
+ROUNDTRIP_GRAPHS = [
+    gd.build_hypercube(3),
+    gd.build_hypercube(4),
+    gd.build_complete(5),
+    gd.build_cycle(7),
+    gd.build_random(8, 0.4, 1),
+    gd.build_random(9, 0.5, 2),
+    gd.build_random(10, 0.3, 3),
+]
+
+
 class TestAdversarialRoundtrip:
     def test_fault_free_pair(self, q3):
         fp = gd.make_fault_pair(q3, set(), set())
@@ -109,11 +122,11 @@ class TestAdversarialRoundtrip:
 
     def test_refused_beyond_exhaustive_limit(self, q4, monkeypatch):
         # 5 faulty vertices -> 20 free tests, beyond the exhaustive limit:
-        # refused before the first decode
+        # refused before the first search
         calls = []
-        decode = engine._candidate_masks
-        monkeypatch.setattr(engine, "_candidate_masks",
-                            lambda *args: calls.append(args) or decode(*args))
+        search = engine._search_candidates
+        monkeypatch.setattr(engine, "_search_candidates",
+                            lambda *args: calls.append(args) or search(*args))
         fp = gd.make_fault_pair(q4, {0, 3, 5, 6, 9}, set())
         with pytest.raises(InputError, match="20 tests .* up to 16"):
             gd.adversarial_roundtrip(q4, fp, 5, 0)
@@ -138,9 +151,53 @@ class TestAdversarialRoundtrip:
         fp = gd.make_fault_pair(q4, self.SAMPLED_MISS[0], set())
         assert gd.adversarial_roundtrip(q4, fp, 8, 0) is False
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(ROUNDTRIP_GRAPHS), st.data())
+    def test_matches_brute_replay(self, g, data):
+        # pairs with at most 10 free tests; (t, s) from the pair's own size
+        # up past the graph's diagnosable bounds, so both answers occur
+        n = g.vertex_count
+        verts, free = [], 0
+        for v in data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]:
+            if free + gd.degree(g, v) <= 10:
+                verts.append(v)
+                free += gd.degree(g, v)
+        spare = [e for e in g.edges if e[0] not in verts and e[1] not in verts]
+        edges = data.draw(st.permutations(spare))[:data.draw(st.integers(0, min(2, len(spare))))]
+        fp = gd.make_fault_pair(g, verts, edges)
+        t = data.draw(st.integers(len(verts), len(verts) + 3))
+        s = data.draw(st.integers(len(edges), len(edges) + 2))
+        count, masks = brute.adversary_syndromes(g, fp.f_mask, fp.s_mask)
+        assert count == free
+        replayed = all(_candidate_masks(g, fail, t, s) == [(fp.f_mask, fp.s_mask)]
+                       for fail in masks)
+        assert gd.adversarial_roundtrip(g, fp, t, s) == replayed
+
     def test_exhaustive_roundtrip_on_q2_workable_bounds(self, q2):
         # (1,0) is the 2-cube's workable point; every in-bound pair must
         # survive every adversary
         assert gd.is_ts_diagnosable(q2, 1, 0).diagnosable
         for fp in brute.all_consistent_pairs(q2, 1, 0):
             assert gd.adversarial_roundtrip(q2, fp, 1, 0)
+
+
+# each decoder entry point given None where it takes a graph, a syndrome or
+# a fault pair; the type is checked once per call, before any work
+ENTRY_POINT_CALLS = {
+    "diagnose": lambda q, fp, sig: gd.diagnose(q, None, 1, 0),
+    "enumerate_consistent_pairs": lambda q, fp, sig: gd.enumerate_consistent_pairs(q, None, 1, 0),
+    "adversarial_roundtrip": lambda q, fp, sig: gd.adversarial_roundtrip(q, None, 1, 0),
+    "is_consistent-syndrome": lambda q, fp, sig: gd.is_consistent(None, fp),
+    "is_consistent-pair": lambda q, fp, sig: gd.is_consistent(sig, None),
+    "generate_syndrome": lambda q, fp, sig: gd.generate_syndrome(None),
+    "distinguishable": lambda q, fp, sig: gd.distinguishable(q, None, fp),
+    "make_fault_pair": lambda q, fp, sig: gd.make_fault_pair(None, [0], []),
+    "Syndrome": lambda q, fp, sig: gd.Syndrome(None, [0]),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINT_CALLS.values(), ids=ENTRY_POINT_CALLS.keys())
+def test_entry_point_refuses_a_value_of_the_wrong_type(q2, call):
+    fp = gd.make_fault_pair(q2, [0], [])
+    with pytest.raises(InputError, match="expected a (Graph|Syndrome|FaultPair), not None"):
+        call(q2, fp, gd.generate_syndrome(fp))

