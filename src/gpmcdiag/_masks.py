@@ -8,16 +8,17 @@ Encodings, for a graph with n vertices and m edges:
   the test a -> b and bit 2k+1 for the test b -> a (the canonical test order
   of ``faults.Syndrome``).  Both tests of edge k are ``3 << 2k``.
 
-The code here reads the graph's own edge list (``graph.edges``) and
+The code here reads the graph's endpoint column (``graph._ends``: edge k =
+(a, b) at 2k and 2k+1, so test i is ``_ends[i]`` -> ``_ends[i ^ 1]``) and
 adjacency (per vertex u, ``graph._nbrs[u]``, its neighbor ids ascending, and
-``graph._eids[u]``, the index k of the edge to each of them).  The one
-per-graph structure added is ``layout_of``: each vertex's neighbor bits,
-O(n^2) bits in all, which only the syndrome decoder and the
-difference-structure search read, so syndromes and distinguishability build
-nothing per graph.  Edge-space and test-space masks, and an edge's endpoint
-bits, are built from these rules and ``graph.edges`` where they are used, so
-nothing here holds a per-edge vertex mask or a table whose entries span the
-edge or test space.
+``graph._eids[u]``, the index k of the edge to each of them), never the edge
+tuples of ``graph.edges``.  The one per-graph structure added is
+``layout_of``: each vertex's neighbor bits, O(n^2) bits in all, which only
+the syndrome decoder and the difference-structure search read, so syndromes
+and distinguishability build nothing per graph.  Edge-space and test-space
+masks, and an edge's endpoint bits, are built from these rules and the
+column where they are used, so nothing here holds a per-edge vertex mask or
+a table whose entries span the edge or test space.
 
 A test-space mask of a fault pattern is sparse: its set bits are the tests
 at the faulty vertices and edges, but its width is 2m.  Or-ing in one
@@ -49,7 +50,7 @@ def layout_of(g) -> tuple:
 
 def all_tests(g) -> int:
     """The test-set mask holding every test of g."""
-    return (1 << (2 * len(g.edges))) - 1
+    return (1 << len(g._ends)) - 1
 
 
 def bits(mask: int):
@@ -108,12 +109,13 @@ def _fault_tests(g, f: int, s: int) -> tuple[list, list]:
                 arbitrary.append(t + 1)
                 if v not in faulty:
                     fail.append(t)
+    ends = g._ends
     for k in bits(s):
-        a, b = g.edges[k]
-        if a not in faulty:
-            fail.append(2 * k)
-        if b not in faulty:
-            fail.append(2 * k + 1)
+        t = 2 * k
+        if ends[t] not in faulty:
+            fail.append(t)
+        if ends[t + 1] not in faulty:
+            fail.append(t + 1)
     return arbitrary, fail
 
 
@@ -128,7 +130,7 @@ def forced_masks(g, f: int, s: int) -> tuple[int, int]:
     untouched ones.  Narrow masks or in each touched bit as the walk meets
     it; wide ones are built from the positions ``_fault_tests`` collects.
     """
-    width = 2 * len(g.edges)
+    width = len(g._ends)
     if width < BUFFER_WIDTH:
         arb = touched = 0
         for u in bits(f):
@@ -159,10 +161,10 @@ def condition_hits(g, f1: int, s1: int, f2: int, s2: int):
     other side.  Only the one-sided faulty vertices' adjacencies and the
     one-sided faulty edges are walked; no hit repeats.
     """
+    ends = g._ends
     for d, other_f, direction in ((s1 & ~s2, f2, 1), (s2 & ~s1, f1, 2)):
         for k in bits(d):
-            a, b = g.edges[k]
-            if not (other_f >> a) & 1 and not (other_f >> b) & 1:
+            if not (other_f >> ends[2 * k]) & 1 and not (other_f >> ends[2 * k + 1]) & 1:
                 yield k, 2, direction
     both_f = f1 | f2
     for d, other_s, direction in ((f1 & ~f2, s2, 1), (f2 & ~f1, s1, 2)):
@@ -187,4 +189,4 @@ def find_condition_witness(g, f1: int, s1: int, f2: int, s2: int):
     if hit is None:
         return None
     k, condition, direction = hit
-    return condition, g.edges[k], direction
+    return condition, (g._ends[2 * k], g._ends[2 * k + 1]), direction

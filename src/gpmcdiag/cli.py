@@ -216,10 +216,14 @@ def _build_fault_pair(g: Graph, args) -> tuple:
         if nv > g.vertex_count:
             raise InputError(f"cannot pick {nv} faulty vertices from {g.vertex_count}")
         fverts = sorted(rng.sample(range(g.vertex_count), nv))
-        candidates = [e for e in g.edges if e[0] not in fverts and e[1] not in fverts]
+        ends = g._ends
+        # sample edge ids: rng.sample draws by position, so the pick is the
+        # one it makes from the list of edges avoiding fverts
+        candidates = [k for k in range(len(ends) // 2)
+                      if ends[2 * k] not in fverts and ends[2 * k + 1] not in fverts]
         if ns > len(candidates):
             raise InputError(f"cannot pick {ns} faulty edges avoiding the faulty vertices")
-        fedges = sorted(rng.sample(candidates, ns))
+        fedges = sorted((ends[2 * k], ends[2 * k + 1]) for k in rng.sample(candidates, ns))
         spec = {"random_faults": [nv, ns],
                 "faulty_vertices": fverts,
                 "faulty_edges": [list(e) for e in fedges]}
@@ -255,7 +259,7 @@ def cmd_topology(args):
     result = {
         "name": g.name,
         "vertices": g.vertex_count,
-        "edges": len(g.edges),
+        "edges": len(g._ends) // 2,
         "min_degree": min_degree(g) if g.vertex_count else None,
         "girth": None if gv == math.inf else gv,
     }

@@ -478,8 +478,9 @@ def edge_restricted_diagnosability(g: Graph, h: int, *, method: str = "auto",
     """
     if g.vertex_count == 0:
         raise InputError("diagnosability of the empty graph is undefined")
-    if _check_bound("edge budget h", h) > len(g.edges):
-        raise InputError(f"edge budget h={h} outside 0..{len(g.edges)}")
+    m = len(g._ends) // 2
+    if _check_bound("edge budget h", h) > m:
+        raise InputError(f"edge budget h={h} outside 0..{m}")
     return _ascend(g, "edge-restricted", h, lambda t: (t, h), g.vertex_count, method, audit,
                    outside_analyzed_range=h > min_degree(g))
 
@@ -497,11 +498,12 @@ def vertex_restricted_edge_diagnosability(g: Graph, r: int, *, method: str = "au
         raise InputError("diagnosability of the empty graph is undefined")
     _check_bound("vertex budget r", r)
     _check_method(method)
+    m = len(g._ends) // 2
     if r == 0:
         return DiagnosabilityReport(
-            graph_name=g.name, kind="vertex-restricted-edge", level=0, value=len(g.edges),
+            graph_name=g.name, kind="vertex-restricted-edge", level=0, value=m,
             witness=None, elapsed_seconds=0.0, stats={"method": "analytic"})
-    return _ascend(g, "vertex-restricted-edge", r, lambda s: (r, s), len(g.edges) + 1,
+    return _ascend(g, "vertex-restricted-edge", r, lambda s: (r, s), m + 1,
                    method, audit)
 
 

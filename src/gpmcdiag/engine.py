@@ -89,13 +89,9 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
         raise InputError(
             f"{len(free)} tests have a faulty tester; the roundtrip tries every "
             f"assignment only up to {EXHAUSTIVE_ADVERSARY_LIMIT}")
-    steps = []
-    for pos in free:
-        a, b = g.edges[pos >> 1]    # test 2k is a -> b, test 2k+1 is b -> a
-        if pos & 1:
-            a, b = b, a
-        steps.append((a, 1 << a, b, 1 << b))
-    fail_in, fail_out, tested = _fail_tables(g, _masks.mask_of(fail, 2 * len(g.edges)))
+    ends = g._ends
+    steps = [(ends[pos], 1 << ends[pos], ends[pos ^ 1], 1 << ends[pos ^ 1]) for pos in free]
+    fail_in, fail_out, tested = _fail_tables(g, _masks.mask_of(fail, len(ends)))
     expected = [(fp.f_mask, fp.s_mask)]
     if _search_candidates(g, fail_in, fail_out, tested, t, s) != expected:
         return False

@@ -15,7 +15,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
-from itertools import chain
 
 from . import _masks
 from .errors import ConsistencyError, GraphMismatchError, InputError
@@ -97,10 +96,11 @@ def fault_pair_from_record(g: Graph, record: dict) -> FaultPair:
 
 
 def _pair_from_masks(g: Graph, f_mask: int, s_mask: int) -> FaultPair:
+    ends = g._ends
     return FaultPair(
         g,
         frozenset(_masks.bits(f_mask)),
-        frozenset(g.edges[k] for k in _masks.bits(s_mask)),
+        frozenset((ends[2 * k], ends[2 * k + 1]) for k in _masks.bits(s_mask)),
     )
 
 
@@ -146,9 +146,9 @@ class Syndrome:
         except TypeError:
             raise InputError(
                 f"syndrome results must be a sequence of 0 and 1, not {results!r}") from None
-        m = len(graph.edges)
-        if len(results) != 2 * m:
-            raise InputError(f"syndrome must assign all {2 * m} tests")
+        width = len(graph._ends)
+        if len(results) != width:
+            raise InputError(f"syndrome must assign all {width} tests")
         # count() compares with ==, so 1.0 and numpy bools count as 0 or 1
         if results.count(0) + results.count(1) != len(results):
             raise InputError("syndrome results must be 0 (pass) or 1 (fail)")
@@ -164,8 +164,9 @@ class Syndrome:
 
     def _columns(self) -> tuple[list[int], list[int], str]:
         """Tester ids, testee ids and outcome digits ("0" pass, "1" fail), in
-        canonical test order: the one row source of every view of the rows."""
-        testers = list(chain.from_iterable(self.graph.edges))
+        canonical test order: the one row source of every view of the rows.
+        The testers are the graph's own endpoint column, to be read only."""
+        testers = self.graph._ends
         testees = testers[:]
         testees[::2], testees[1::2] = testers[1::2], testers[::2]
         width = len(testers)
@@ -181,7 +182,7 @@ class Syndrome:
         return list(zip(testers, testees, digits.encode().translate(_DIGITS_TO_RESULTS)))
 
     def __len__(self):
-        return 2 * len(self.graph.edges)
+        return len(self.graph._ends)
 
     def __repr__(self):
         return (f"Syndrome({self.graph.name}: {self.fail_mask.bit_count()} of "
@@ -195,7 +196,7 @@ def syndrome_from_triples(g: Graph, triples) -> Syndrome:
     except TypeError:
         raise InputError(f"syndrome rows must be iterable, not {triples!r}") from None
     unset = object()
-    results: list = [unset] * (2 * len(g.edges))
+    results: list = [unset] * len(g._ends)
     for row in rows:
         try:
             tester, testee, outcome = row
@@ -256,9 +257,9 @@ def generate_syndrome(fp: FaultPair, strategy: str = "all-pass", *,
         except (TypeError, ValueError):
             raise InputError("assignments must map each (tester, testee) to 0 or 1, "
                              f"not {assignments!r}") from None
+        ends = g._ends
         for pos in free:
-            a, b = g.edges[pos >> 1]    # test 2k is a -> b, test 2k+1 is b -> a
-            key = (b, a) if pos & 1 else (a, b)
+            key = (ends[pos], ends[pos ^ 1])
             if key not in assigned:
                 raise InputError(f"no assignment for adversary-controlled test {key}")
             value = assigned.pop(key)
@@ -270,7 +271,7 @@ def generate_syndrome(fp: FaultPair, strategy: str = "all-pass", *,
         if assigned:
             extra = sorted(assigned)
             raise InputError(f"assignments given for tests not adversary-controlled: {extra}")
-    return _syndrome_from_mask(g, _masks.mask_of(fail, 2 * len(g.edges)))
+    return _syndrome_from_mask(g, _masks.mask_of(fail, len(g._ends)))
 
 
 def is_consistent(sig: Syndrome, fp: FaultPair) -> bool:
@@ -297,7 +298,7 @@ def _fail_tables(g: Graph, fail_mask: int) -> tuple[list[int], list[int], int]:
     then costs work on vertex masks only.
     """
     n = g.vertex_count
-    edges = g.edges
+    ends = g._ends
     fail_in = [0] * n
     fail_out = [0] * n
     tested = 0
@@ -306,9 +307,7 @@ def _fail_tables(g: Graph, fail_mask: int) -> tuple[list[int], list[int], int]:
     j = digits.find("1")
     while j >= 0:
         i = top - j
-        a, b = edges[i >> 1]
-        if i & 1:
-            a, b = b, a
+        a, b = ends[i], ends[i ^ 1]
         testee = 1 << b
         fail_out[a] |= testee
         fail_in[b] |= 1 << a

@@ -9,14 +9,14 @@ import math
 import random
 from bisect import bisect_left
 from collections import deque
-from itertools import chain, combinations, islice
-from operator import eq
+from itertools import chain, combinations, islice, repeat
+from operator import lt, or_
 
 from .errors import InputError
 
 #: Largest supported hypercube dimension.  Building Q_15, one fault pair, its
-#: syndrome and both distinguishability routes peaks near 86 MB of RSS
-#: (``inject-q15`` in ``bench/frontier.py``, Python 3.11).  The
+#: syndrome and both distinguishability routes peaks near 68 MB of RSS
+#: (``inject-q15`` in ``bench/frontier.py``, Python 3.11.7, x86-64).  The
 #: neighbor bits (``_masks.layout_of``), which only the decoder and the search
 #: build, dominate beyond that: one vertex-wide int per vertex, about 4^n / 9
 #: bytes for Q_n (115 MB for Q_15).
@@ -39,24 +39,31 @@ def edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
-    The constructor builds the one structure that everything else reads:
-    ``edges`` (canonical (min, max) pairs, sorted) and, per vertex u,
-    ``_nbrs[u]`` (its neighbor ids, ascending) and ``_eids[u]`` (the index in
-    ``edges`` of the edge to each of those neighbors, one int shared by both
-    endpoints).  An edge is found by bisecting an endpoint's ``_nbrs`` row
-    (``_edge_id``).  Vertex ids are ints, never bools.  ``labels`` optionally
+    Every graph is built by one core (``_fill``) from two edge columns,
+    checked in bulk, and keeps its edges as one flat endpoint column
+    ``_ends``: edge k = (a, b), a < b, sits at ``_ends[2k]`` and
+    ``_ends[2k + 1]``, the edges in ascending order.  That is also the tester
+    column of the canonical test order: test i is ``_ends[i]`` ->
+    ``_ends[i ^ 1]``.  Per vertex u, ``_nbrs[u]`` holds its neighbor ids,
+    ascending, and ``_eids[u]`` the index k of the edge to each of them, one
+    int shared by both endpoints.  An edge is found by bisecting an
+    endpoint's ``_nbrs`` row (``_edge_id``).  ``edges``, the edges as
+    canonical (min, max) tuples, is read-only and built from the column on
+    first use; the constructor keeps the caller's own canonical tuples there
+    instead.  Vertex ids are ints, never bools.  ``labels`` optionally
     attaches a text label per vertex (hypercubes use their bit strings).
     ``vertex_transitive`` is true only for builders whose output provably
-    looks the same from every vertex (hypercube, cycle, complete); search code
-    uses it to fix a single seed vertex, so callers cannot set it.
+    looks the same from every vertex (hypercube, cycle, complete); search
+    code uses it to fix a single seed vertex, so callers cannot set it.
     """
 
     __slots__ = (
         "vertex_count",
-        "edges",
         "labels",
         "name",
         "_vertex_transitive",
+        "_ends",
+        "_edges",
         "_nbrs",
         "_eids",
         "_layout",
@@ -69,12 +76,52 @@ class Graph:
         if vertex_count < 0:
             raise InputError("vertex_count must be non-negative")
         _check_vertex_count(vertex_count)
-        canon = _canonical_edges(vertex_count, edges)
+        pairs = list(edges)
+        canon = _canonical_edges(vertex_count, pairs)
         _check_edge_count(len(canon))
         canon.sort()
-        # sorted, so a repeated edge sits next to its copy
-        if any(map(eq, canon, islice(canon, 1, None))):
-            raise InputError("duplicate edge in edge list")
+        ends = list(chain.from_iterable(canon))
+        try:
+            self._fill(vertex_count, ends[::2], ends[1::2], labels, name)
+        except InputError:
+            # the first bad edge in input order names itself; when there is
+            # none, the core's own error (a duplicate edge, bad labels) stands
+            for item in pairs:
+                _canonical_edge(vertex_count, item)
+            raise
+        self._edges = tuple(canon)
+
+    @classmethod
+    def _from_columns(cls, vertex_count: int, lo: list, hi: list, labels=None,
+                      name: str = "graph") -> Graph:
+        """The graph whose edge k is (lo[k], hi[k]); a builder's entry point."""
+        g = cls.__new__(cls)
+        g._fill(vertex_count, lo, hi, labels, name)
+        return g
+
+    def _fill(self, vertex_count: int, lo: list, hi: list, labels, name: str):
+        """Build every structure from the edge columns lo and hi.
+
+        Both columns are checked in bulk, never trusted: ints, not bools,
+        lo[k] < hi[k] < vertex_count, and the pairs strictly increasing.
+        """
+        m = len(lo)
+        _check_edge_count(m)
+        if len(hi) != m:
+            raise InputError(f"edge columns differ in length: {m} and {len(hi)}")
+        if not {*map(type, lo), *map(type, hi)} <= {int} and not all(map(_is_int, chain(lo, hi))):
+            raise InputError("edge endpoints must be ints (not bools)")
+        if m and (min(lo) < 0 or max(hi) >= vertex_count):
+            raise InputError(f"edge endpoints must lie in 0..{vertex_count - 1}")
+        if not all(map(lt, lo, hi)):
+            k = list(map(lt, lo, hi)).index(False)
+            raise InputError(f"edge {k} ({lo[k]}, {hi[k]}) is not a (min, max) pair")
+        if not all(map(lt, zip(lo, hi), zip(islice(lo, 1, None), islice(hi, 1, None)))):
+            pairs = list(zip(lo, hi))
+            k = list(map(lt, pairs, islice(pairs, 1, None))).index(False) + 1
+            if pairs[k] == pairs[k - 1]:
+                raise InputError("duplicate edge in edge list")
+            raise InputError(f"edge {k} ({lo[k]}, {hi[k]}) is out of order")
         if labels is not None:
             try:
                 labels = tuple(labels)
@@ -82,24 +129,37 @@ class Graph:
                 raise InputError(f"labels must be a sequence, not {labels!r}") from None
             if len(labels) != vertex_count:
                 raise InputError("labels must cover every vertex")
-        # edges are sorted, so each vertex meets its neighbors in ascending order
+        # the edges are sorted, so each vertex meets its neighbors in ascending order
         nbrs = [[] for _ in range(vertex_count)]
         eids = [[] for _ in range(vertex_count)]
-        for k, (u, v) in enumerate(canon):
+        for k, u, v in zip(range(m), lo, hi):
             nbrs[u].append(v)
             eids[u].append(k)
             nbrs[v].append(u)
             eids[v].append(k)
+        ends = [0] * (2 * m)
+        ends[::2] = lo
+        ends[1::2] = hi
         self.vertex_count = vertex_count
-        self.edges = tuple(canon)
         self.labels = labels
         self.name = name
         self._vertex_transitive = False
+        self._ends = ends
+        self._edges = None  # edge tuples, built on first use by the edges property
         self._nbrs = tuple(map(tuple, nbrs))
         del nbrs        # freed before the second copy, which lowers the peak
         self._eids = tuple(map(tuple, eids))
         self._layout = None  # neighbor-bits cache, built on demand by _masks.layout_of
         self._min_degree = None  # delta(G) cache, set on first use by _min_degree
+
+    @property
+    def edges(self) -> tuple:
+        """The edges as canonical (min, max) tuples, ascending; edge k is
+        (``_ends[2k]``, ``_ends[2k + 1]``).  Built on first use and cached."""
+        if self._edges is None:
+            ends = self._ends
+            self._edges = tuple(zip(ends[::2], ends[1::2]))
+        return self._edges
 
     @property
     def vertex_transitive(self) -> bool:
@@ -133,37 +193,35 @@ class Graph:
         return ce
 
     def __repr__(self):
-        return f"Graph({self.name}: {self.vertex_count} vertices, {len(self.edges)} edges)"
+        return f"Graph({self.name}: {self.vertex_count} vertices, {len(self._ends) // 2} edges)"
 
 
-def _canonical_edges(vertex_count: int, edges) -> list:
+def _canonical_edges(vertex_count: int, pairs: list) -> list:
     """The edges as canonical (min, max) tuples, in input order.
 
-    The common input, 2-tuples of exact ints, is checked in bulk and its
-    already canonical tuples are reused.  Anything else, and any input that
-    fails a bulk check, is checked edge by edge, so the first bad edge in
+    2-tuples of exact ints, the common input, are only oriented here, their
+    already canonical tuples reused: the graph's core checks the endpoints in
+    bulk.  Anything else is checked edge by edge, so the first bad edge in
     input order raises its own InputError.
     """
-    pairs = list(edges)
-    if set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}:
-        ends = list(chain.from_iterable(pairs))
-        if (set(map(type, ends)) <= {int} and min(ends, default=0) >= 0
-                and max(ends, default=0) < vertex_count
-                and not any(map(eq, ends[::2], ends[1::2]))):
-            return [e if e[0] < e[1] else (e[1], e[0]) for e in pairs]
-    canon = []
-    for item in pairs:
-        try:
-            u, v = item
-        except (TypeError, ValueError):
-            raise InputError(f"edge {item!r} is not a pair of vertices") from None
-        if not (_is_int(u) and _is_int(v)):
-            raise InputError(f"edge {u!r}-{v!r} has an endpoint that is not an int")
-        e = edge(u, v)
-        if not (0 <= e[0] and e[1] < vertex_count):
-            raise InputError(f"edge {u}-{v} has an endpoint outside 0..{vertex_count - 1}")
-        canon.append(e)
-    return canon
+    if (set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int}):
+        return [e if e[0] < e[1] else (e[1], e[0]) for e in pairs]
+    return [_canonical_edge(vertex_count, item) for item in pairs]
+
+
+def _canonical_edge(vertex_count: int, item) -> tuple[int, int]:
+    """One edge as a canonical (min, max) tuple, checked on its own."""
+    try:
+        u, v = item
+    except (TypeError, ValueError):
+        raise InputError(f"edge {item!r} is not a pair of vertices") from None
+    if not (_is_int(u) and _is_int(v)):
+        raise InputError(f"edge {u!r}-{v!r} has an endpoint that is not an int")
+    e = edge(u, v)
+    if not (0 <= e[0] and e[1] < vertex_count):
+        raise InputError(f"edge {u}-{v} has an endpoint outside 0..{vertex_count - 1}")
+    return e
 
 
 def _is_int(x) -> bool:
@@ -213,7 +271,7 @@ def neighbors(g: Graph, u: int) -> frozenset[int]:
 
 def incident_edges(g: Graph, u: int) -> frozenset[tuple[int, int]]:
     """All edges having u as an endpoint."""
-    return frozenset(map(g.edges.__getitem__, g._eids[g.check_vertex(u)]))
+    return frozenset(map(edge, repeat(u), g._nbrs[g.check_vertex(u)]))
 
 
 def degree(g: Graph, u: int) -> int:
@@ -284,9 +342,18 @@ def build_hypercube(n: int) -> Graph:
     if not 1 <= _check_int("hypercube dimension", n) <= HYPERCUBE_DIMENSION_CAP:
         raise InputError(f"hypercube dimension must be in 1..{HYPERCUBE_DIMENSION_CAP}")
     size = 1 << n
-    edges = [(v, v ^ (1 << b)) for v in range(size) for b in range(n) if v < v ^ (1 << b)]
-    labels = [format(v, f"0{n}b") for v in range(size)]
-    return _transitive(Graph(size, edges, labels=labels, name=f"hypercube-{n}"))
+    # clear[v]: the bits clear in v, ascending.  Q_{d+1} is two copies of Q_d,
+    # and in the lower one, where bit d is clear, every vertex gains bit d.
+    clear = [()]
+    for d in range(n):
+        clear = [c + (1 << d,) for c in clear] + clear
+    # edge (v, v | b) for each clear bit b: the edges in ascending order, each
+    # vertex one int object wherever it appears
+    vertices = list(range(size))
+    lo = list(chain.from_iterable(map(repeat, vertices, map(len, clear))))
+    hi = list(map(vertices.__getitem__, map(or_, lo, chain.from_iterable(clear))))
+    labels = list(map(format, vertices, repeat(f"0{n}b")))
+    return _transitive(Graph._from_columns(size, lo, hi, labels, f"hypercube-{n}"))
 
 
 def build_path(n: int) -> Graph:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gpmcdiag as gd
-from gpmcdiag import _masks
+from gpmcdiag import _masks, cli
 from gpmcdiag.errors import InputError
 from gpmcdiag.faults import _candidate_masks, _test_index
 
@@ -386,6 +386,80 @@ class TestGraphValidation:
             g.vertex_transitive = True
         assert not g.vertex_transitive
         assert gd.build_cycle(5).vertex_transitive
+
+
+class TestEdgeColumns:
+    """Every graph is built from its edge columns (lo, hi), checked in bulk."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_hypercube_columns_match_edge_list(self, n):
+        # the builder's columns give what the constructor makes of the plain
+        # edge list, adjacency and edge ids included
+        g = gd.build_hypercube(n)
+        size = 1 << n
+        edges = [(v, v | 1 << b) for v in range(size) for b in range(n) if not v >> b & 1]
+        labels = [format(v, f"0{n}b") for v in range(size)]
+        ref = gd.Graph(size, edges, labels=labels)
+        assert len(g._ends) == len(ref._ends) == 2 * len(edges) == 2 * n << (n - 1)
+        assert g.edges == ref.edges
+        assert g._nbrs == ref._nbrs
+        assert g._eids == ref._eids
+        assert g.labels == ref.labels
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        ([0, 1, 0], [1, 2, 2], "edge 2 (0, 2) is out of order"),
+        ([0, 1, 1], [1, 2, 2], "duplicate edge"),
+        ([0, 1], [1, 1], "edge 1 (1, 1) is not a (min, max) pair"),
+        ([0, 2], [1, 1], "edge 1 (2, 1) is not a (min, max) pair"),
+        ([0, 1], [1, 3], "edge endpoints must lie in 0..2"),
+        ([-1, 0], [0, 1], "edge endpoints must lie in 0..2"),
+        ([0, 1], [1, True], "edge endpoints must be ints"),
+        ([False, 1], [1, 2], "edge endpoints must be ints"),
+        ([0, 1], [1, 2.0], "edge endpoints must be ints"),
+        ([0, 1], [1], "edge columns differ in length"),
+    ])
+    def test_malformed_columns_refused(self, lo, hi, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            gd.Graph._from_columns(3, lo, hi)
+
+    def test_edges_built_once(self):
+        g = gd.build_hypercube(3)
+        assert g._edges is None
+        assert g.edges is g.edges
+        assert g.edges == tuple(zip(g._ends[::2], g._ends[1::2]))
+
+    def test_edges_cannot_be_assigned(self):
+        # the adjacency is built once, so a replaced edge list would disagree with it
+        g = gd.Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(AttributeError):
+            g.edges = ((0, 2),)
+        assert g.edges == ((0, 1), (1, 2))
+
+    def test_inject_and_diagnose_leave_edges_unbuilt(self, monkeypatch, capsys):
+        # neither the CLI's inject on Q_10, in every format and with random
+        # faults, nor the library's decoder reads the edge tuples
+        built = []
+
+        def recording_hypercube(n):
+            built.append(gd.build_hypercube(n))
+            return built[-1]
+
+        monkeypatch.setitem(gd.graph._BUILDERS, "hypercube", (recording_hypercube, ("n",)))
+        base = ["inject", "--topology", "hypercube", "--n", "10", "--seed", "5",
+                "--adversary", "random"]
+        for extra in (["--faulty-vertices", "3,700", "--faulty-edges", "0-1,96-608"],
+                      ["--random-faults", "4,6"]):
+            for fmt in ("json", "csv", "table"):
+                assert cli.main(base + extra + ["--format", fmt]) == 0
+        capsys.readouterr()
+        assert len(built) == 6
+        assert all(g._edges is None for g in built)
+        g = built[0]
+        pair = gd.make_fault_pair(g, {3, 700}, [(0, 1), (96, 608)])
+        sig = gd.generate_syndrome(pair, "random", seed=5)
+        assert gd.diagnose(g, sig, 2, 2).unique_pair == pair
+        assert gd.distinguishable(g, pair, gd.make_fault_pair(g, {3}, ())).distinguishable
+        assert g._edges is None
 
 
 def test_size_caps_refuse_before_allocating(tmp_path):
