@@ -193,6 +193,12 @@ INSTANCES = {
         {"value": 13, "witness": "53fa913a966ef12a", "structures_examined": int(
             "22090980632502981269705677247912107353348344171387589064352645141493088646765923")},
         {"value": 6, "witness": "c8534de6a0cd286b", "structures_examined": 355923755607931}),
+    "hypercube14-t0": (
+        "t_0 of Q_14, from the single seed 0", _hypercube_t0, (14,), (7,),
+        {"value": 14, "witness": "0be339de178ed717", "structures_examined": int(
+            "11100480361218350273887671968063828744236854517066497596704982167644"
+            "37100507944816535025160036")},
+        {"value": 7, "witness": "8e0d33c7424a781c", "structures_examined": 367389460952700575607}),
     "relabelled-q8-t0": (
         "t_0 of Q_8 relabelled, every seed swept", _relabelled_hypercube_t0, (8,), (4,),
         {"value": 8, "witness": "29a60831ad3b4668",

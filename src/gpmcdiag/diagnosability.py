@@ -12,9 +12,13 @@ enumerated.  X1 and X2 are walked depth first by two plain recursions that
 return the first witness straight up.  Two bounds cut every subtree in which
 no leaf can be a witness: a vertex-boundary bound, and a heavy-vertex bound
 (a vertex with more than s neighbors in X1 cannot lie outside X2 | C).  The
-cut leaves are counted with binomial coefficients instead of visited, so the
-count of structures examined is that of a leaf-by-leaf walk.
-``_search_seed`` proves both cuts admissible, so the search stays exact.
+walks count nothing.  The count of structures examined is that of a
+leaf-by-leaf walk, computed once per seed on return: every leaf of a seed
+with no witness, a sum of binomial coefficients, or the rank of the
+witness's leaf in the walk's order plus one, read off the combinatorial
+number system.  A seed cut at its root is counted without being searched.
+``_search_seed`` proves both cuts admissible, so the search stays exact, and
+proves the count.
 The test suite checks it on every gallery graph and on random and dense
 random graphs against an oracle that enumerates every consistent pair within
 bounds and compares them pairwise (``full_search`` in ``tests/brute.py``),
@@ -180,17 +184,53 @@ def _leaf_count(q: int, t: int) -> int:
     return sum(comb(q, j) for j in range(min(t, q) + 1))
 
 
+@lru_cache(maxsize=None)
+def _leaves_below(m: int, t: int, size1: int) -> int:
+    """The leaves with |X1| < size1 of a seed followed by m - 1 vertices."""
+    return sum(comb(m - 1, j - 1) * _leaf_count(m - j, t) for j in range(1, size1))
+
+
+def _seed_leaves(n: int, t: int, seed: int) -> int:
+    """Every (X1, X2) leaf of ``seed``: the structures a search without a witness examines."""
+    m = n - seed
+    return _leaves_below(m, t, min(t, m) + 1)
+
+
+def _lex_rank(positions, m: int) -> int:
+    """How many same-size subsets of range(m) precede ascending ``positions`` lexicographically."""
+    a = len(positions)
+    return comb(m, a) - 1 - sum(comb(m - 1 - c, a - i) for i, c in enumerate(positions))
+
+
+def _leaf_rank(n: int, t: int, seed: int, x1mask: int, x2mask: int) -> int:
+    """How many leaves of ``seed`` precede the leaf (X1, X2) in the walk's order."""
+    m = n - seed
+    tail = [v - seed - 1 for v in _masks.bits(x1mask & ~(1 << seed))]
+    size1 = len(tail) + 1
+    q = m - size1
+    # a pick's place in the pool: its place after the seed less the X1 vertices before it
+    picks = [w - seed - 1 - sum(c < w - seed - 1 for c in tail) for w in _masks.bits(x2mask)]
+    return (_leaves_below(m, t, size1) + _lex_rank(tail, m - 1) * _leaf_count(q, t)
+            + sum(comb(q, j) for j in range(len(picks))) + _lex_rank(picks, q))
+
+
+def _first_size(g: Graph, t: int, s: int, seed: int) -> int:
+    """The smallest |X1| at which the root {seed} is not cut."""
+    return max(1, len(g._nbrs[seed]) - t - s + 1)
+
+
 def _search_seed(g: Graph, t: int, s: int, seed: int):
     """Difference-structure witness whose smallest difference vertex is ``seed``.
 
     X1 holds ``seed`` and later vertices; X2 holds later vertices outside X1.
     Both run by size ascending, then lexicographically, and every (X1, X2)
-    leaf counts as one structure examined, whether it is visited or cut.
-    Write X = X1 | X2, R = V - (X | C), N(Y) for the union of the
-    neighborhoods of Y, and cover_i for the number of edges from X_i to
-    vertices outside X.  When both covers are at most s the witness has C
-    empty.  Otherwise C, at most cmax_all = t - max(|X1|, |X2|) vertices
-    outside X, must absorb the excess, and ``_cover_subset`` looks for it.
+    leaf up to the first witness counts as one structure examined, whether
+    it is visited or cut.  Write X = X1 | X2, R = V - (X | C), N(Y) for the
+    union of the neighborhoods of Y, and cover_i for the number of edges
+    from X_i to vertices outside X.  When both covers are at most s the
+    witness has C empty.  Otherwise C, at most cmax_all = t - max(|X1|, |X2|)
+    vertices outside X, must absorb the excess, and ``_cover_subset`` looks
+    for it.
 
     In a witness every edge from X1 into R is one of the at most s edges
     the other side blames, and likewise for X2.  Two cuts follow.
@@ -214,18 +254,38 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
     At r = 0 each cut rejects only leaves that break a bound every witness
     obeys, so no leaf that yields a witness is cut, and the first witness is
     the one a leaf-by-leaf walk would meet.  With s = 0 the heavy set is
-    N(X1), and the heavy cut implies the boundary cut on N(X1).
+    N(X1), and the heavy cut implies the boundary cut on N(X1).  The root
+    {seed} has no heavy vertex when s > 0 and has heavy set N(seed) when
+    s = 0, so it is cut exactly while deg(seed) - (|X1| - 1) > t + s
+    (``_first_size``); those sizes are not walked.
 
     The walks are plain recursions that return the first witness straight
-    up.  A node tests each child's cuts in its own loop, before descending.
-    A cut child with r picks left and q pool entries after it stands for
-    C(q, r) sets, and each X1 of size k for L(P) = sum of C(P, j) over
-    j = 0..min(t, P) X2 leaves, P = n - seed - k (``_leaf_count``, cached
-    per (P, t)).  Every leaf before the first witness is thus counted once,
-    visited or not, so the count of structures is the one a leaf-by-leaf
-    walk makes.  The root {seed} has no heavy vertex when s > 0 and has
-    heavy set N(seed) when s = 0, so it is cut exactly while
-    deg(seed) - (|X1| - 1) > t + s; those sizes are counted without a walk.
+    up, and they count nothing: the count comes in closed form on return.
+    Let m - 1 vertices follow the seed, and L(P) = sum of C(P, j) over
+    j = 0..min(t, P) (``_leaf_count``).  An X1 of size k is the seed and
+    k - 1 of those m - 1 vertices, C(m - 1, k - 1) ways, and leaves a pool
+    of P = m - k vertices, from which X2 takes 0..min(t, P) of them: L(P)
+    leaves.  So a seed with no witness examines sum over k = 1..min(t, m)
+    of C(m - 1, k - 1) L(m - k) leaves (``_seed_leaves``, from the sums
+    ``_leaves_below`` caches).  With a witness at the leaf
+    (X1, X2), |X1| = k and |X2| = b, the leaves before it in the walk's
+    order are (``_leaf_rank``):
+
+    - those with |X1| < k, the same sum over 1..k - 1;
+    - L(P) under each X1 of size k that is lexicographically smaller;
+    - C(P, j) for each j < b, under X1 itself;
+    - the X2 of size b that are lexicographically smaller in the pool.
+
+    The lexicographic rank of positions c_0 < ... < c_(a-1) among the
+    a-subsets of 0..M-1 is C(M, a) - 1 - sum of C(M - 1 - c_i, a - i):
+    c -> M - 1 - c turns lexicographic order into the reverse of colex
+    order, and the colex rank of d_0 > ... > d_(a-1) is the sum of
+    C(d_i, a - i), its place in the combinatorial number system (D. E.
+    Knuth, TAOCP 4A, 7.2.1.3).  The walk meets the first witness a
+    leaf-by-leaf walk meets, and that walk counts every leaf up to and
+    including it, or every leaf when there is none, so the count is the
+    rank plus one, or the total.  X1 and X2 are read back off the witness:
+    X1 = F1 - F2 and X2 = F2 - F1.
 
     The X1 walk keeps atleast[d], the vertices with at least d + 1
     neighbors in X1, for d = 0..s.  Adding w to X1 makes atleast'[0] =
@@ -239,20 +299,16 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
     Returns ((f1, s1, f2, s2) masks or None, structures_examined).
     """
     n = g.vertex_count
+    top = min(t, n)
+    first = _first_size(g, t, s, seed)
+    if first > top:
+        return None, _seed_leaves(n, t, seed)
     nbr = _masks.layout_of(g)
     rest = range(seed + 1, n)
     k1 = len(rest)
-    top = min(t, n)
-    first = max(1, nbr[seed].bit_count() - t - s + 1)
-    examined = 0
-    for size1 in range(1, min(first, top + 1)):
-        examined += comb(k1, size1 - 1) * _leaf_count(n - seed - size1, t)
-    if first > top:
-        return None, examined
 
     def x1_walk(i, r, x1mask, atleast):
         # X1 is not cut; r picks are left
-        nonlocal examined
         if r == 0:
             return x2_search(x1mask, atleast[0], atleast[s])
         n1, h1 = atleast[0], atleast[s]
@@ -266,7 +322,6 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
             ch = h1 | (below & nw) if s else cn
             if ((ch & ~cx).bit_count() - r > t
                     or s and (cn & ~cx).bit_count() - r > t + s):
-                examined += comb(k1 - j - 1, r) * x2_leaves
                 continue
             if s:
                 child = [cn]
@@ -280,7 +335,6 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
         return None
 
     def x2_search(x1mask, nx1, heavy):
-        nonlocal examined
         pool = [w for w in rest if not (x1mask >> w) & 1]
         k = len(pool)
         not1 = ~x1mask
@@ -293,9 +347,7 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
 
         def x2_walk(i, r, x2mask, nx2, c1, ch):
             # X2 is not cut; r picks are left, c1 = |N(X1) - X|, ch = |heavy(X1) - X|
-            nonlocal examined
             if r == 0:
-                examined += 1
                 return leaf(x2mask, nx2)
             r -= 1
             for j in range(i, k - r):
@@ -306,7 +358,6 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
                 cn = nx2 | nbr[w]
                 if (cch - r > cmax_all or cc1 - r > slack
                         or (cn & not1 & ~cx).bit_count() - r > slack):
-                    examined += comb(k - j - 1, r)
                     continue
                 hit = x2_walk(j + 1, r, cx, cn, cc1, cch)
                 if hit is not None:
@@ -346,7 +397,6 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
             cmax_all = t - max(size1, size2)
             slack = cmax_all + s
             if ch_root - size2 > cmax_all or c1_root - size2 > slack:
-                examined += comb(k, size2)
                 continue
             hit = x2_walk(0, size2, 0, 0, c1_root, ch_root)
             if hit is not None:
@@ -355,11 +405,11 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
 
     root = [nbr[seed]] + [0] * s
     for size1 in range(first, top + 1):
-        x2_leaves = _leaf_count(n - seed - size1, t)
         hit = x1_walk(0, size1 - 1, 1 << seed, root)
         if hit is not None:
-            return hit, examined
-    return None, examined
+            f1, _, f2, _ = hit
+            return hit, _leaf_rank(n, t, seed, f1 & ~f2, f2 & ~f1) + 1
+    return None, _seed_leaves(n, t, seed)
 
 
 def _blocking_edges(g: Graph, side, umask: int) -> int:
@@ -378,9 +428,15 @@ def _local_search(g: Graph, t: int, s: int, audit: bool):
         seeds = [0] if g.vertex_count else []
     else:
         seeds = list(range(g.vertex_count))
+    n = g.vertex_count
+    top = min(t, n)
     examined = 0
     hit = None
     for m in seeds:
+        if _first_size(g, t, s, m) > top:
+            # cut at the root: no witness, every leaf counted in closed form
+            examined += _seed_leaves(n, t, m)
+            continue
         hit, count = _search_seed(g, t, s, m)
         examined += count
         if hit is not None:

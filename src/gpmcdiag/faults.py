@@ -11,7 +11,6 @@ of results to all tests.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
@@ -47,13 +46,13 @@ class FaultPair:
         fm = _masks.vertex_mask(self.faulty_vertices)
         sm = 0
         for e in self.faulty_edges:
-            ce = g.check_edge(e)
+            ce, k = g._check_edge_id(e)
             if ce != e:
                 raise InputError(f"edge {e} is not in canonical (min, max) form")
             if ce[0] in self.faulty_vertices or ce[1] in self.faulty_vertices:
                 raise ConsistencyError(
                     f"faulty edge {ce[0]}-{ce[1]} is incident to a faulty vertex", edge=ce)
-            sm |= 1 << g._edge_id(*ce)
+            sm |= 1 << k
         object.__setattr__(self, "f_mask", fm)
         object.__setattr__(self, "s_mask", sm)
 
@@ -110,11 +109,10 @@ def _pair_from_masks(g: Graph, f_mask: int, s_mask: int) -> FaultPair:
 
 def _test_index(g: Graph, tester: int, testee: int) -> int:
     """Position of the test tester -> testee: 2k or 2k + 1 for the edge k joining them."""
-    row = g._nbrs[g.check_vertex(tester)]
-    i = bisect_left(row, g.check_vertex(testee))
-    if i == len(row) or row[i] != testee:
+    k = g._edge_id(g.check_vertex(tester), g.check_vertex(testee))
+    if k is None:
         raise InputError(f"vertices {tester} and {testee} are not adjacent in {g.name}")
-    return 2 * g._eids[tester][i] + (testee < tester)
+    return 2 * k + (testee < tester)
 
 
 # results <-> binary digits, one byte per test, so conversions stay linear in m

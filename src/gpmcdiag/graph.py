@@ -183,14 +183,19 @@ class Graph:
         return u
 
     def check_edge(self, e) -> tuple[int, int]:
+        return self._check_edge_id(e)[0]
+
+    def _check_edge_id(self, e) -> tuple[tuple[int, int], int]:
+        """``check_edge``'s canonical edge and its index in ``edges``, from one lookup."""
         try:
             u, v = e
         except (TypeError, ValueError):
             raise InputError(f"edge {e!r} is not a pair of vertices") from None
         ce = edge(self.check_vertex(u), self.check_vertex(v))
-        if self._edge_id(*ce) is None:
+        k = self._edge_id(*ce)
+        if k is None:
             raise InputError(f"edge {u}-{v} is not an edge of {self.name}")
-        return ce
+        return ce, k
 
     def __repr__(self):
         return f"Graph({self.name}: {self.vertex_count} vertices, {len(self._ends) // 2} edges)"

@@ -5,7 +5,8 @@ deliberately avoiding the library's mask machinery and search code so that
 agreement between the two is evidence, not tautology.  The consistent-pair
 enumerator ``all_consistent_pairs`` and three oracles,
 ``reference_candidate_masks`` (for the decoder), and ``full_search`` and
-``reference_search_seed`` (for the diagnosability search), work over the
+``reference_search_seed`` (for the diagnosability search, which walks the
+leaves of ``reference_leaves``), work over the
 library's bit encodings of the graph instead (edge and test indices from
 ``graph.edges``, neighbor bits from ``_masks.layout_of``); the definitional
 checks here cover those encodings.  ``adversary_syndromes`` expands every
@@ -235,71 +236,73 @@ def full_search(g, t: int, s: int):
     return None, {"candidates": len(flat), "pairs_examined": checked}
 
 
+def reference_leaves(n: int, t: int, seed: int):
+    """Every (X1, X2) leaf of ``seed`` as vertex tuples, in the search's order.
+
+    X1 is ``seed`` and later vertices, X2 later vertices outside X1; each
+    runs by size, then lexicographically, from ``combinations``.
+    """
+    rest = range(seed + 1, n)
+    for size1 in range(1, min(t, n) + 1):
+        for tail in combinations(rest, size1 - 1):
+            pool = [v for v in rest if v not in tail]
+            for size2 in range(min(t, len(pool)) + 1):
+                for x2 in combinations(pool, size2):
+                    yield (seed,) + tail, x2
+
+
 def reference_search_seed(g, t: int, s: int, seed: int):
     """The difference-structure search leaf by leaf, kept as its oracle.
 
-    X1 and X2 come from ``combinations``, every leaf is visited and counted,
-    and each recounts both cover counts over its own vertices; no subtree is
-    cut.  The library must return the same ((f1, s1, f2, s2) masks or None,
+    Every leaf of ``reference_leaves`` is visited and counted, and each
+    recounts both cover counts over its own vertices; no subtree is cut.
+    The library must return the same ((f1, s1, f2, s2) masks or None,
     structures_examined) for every seed, so this pins the leaf order and the
     count, not only the verdict.  Like ``full_search`` it works over the
     library's bit encodings, and it reads the library's ``_cover_subset`` and
     ``_blocking_edges``.
     """
-    n = g.vertex_count
     nbr = _masks.layout_of(g)
-    rest = range(seed + 1, n)
     examined = 0
-    for size1 in range(1, min(t, n) + 1):
-        for tail in combinations(rest, size1 - 1):
-            x1 = (seed,) + tail
-            x1mask = 0
-            for v in x1:
-                x1mask |= 1 << v
-            pool = [v for v in rest if not (x1mask >> v) & 1]
-            for size2 in range(0, min(t, len(pool)) + 1):
-                cmax_all = min(t - size1, t - size2)
-                if cmax_all < 0:
-                    continue
-                for x2 in combinations(pool, size2):
-                    examined += 1
-                    x2mask = 0
-                    for v in x2:
-                        x2mask |= 1 << v
-                    xmask = x1mask | x2mask
-                    outside = ~xmask
-                    cover1 = sum((nbr[v] & outside).bit_count() for v in x1)
-                    cover2 = sum((nbr[v] & outside).bit_count() for v in x2)
-                    cmask = 0
-                    if cover1 > s or cover2 > s:
-                        if cmax_all == 0:
-                            continue
-                        need1 = cover1 - s
-                        need2 = cover2 - s
-                        cand_mask = 0
-                        for v in x1 if need1 > 0 else ():
-                            cand_mask |= nbr[v]
-                        for v in x2 if need2 > 0 else ():
-                            cand_mask |= nbr[v]
-                        cand_mask &= outside
-                        cands = []
-                        for c in _masks.bits(cand_mask):
-                            g1 = (nbr[c] & x1mask).bit_count()
-                            g2 = (nbr[c] & x2mask).bit_count()
-                            cands.append((c, g1, g2))
-                        cands.sort(key=lambda cg: (-(cg[1] + cg[2]), cg[0]))
-                        chosen = _cover_subset(cands, need1, need2, cmax_all)
-                        if chosen is None:
-                            continue
-                        for c in chosen:
-                            cmask |= 1 << c
-                    f1 = x1mask | cmask
-                    f2 = x2mask | cmask
-                    umask = xmask | cmask
-                    # S is forced: each pair blames the other side's edges leaving U
-                    s1 = _blocking_edges(g, x2, umask)
-                    s2 = _blocking_edges(g, x1, umask)
-                    return (f1, s1, f2, s2), examined
+    for x1, x2 in reference_leaves(g.vertex_count, t, seed):
+        examined += 1
+        x1mask = sum(1 << v for v in x1)
+        x2mask = sum(1 << v for v in x2)
+        xmask = x1mask | x2mask
+        outside = ~xmask
+        cover1 = sum((nbr[v] & outside).bit_count() for v in x1)
+        cover2 = sum((nbr[v] & outside).bit_count() for v in x2)
+        cmax_all = t - max(len(x1), len(x2))
+        cmask = 0
+        if cover1 > s or cover2 > s:
+            if cmax_all == 0:
+                continue
+            need1 = cover1 - s
+            need2 = cover2 - s
+            cand_mask = 0
+            for v in x1 if need1 > 0 else ():
+                cand_mask |= nbr[v]
+            for v in x2 if need2 > 0 else ():
+                cand_mask |= nbr[v]
+            cand_mask &= outside
+            cands = []
+            for c in _masks.bits(cand_mask):
+                g1 = (nbr[c] & x1mask).bit_count()
+                g2 = (nbr[c] & x2mask).bit_count()
+                cands.append((c, g1, g2))
+            cands.sort(key=lambda cg: (-(cg[1] + cg[2]), cg[0]))
+            chosen = _cover_subset(cands, need1, need2, cmax_all)
+            if chosen is None:
+                continue
+            for c in chosen:
+                cmask |= 1 << c
+        f1 = x1mask | cmask
+        f2 = x2mask | cmask
+        umask = xmask | cmask
+        # S is forced: each pair blames the other side's edges leaving U
+        s1 = _blocking_edges(g, x2, umask)
+        s2 = _blocking_edges(g, x1, umask)
+        return (f1, s1, f2, s2), examined
     return None, examined
 
 

@@ -1,22 +1,29 @@
 """The bounded difference-structure search against a leaf-by-leaf walk.
 
-``brute.reference_search_seed`` visits and counts every (X1, X2) leaf;
-the library cuts whole subtrees by a vertex-boundary bound and a
-heavy-vertex bound and counts their leaves with binomial coefficients.  Both must return the same
-witness masks and the same count of structures for every seed, so a walk
-that visits the leaves in another order, miscounts a cut subtree, cuts a
+``brute.reference_search_seed`` visits and counts every (X1, X2) leaf of
+``brute.reference_leaves``; the library cuts whole subtrees by a
+vertex-boundary bound and a heavy-vertex bound, counts nothing while it
+walks, and computes the count on return: the total number of leaves of a
+seed with no witness, or the rank of the witness's leaf plus one.  Both
+must return the same witness masks and the same count of structures for
+every seed, so a walk that visits the leaves in another order, cuts a
 subtree that holds a witness, or meets a different first witness fails
-here.  A verdict-only comparison such as ``test_methods_agree_on_grid``
-would see none of these.
+here.  The rank and the total are also checked against every leaf's
+position, not only first witnesses, and the sum over seeds against
+``is_ts_diagnosable``, which counts a seed cut at its root without
+searching it.  A verdict-only comparison such as
+``test_methods_agree_on_grid`` would see none of these.
 """
+
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gpmcdiag as gd
-from gpmcdiag.diagnosability import _search_seed
+from gpmcdiag.diagnosability import _leaf_rank, _search_seed, _seed_leaves
 
-from brute import full_is_ts_diagnosable, reference_search_seed
+from brute import full_is_ts_diagnosable, reference_leaves, reference_search_seed
 from gallery import full_gallery
 
 
@@ -71,3 +78,52 @@ def test_dense_random_t1_pin():
     report = gd.edge_restricted_diagnosability(gd.build_random(16, 0.8, 1), 1)
     assert report.value == 7
     assert report.stats["structures_examined"] == 43_502_781
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_closed_form_ranks_every_leaf(n):
+    # the count of a seed is the rank of its witness plus one, or the total
+    # with none; checked here on every leaf, not only on first witnesses
+    for t in range(5):
+        for seed in range(n):
+            position = -1
+            for position, (x1, x2) in enumerate(reference_leaves(n, t, seed)):
+                x1mask = sum(1 << v for v in x1)
+                x2mask = sum(1 << v for v in x2)
+                assert _leaf_rank(n, t, seed, x1mask, x2mask) == position, (n, t, seed, x1, x2)
+            assert _seed_leaves(n, t, seed) == position + 1, (n, t, seed)
+
+
+def assert_same_total(g, t, s):
+    # seeds cut at the root are counted without a walk; the total must still
+    # be that of the leaf-by-leaf walk over the seeds up to the first witness
+    seeds = [0] if g.vertex_transitive else range(g.vertex_count)
+    expected = 0
+    for seed in seeds:
+        hit, count = reference_search_seed(g, t, s, seed)
+        expected += count
+        if hit is not None:
+            break
+    result = gd.is_ts_diagnosable(g, t, s)
+    assert result.stats["structures_examined"] == expected, f"{g.name} t={t} s={s}"
+    assert result.diagnosable is (hit is None)
+
+
+@pytest.mark.parametrize("g", full_gallery(), ids=lambda g: g.name)
+def test_total_matches_on_gallery(g):
+    for t in range(5):
+        for s in range(3):
+            assert_same_total(g, t, s)
+
+
+@pytest.mark.parametrize("t, s", [(1, 0), (2, 0), (2, 1), (1, 4), (2, 2)])
+def test_total_matches_on_relabelled_q5(t, s):
+    # Q_5 without the builder's symmetry flag is swept from every seed; at
+    # (1, 0), (2, 0) and (2, 1) every seed is cut at the root, at (1, 4) and
+    # (2, 2) none is
+    q = gd.build_hypercube(5)
+    perm = list(range(q.vertex_count))
+    random.Random(1).shuffle(perm)
+    g = gd.Graph(q.vertex_count, [(perm[a], perm[b]) for a, b in q.edges])
+    assert not g.vertex_transitive
+    assert_same_total(g, t, s)
