@@ -180,14 +180,15 @@ def _digest(witness) -> str | None:
 #: the CLI calls answer True or False and the diagnoses a count, with no
 #: witness and no count of structures, so those pins are None.
 INSTANCES = {
-    "random16-t1": (
-        "t_1 of build_random(16, 0.8, 1)", _random_dense, (16, 1), (10, 1),
-        {"value": 7, "witness": "7a4e68fd6c0679ff", "structures_examined": 43502781},
-        {"value": 4, "witness": "aa8eee4b8b7d9284", "structures_examined": 36877}),
     "random30-t3": (
         "t_3 of build_random(30, 0.8, 1)", _random_dense, (30, 3), (14, 2),
         {"value": 14, "witness": "c4aa19c99e097a06", "structures_examined": 400588945483799},
         {"value": 6, "witness": "56dad87cfecf276e", "structures_examined": 4214527}),
+    "random40-t3": (
+        "t_3 of build_random(40, 0.8, 1), where the value stops at the |V| bound",
+        _random_dense, (40, 3), (14, 3),
+        {"value": 19, "witness": "96f5bbd35602a3bd", "structures_examined": 32101998586372050325},
+        {"value": 5, "witness": "8d72bd0a2fc71b53", "structures_examined": 3031688}),
     "hypercube13-t0": (
         "t_0 of Q_13, from the single seed 0", _hypercube_t0, (13,), (6,),
         {"value": 13, "witness": "53fa913a966ef12a", "structures_examined": int(
@@ -204,6 +205,11 @@ INSTANCES = {
         {"value": 8, "witness": "29a60831ad3b4668",
          "structures_examined": 69441232481247453156913143185},
         {"value": 4, "witness": "a6bd97efe8139e33", "structures_examined": 1280155}),
+    "relabelled-q9-t0": (
+        "t_0 of Q_9 relabelled, every seed swept", _relabelled_hypercube_t0, (9,), (5,),
+        {"value": 9, "witness": "4b7d232a8c25cb53",
+         "structures_examined": 17024180268842932585484827613578255169},
+        {"value": 5, "witness": "29936ae0dc621b4a", "structures_examined": 13363368809}),
     "roundtrip-q4": (
         "adversarial_roundtrip on Q_4, F = {0, 3, 5, 6}, S = {} at (4, 0)",
         _roundtrip, (4, (0, 3, 5, 6), 4), (3, (0, 3), 2),

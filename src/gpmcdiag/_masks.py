@@ -24,10 +24,10 @@ A test-space mask of a fault pattern is sparse: its set bits are the tests
 at the faulty vertices and edges, but its width is 2m.  Or-ing in one
 shifted bit at a time costs time in proportion to the width per bit, so
 ``_fault_tests`` collects the positions in one walk over the faulty
-vertices' adjacencies and the faulty edges, and ``mask_of`` builds a mask
-from them in one step, from a byte buffer read by ``int.from_bytes``.
-``BUFFER_WIDTH`` governs only ``mask_of`` and ``forced_masks``: below it
-the buffer costs more than it saves, so both or in shifted bits.
+vertices' adjacencies and the faulty edges, and ``mask_of``, the one writer
+of test masks, builds a mask from them in one step, from a byte buffer read
+by ``int.from_bytes``.  Only ``forced_masks`` keeps a fused walk as well, on
+narrow graphs, because the search checks every witness it finds with it.
 Syndromes are built from the positions ``_fault_tests`` returns:
 ``faults.generate_syndrome`` adds the chosen free positions to the
 forced-fail ones, and ``engine.adversarial_roundtrip`` builds the decoder's
@@ -68,20 +68,15 @@ def vertex_mask(vertices) -> int:
     return mask
 
 
-#: Test-space width, in bits, from which ``mask_of`` sets bits in a byte
-#: buffer.  Below it, zeroing the buffer and reading it with
-#: ``int.from_bytes`` cost more than or-ing in the few dozen bits a fault
-#: pattern sets.
+#: Test-space width, in bits, from which ``forced_masks`` builds its masks
+#: with ``mask_of``; nothing else reads it.  Below it the buffer's set-up
+#: costs more than or-ing in the few dozen bits a fault pattern sets, and the
+#: search checks every witness with ``forced_masks``.
 BUFFER_WIDTH = 1024
 
 
 def mask_of(positions, width: int) -> int:
     """The test-set mask with bit p set for each p in positions (all below width)."""
-    if width < BUFFER_WIDTH:
-        mask = 0
-        for p in positions:
-            mask |= 1 << p
-        return mask
     buf = bytearray((width + 7) >> 3)
     for p in positions:
         buf[p >> 3] |= 1 << (p & 7)

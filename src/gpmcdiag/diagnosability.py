@@ -44,7 +44,8 @@ from typing import NamedTuple
 from . import _masks
 from .errors import InputError
 from .faults import FaultPair, _pair_from_masks, make_fault_pair
-from .graph import Graph, _check_bound, degree, incident_edges, min_degree, neighbors
+from .graph import (Graph, _check_bound, _check_instance, degree, incident_edges, min_degree,
+                    neighbors)
 
 
 class TsResult(NamedTuple):
@@ -100,7 +101,6 @@ def construct_indistinguishable_witness(g: Graph, u: int, h: int) -> tuple[Fault
     never reach u over a non-blamed edge, so the two circumstances produce a
     common syndrome.  Proves t_h <= d(u) - h; tight when d(u) is minimum.
     """
-    g.check_vertex(u)
     nbrs = sorted(neighbors(g, u))
     if _check_bound("edge budget h", h) > len(nbrs):
         raise InputError(f"edge budget h={h} outside 0..deg({u})={len(nbrs)}")
@@ -120,7 +120,7 @@ def construct_edge_witness(g: Graph, e) -> tuple[FaultPair, FaultPair]:
     (1, delta-1)-diagnosability and hence bounds the single-fault edge
     diagnosability by delta - 2.
     """
-    ce = g.check_edge(e)
+    ce = _check_instance(g, Graph).check_edge(e)
     delta = min_degree(g)
     a, b = ce
     if degree(g, a) == delta:
@@ -300,9 +300,6 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
     """
     n = g.vertex_count
     top = min(t, n)
-    first = _first_size(g, t, s, seed)
-    if first > top:
-        return None, _seed_leaves(n, t, seed)
     nbr = _masks.layout_of(g)
     rest = range(seed + 1, n)
     k1 = len(rest)
@@ -404,7 +401,7 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
         return None
 
     root = [nbr[seed]] + [0] * s
-    for size1 in range(first, top + 1):
+    for size1 in range(_first_size(g, t, s, seed), top + 1):
         hit = x1_walk(0, size1 - 1, 1 << seed, root)
         if hit is not None:
             f1, _, f2, _ = hit
@@ -488,10 +485,13 @@ def is_ts_diagnosable(g: Graph, t: int, s: int, *, method: str = "auto",
     "auto" or "local", which name the same search; anything else raises
     InputError.  ``jobs`` is accepted and ignored: the search runs in-process.
     """
+    _check_instance(g, Graph)
     _check_bound("bound t", t)
     _check_bound("bound s", s)
     _check_method(method)
-    masks, stats = _local_search(g, t, s, audit)
+    # no pair has more than m faulty edges, and no cut or cover of the search
+    # fires beyond s = m, so a larger s answers as s = m does
+    masks, stats = _local_search(g, t, min(s, len(g._ends) // 2), audit)
     stats = {"method": "local", **stats}
     if masks is None:
         return TsResult(True, None, stats)
@@ -532,7 +532,7 @@ def edge_restricted_diagnosability(g: Graph, h: int, *, method: str = "auto",
     budgets beyond the minimum degree are computed all the same but flagged,
     since the closed-form bounds no longer apply there.  ``jobs`` is ignored.
     """
-    if g.vertex_count == 0:
+    if _check_instance(g, Graph).vertex_count == 0:
         raise InputError("diagnosability of the empty graph is undefined")
     m = len(g._ends) // 2
     if _check_bound("edge budget h", h) > m:
@@ -550,7 +550,7 @@ def vertex_restricted_edge_diagnosability(g: Graph, r: int, *, method: str = "au
     is -1 when even (r, 0) fails (possible only on degenerate graphs such as
     a single vertex or an isolated edge component).  ``jobs`` is ignored.
     """
-    if g.vertex_count == 0:
+    if _check_instance(g, Graph).vertex_count == 0:
         raise InputError("diagnosability of the empty graph is undefined")
     _check_bound("vertex budget r", r)
     _check_method(method)

@@ -31,6 +31,8 @@ class FaultPair:
 
     Constructing an inconsistent pair (an edge of S incident to a vertex of F)
     raises ConsistencyError; silent normalization would corrupt experiments.
+    Any collections of valid vertex ids and canonical edges are accepted and
+    kept as frozensets.
     """
 
     graph: Graph
@@ -41,19 +43,23 @@ class FaultPair:
 
     def __post_init__(self):
         g = _check_instance(self.graph, Graph)
-        for v in self.faulty_vertices:
+        vertices = _members(self.faulty_vertices, "faulty vertices")
+        for v in vertices:
             g.check_vertex(v)
-        fm = _masks.vertex_mask(self.faulty_vertices)
+        fset = frozenset(vertices)
+        edges = _members(self.faulty_edges, "faulty edges")
         sm = 0
-        for e in self.faulty_edges:
+        for e in edges:
             ce, k = g._check_edge_id(e)
             if ce != e:
                 raise InputError(f"edge {e} is not in canonical (min, max) form")
-            if ce[0] in self.faulty_vertices or ce[1] in self.faulty_vertices:
+            if ce[0] in fset or ce[1] in fset:
                 raise ConsistencyError(
                     f"faulty edge {ce[0]}-{ce[1]} is incident to a faulty vertex", edge=ce)
             sm |= 1 << k
-        object.__setattr__(self, "f_mask", fm)
+        object.__setattr__(self, "faulty_vertices", fset)
+        object.__setattr__(self, "faulty_edges", frozenset(edges))
+        object.__setattr__(self, "f_mask", _masks.vertex_mask(fset))
         object.__setattr__(self, "s_mask", sm)
 
     def __str__(self):
@@ -69,17 +75,23 @@ class FaultPair:
         }
 
 
+def _members(value, what: str) -> tuple:
+    """The items of a collection argument; InputError when it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InputError(f"{what} must be a collection, not {value!r}") from None
+
+
 def make_fault_pair(g: Graph, faulty_vertices, faulty_edges) -> FaultPair:
     """Validated fault pair; edges may be given in either endpoint order."""
     try:
-        fset = frozenset(faulty_vertices)
-    except TypeError:
-        raise InputError("faulty vertices must be a collection of vertex ids") from None
-    try:
         canon_edges = frozenset(edge(u, v) for (u, v) in faulty_edges)
+    except InputError:      # edge()'s own message names the bad edge
+        raise
     except (TypeError, ValueError):
         raise InputError("faulty edges must be (u, v) pairs of vertex ids") from None
-    return FaultPair(g, fset, canon_edges)
+    return FaultPair(g, faulty_vertices, canon_edges)
 
 
 def fault_pair_from_record(g: Graph, record: dict) -> FaultPair:
@@ -194,7 +206,7 @@ def syndrome_from_triples(g: Graph, triples) -> Syndrome:
     except TypeError:
         raise InputError(f"syndrome rows must be iterable, not {triples!r}") from None
     unset = object()
-    results: list = [unset] * len(g._ends)
+    results: list = [unset] * len(_check_instance(g, Graph)._ends)
     for row in rows:
         try:
             tester, testee, outcome = row
@@ -267,8 +279,9 @@ def generate_syndrome(fp: FaultPair, strategy: str = "all-pass", *,
                 raise InputError(
                     f"assignment {value!r} for test {key} must be 0 (pass) or 1 (fail)")
         if assigned:
-            extra = sorted(assigned)
-            raise InputError(f"assignments given for tests not adversary-controlled: {extra}")
+            # in the caller's order: keys of mixed types do not sort
+            raise InputError(
+                f"assignments given for tests not adversary-controlled: {list(assigned)}")
     return _syndrome_from_mask(g, _masks.mask_of(fail, len(g._ends)))
 
 

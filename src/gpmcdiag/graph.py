@@ -30,7 +30,9 @@ EDGE_CAP = HYPERCUBE_DIMENSION_CAP << (HYPERCUBE_DIMENSION_CAP - 1)
 
 
 def edge(u: int, v: int) -> tuple[int, int]:
-    """Canonical (min, max) form of an undirected edge."""
+    """Canonical (min, max) form of an undirected edge: two distinct ints, not bools."""
+    if not (_is_int(u) and _is_int(v)):
+        raise InputError(f"edge {u!r}-{v!r} has an endpoint that is not an int")
     if u == v:
         raise InputError(f"self-loop at vertex {u} is not a valid edge")
     return (u, v) if u < v else (v, u)
@@ -49,8 +51,7 @@ class Graph:
     int shared by both endpoints.  An edge is found by bisecting an
     endpoint's ``_nbrs`` row (``_edge_id``).  ``edges``, the edges as
     canonical (min, max) tuples, is read-only and built from the column on
-    first use; the constructor keeps the caller's own canonical tuples there
-    instead.  Vertex ids are ints, never bools.  ``labels`` optionally
+    first use.  Vertex ids are ints, never bools.  ``labels`` optionally
     attaches a text label per vertex (hypercubes use their bit strings).
     ``vertex_transitive`` is true only for builders whose output provably
     looks the same from every vertex (hypercube, cycle, complete); search
@@ -76,7 +77,10 @@ class Graph:
         if vertex_count < 0:
             raise InputError("vertex_count must be non-negative")
         _check_vertex_count(vertex_count)
-        pairs = list(edges)
+        try:
+            pairs = list(edges)
+        except TypeError:
+            raise InputError(f"edges must be an iterable of vertex pairs, not {edges!r}") from None
         canon = _canonical_edges(vertex_count, pairs)
         _check_edge_count(len(canon))
         canon.sort()
@@ -89,7 +93,6 @@ class Graph:
             for item in pairs:
                 _canonical_edge(vertex_count, item)
             raise
-        self._edges = tuple(canon)
 
     @classmethod
     def _from_columns(cls, vertex_count: int, lo: list, hi: list, labels=None,
@@ -221,8 +224,6 @@ def _canonical_edge(vertex_count: int, item) -> tuple[int, int]:
         u, v = item
     except (TypeError, ValueError):
         raise InputError(f"edge {item!r} is not a pair of vertices") from None
-    if not (_is_int(u) and _is_int(v)):
-        raise InputError(f"edge {u!r}-{v!r} has an endpoint that is not an int")
     e = edge(u, v)
     if not (0 <= e[0] and e[1] < vertex_count):
         raise InputError(f"edge {u}-{v} has an endpoint outside 0..{vertex_count - 1}")
@@ -269,22 +270,27 @@ def _check_edge_count(m: int):
 # structural queries
 # ---------------------------------------------------------------------------
 
+def _row(g: Graph, u: int) -> tuple:
+    """The neighbor ids of vertex u of g, ascending; g and u are checked."""
+    return _check_instance(g, Graph)._nbrs[g.check_vertex(u)]
+
+
 def neighbors(g: Graph, u: int) -> frozenset[int]:
     """All vertices adjacent to u."""
-    return frozenset(g._nbrs[g.check_vertex(u)])
+    return frozenset(_row(g, u))
 
 
 def incident_edges(g: Graph, u: int) -> frozenset[tuple[int, int]]:
     """All edges having u as an endpoint."""
-    return frozenset(map(edge, repeat(u), g._nbrs[g.check_vertex(u)]))
+    return frozenset(map(edge, repeat(u), _row(g, u)))
 
 
 def degree(g: Graph, u: int) -> int:
-    return len(g._nbrs[g.check_vertex(u)])
+    return len(_row(g, u))
 
 
 def min_degree(g: Graph) -> int:
-    if g.vertex_count == 0:
+    if _check_instance(g, Graph).vertex_count == 0:
         raise InputError("minimum degree of the empty graph is undefined")
     return _min_degree(g)
 
@@ -306,6 +312,7 @@ def girth(g: Graph):
     of length at most d(u) + d(v) + 1, and the minimum over all start vertices
     is exact.  Fine at the graph sizes this library works with.
     """
+    _check_instance(g, Graph)
     best = math.inf
     for source in range(g.vertex_count):
         dist = {source: 0}
@@ -417,7 +424,7 @@ def build_named_topology(name: str, **params) -> Graph:
     """
     try:
         builder, takes = _BUILDERS[name]
-    except KeyError:
+    except (KeyError, TypeError):   # TypeError: a name that cannot be hashed
         known = ", ".join(sorted(_BUILDERS))
         raise InputError(f"unknown topology {name!r} (known: {known})") from None
     for key in params:
@@ -473,11 +480,9 @@ def parse_edge_list(text: str, name: str = "edge-list") -> Graph:
         seen = set()
         for lineno, a, b in edges:
             try:
-                e = edge(a, b)
+                e = _canonical_edge(n, (a, b))
             except InputError as exc:
                 raise InputError(f"line {lineno}: {exc}") from None
-            if not 0 <= e[0] <= e[1] < n:
-                raise InputError(f"line {lineno}: edge {a}-{b} outside 0..{n - 1}") from None
             if e in seen:
                 raise InputError(f"line {lineno}: duplicate edge {a}-{b}") from None
             seen.add(e)
@@ -485,13 +490,14 @@ def parse_edge_list(text: str, name: str = "edge-list") -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.vertex_count} {len(g.edges)}"]
+    lines = [f"{_check_instance(g, Graph).vertex_count} {len(g.edges)}"]
     lines.extend(f"{u} {v}" for (u, v) in g.edges)
     return "\n".join(lines) + "\n"
 
 
 def to_dot(g: Graph) -> str:
     """GraphViz source for the graph, vertex labels included when present."""
+    _check_instance(g, Graph)
     lines = ["graph G {"]
     for v in range(g.vertex_count):
         if g.labels is not None:

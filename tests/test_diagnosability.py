@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import gpmcdiag as gd
 from gpmcdiag import InputError
+from gpmcdiag.diagnosability import _local_search
 
 from brute import full_edge_restricted_diagnosability, full_is_ts_diagnosable, \
     literal_distinguishable, pmc_brute_diagnosability
@@ -80,6 +81,18 @@ class TestIsTsDiagnosable:
     def test_negative_bounds_rejected(self, q2):
         with pytest.raises(InputError):
             gd.is_ts_diagnosable(q2, -1, 0)
+
+    def test_edge_budget_beyond_edge_count_answers_as_edge_count(self):
+        # the search answers alike for every s >= m, so the entry point clamps
+        # s to m and answers an s too large to size any list by
+        for g in [gd.build_path(4), gd.build_cycle(5)] + full_gallery()[:4]:
+            m = len(g.edges)
+            for t in range(4):
+                at_m = _local_search(g, t, m, False)
+                for s in (m + 1, m + 3):
+                    assert _local_search(g, t, s, False) == at_m, (g.name, t, s)
+                huge = gd.is_ts_diagnosable(g, t, 10 ** 30)
+                assert huge == gd.is_ts_diagnosable(g, t, m), (g.name, t)
 
     def test_full_method_is_gone(self, q2):
         # one search method is exposed; the pairwise one is brute.full_search

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +74,26 @@ def test_malformed_entry_raises_input_error(q2, build):
     # refused with the documented error, not a bare ValueError or TypeError
     with pytest.raises(InputError):
         build(q2)
+
+
+@pytest.mark.parametrize("e, message", [
+    ((1, 1), "self-loop at vertex 1 "),
+    ((0, True), "edge 0-True has an endpoint that is not an int"),
+    ((0, 9), "vertex id 9 is not in 0..3"),
+])
+def test_bad_fault_edge_named_by_edge_rule(q2, e, message):
+    # make_fault_pair passes the edge rule's own message through
+    with pytest.raises(InputError, match=re.escape(message)):
+        gd.make_fault_pair(q2, [], [e])
+
+
+def test_fault_pair_keeps_its_sets_as_frozensets(q3):
+    # any collection will do, a one-shot iterator or a list with repeats
+    # included, and the pair's sets and masks agree with it
+    pair = gd.FaultPair(q3, (v for v in [1, 1]), iter([(2, 6)]))
+    assert pair.faulty_vertices == frozenset({1}) and pair.f_mask == 0b10
+    assert pair.faulty_edges == frozenset({(2, 6)}) and pair.s_mask != 0
+    assert pair == gd.make_fault_pair(q3, [1], [(6, 2)])
 
 
 class TestEnumerateTests:
@@ -155,11 +176,12 @@ class TestForcedOutcome:
     *(lambda seed=seed: gd.build_random(60, 0.5, seed) for seed in (1, 2, 3)),
 ], ids=["Q4", "Q10", "G60-s1", "G60-s2", "G60-s3"])
 def test_masks_match_shift_or_reference(build):
-    # forced_masks and generate_syndrome build each test mask in one step, in
-    # a byte buffer on wide graphs; the reference or-s in one bit at a time
+    # forced_masks builds each test mask in one step, in a byte buffer on
+    # wide graphs, and generate_syndrome at every width; the reference or-s
+    # in one bit at a time
     g = build()
     width = 2 * len(g.edges)
-    # Q_4 takes the shift-or path, the larger graphs the byte buffer
+    # forced_masks takes the shift-or path on Q_4, the byte buffer on the rest
     assert (width < _masks.BUFFER_WIDTH) == (g.vertex_count == 16)
     rng = random.Random(width)
     for _ in range(25):
@@ -180,6 +202,20 @@ def test_masks_match_shift_or_reference(build):
             sig = gd.generate_syndrome(fp, strategy, seed=seed, assignments=assignments)
             want = brute.reference_syndrome_mask(fp, strategy, seed, assignments)
             assert sig.fail_mask == want, (g.name, strategy)
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 1023, 1024])
+def test_mask_of_matches_shift_or_reference(width):
+    # mask_of writes every test mask in its byte buffer, at every width;
+    # positions may repeat and come in any order
+    rng = random.Random(width)
+    for count in (0, 1, width // 3, width):
+        positions = [rng.randrange(width) for _ in range(count)] if width else []
+        want = 0
+        for p in positions:
+            want |= 1 << p
+        assert _masks.mask_of(positions, width) == want
+    assert _masks.mask_of(range(width), width) == (1 << width) - 1
 
 
 def test_wide_adversary_masks_match_explicit_reference():

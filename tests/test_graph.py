@@ -367,11 +367,23 @@ class TestGraphValidation:
         with pytest.raises(InputError, match=re.escape(message)):
             gd.Graph(n, edges)
 
+    @pytest.mark.parametrize("u, v, message", [
+        (1.5, 2, "edge 1.5-2 has an endpoint that is not an int"),
+        (True, 2, "edge True-2 has an endpoint that is not an int"),
+        (None, 2, "edge None-2 has an endpoint that is not an int"),
+        (2, 2, "self-loop at vertex 2 "),
+    ])
+    def test_edge_refuses_bad_endpoints(self, u, v, message):
+        # edge() owns the endpoint rule that Graph(...) applies edge by edge
+        with pytest.raises(InputError, match=re.escape(message)):
+            gd.edge(u, v)
+
     def test_edges_canonical_and_sorted(self):
         canonical = (1, 3)
         g = gd.Graph(4, [canonical, (2, 0)])
         assert g.edges == ((0, 2), (1, 3))
-        assert g.edges[1] is canonical
+        # built from the endpoint column: equal to the caller's tuple, not it
+        assert g.edges[1] == canonical
         # pairs as lists take the edge-by-edge checks; any iterable of pairs will do
         assert gd.Graph(4, [[3, 1], [2, 0]]).edges == g.edges
         assert gd.Graph(4, (e for e in [(3, 1), (2, 0)])).edges == g.edges
@@ -423,10 +435,12 @@ class TestEdgeColumns:
             gd.Graph._from_columns(3, lo, hi)
 
     def test_edges_built_once(self):
-        g = gd.build_hypercube(3)
-        assert g._edges is None
-        assert g.edges is g.edges
-        assert g.edges == tuple(zip(g._ends[::2], g._ends[1::2]))
+        # every graph, from a builder's columns or the caller's tuples, builds
+        # its edge tuples from the column on first use
+        for g in (gd.build_hypercube(3), gd.Graph(3, [(0, 1)])):
+            assert g._edges is None
+            assert g.edges is g.edges
+            assert g.edges == tuple(zip(g._ends[::2], g._ends[1::2]))
 
     def test_edges_cannot_be_assigned(self):
         # the adjacency is built once, so a replaced edge list would disagree with it
@@ -539,6 +553,16 @@ class TestEdgeListFormat:
     def test_bad_endpoint_reports_line(self):
         with pytest.raises(InputError, match="line 3"):
             gd.parse_edge_list("2 2\n0 1\n0 5\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 2\n0 1\n0 5\n", "line 3: edge 0-5 has an endpoint outside 0..1"),
+        ("2 2\n0 1\n1 1\n", "line 3: self-loop at vertex 1 "),
+        ("2 2\n# c\n0 1\n1 0\n", "line 4: duplicate edge 1-0"),
+    ], ids=["range", "self-loop", "duplicate"])
+    def test_bad_edge_line_messages(self, text, message):
+        # the rescan names the line with the graph's own per-edge message
+        with pytest.raises(InputError, match=re.escape(message)):
+            gd.parse_edge_list(text)
 
     def test_missing_header(self):
         with pytest.raises(InputError, match="line 1"):
