@@ -28,9 +28,9 @@ relations on graphs of up to 30 vertices (``tests/test_metamorphic.py``).
 
 Vertex-transitive graphs are searched from the single seed vertex 0, since
 any witness can be translated to one whose smallest difference vertex is 0;
-``audit=True`` disables that shortcut and sweeps every seed.  Seeds are
-searched one after another in-process; the public ``jobs`` keyword is
-accepted and ignored.
+``audit=True`` disables that shortcut and sweeps every seed; ``audit`` must
+be a bool.  Seeds are searched one after another in-process; the public
+``jobs`` keyword must be an int of at least 1, and is then ignored.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ from typing import NamedTuple
 
 from . import _masks
 from .errors import InputError
-from .faults import FaultPair, _pair_from_masks, make_fault_pair
-from .graph import (Graph, _check_bound, _check_instance, degree, incident_edges, min_degree,
-                    neighbors)
+from .faults import FaultPair, _pair_from_masks
+from .graph import Graph, _check_bound, _check_instance, _min_degree, _row, min_degree
 
 
 class TsResult(NamedTuple):
@@ -101,14 +100,11 @@ def construct_indistinguishable_witness(g: Graph, u: int, h: int) -> tuple[Fault
     never reach u over a non-blamed edge, so the two circumstances produce a
     common syndrome.  Proves t_h <= d(u) - h; tight when d(u) is minimum.
     """
-    nbrs = sorted(neighbors(g, u))
+    nbrs = _row(g, u)
     if _check_bound("edge budget h", h) > len(nbrs):
         raise InputError(f"edge budget h={h} outside 0..deg({u})={len(nbrs)}")
-    first, rest = nbrs[:h], nbrs[h:]
-    p1 = make_fault_pair(g, {u, *rest}, set())
-    p2 = make_fault_pair(g, rest, {(min(u, w), max(u, w)) for w in first})
-    _assert_witness(g, p1, p2)
-    return p1, p2
+    rest = _masks.vertex_mask(nbrs[h:])
+    return _witness_pairs(g, (rest | 1 << u, 0, rest, _masks.vertex_mask(g._eids[u][:h])))
 
 
 def construct_edge_witness(g: Graph, e) -> tuple[FaultPair, FaultPair]:
@@ -120,28 +116,30 @@ def construct_edge_witness(g: Graph, e) -> tuple[FaultPair, FaultPair]:
     (1, delta-1)-diagnosability and hence bounds the single-fault edge
     diagnosability by delta - 2.
     """
-    ce = _check_instance(g, Graph).check_edge(e)
-    delta = min_degree(g)
-    a, b = ce
-    if degree(g, a) == delta:
+    (a, b), k = _check_instance(g, Graph)._check_edge_id(e)
+    delta = _min_degree(g)
+    if len(g._nbrs[a]) == delta:
         u, v = a, b
-    elif degree(g, b) == delta:
+    elif len(g._nbrs[b]) == delta:
         u, v = b, a
     else:
         raise InputError(f"edge {a}-{b} has no endpoint of minimum degree {delta}")
-    p1 = make_fault_pair(g, {u}, incident_edges(g, v) - {ce})
-    p2 = make_fault_pair(g, {v}, incident_edges(g, u) - {ce})
-    _assert_witness(g, p1, p2)
-    return p1, p2
+    return _witness_pairs(g, (1 << u, _masks.vertex_mask(g._eids[v]) & ~(1 << k),
+                              1 << v, _masks.vertex_mask(g._eids[u]) & ~(1 << k)))
 
 
-def _assert_witness(g: Graph, p1: FaultPair, p2: FaultPair):
-    if not _masks.pairs_indistinguishable(g, p1.f_mask, p1.s_mask, p2.f_mask, p2.s_mask):
+def _witness_pairs(g: Graph, masks) -> tuple[FaultPair, FaultPair]:
+    """The pairs of library-built witness masks (f1, s1, f2, s2), checked by both routes."""
+    f1, s1, f2, s2 = masks
+    p1 = _pair_from_masks(g, f1, s1)
+    p2 = _pair_from_masks(g, f2, s2)
+    if not _masks.pairs_indistinguishable(g, f1, s1, f2, s2):
         raise AssertionError(f"constructed witness {p1} vs {p2} is distinguishable")
-    ff1, fp1 = _masks.forced_masks(g, p1.f_mask, p1.s_mask)
-    ff2, fp2 = _masks.forced_masks(g, p2.f_mask, p2.s_mask)
+    ff1, fp1 = _masks.forced_masks(g, f1, s1)
+    ff2, fp2 = _masks.forced_masks(g, f2, s2)
     if not _masks.share_syndrome(ff1, fp1, ff2, fp2):
         raise AssertionError("condition check and forced-outcome check disagree")
+    return p1, p2
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +460,13 @@ def _seed_task(payload):
     raise InputError("there are no seed worker tasks; the search runs in-process")
 
 
-def _check_method(method: str):
-    # one search method: "auto" and "local" both name it
+def _check_search(method: str, audit: bool, jobs: int):
+    # one search method: "auto" and "local" both name it; jobs is checked, then ignored
     if method not in ("auto", "local"):
         raise InputError(f"unknown search method {method!r}; use 'auto' or 'local'")
-
-
-def _witness_pairs(g: Graph, masks) -> tuple[FaultPair, FaultPair]:
-    f1, s1, f2, s2 = masks
-    p1 = _pair_from_masks(g, f1, s1)
-    p2 = _pair_from_masks(g, f2, s2)
-    _assert_witness(g, p1, p2)
-    return p1, p2
+    if audit is not True and audit is not False:
+        raise InputError(f"audit must be a bool, not {audit!r}")
+    _check_bound("jobs", jobs, 1)
 
 
 def is_ts_diagnosable(g: Graph, t: int, s: int, *, method: str = "auto",
@@ -483,12 +476,13 @@ def is_ts_diagnosable(g: Graph, t: int, s: int, *, method: str = "auto",
     On failure the witness is an indistinguishable pair, re-validated against
     both distinguishability routes before being returned.  ``method`` may be
     "auto" or "local", which name the same search; anything else raises
-    InputError.  ``jobs`` is accepted and ignored: the search runs in-process.
+    InputError.  ``audit`` must be a bool.  ``jobs`` must be an int of at
+    least 1, and is then ignored: the search runs in-process.
     """
     _check_instance(g, Graph)
     _check_bound("bound t", t)
     _check_bound("bound s", s)
-    _check_method(method)
+    _check_search(method, audit, jobs)
     # no pair has more than m faulty edges, and no cut or cover of the search
     # fires beyond s = m, so a larger s answers as s = m does
     masks, stats = _local_search(g, t, min(s, len(g._ends) // 2), audit)
@@ -498,7 +492,7 @@ def is_ts_diagnosable(g: Graph, t: int, s: int, *, method: str = "auto",
     return TsResult(False, _witness_pairs(g, masks), stats)
 
 
-def _ascend(g: Graph, kind: str, level: int, bounds, top: int, method: str, audit: bool,
+def _ascend(g: Graph, kind: str, level: int, bounds, top: int, audit: bool,
             outside_analyzed_range: bool = False) -> DiagnosabilityReport:
     """The report of the level-ascending search over candidate values 0..top.
 
@@ -513,7 +507,7 @@ def _ascend(g: Graph, kind: str, level: int, bounds, top: int, method: str, audi
     stats = {"method": "local", "structures_examined": 0}
     value, witness = top, None
     for candidate in range(top + 1):
-        result = is_ts_diagnosable(g, *bounds(candidate), method=method, audit=audit)
+        result = is_ts_diagnosable(g, *bounds(candidate), audit=audit)
         stats["structures_examined"] += result.stats["structures_examined"]
         if not result.diagnosable:
             value, witness = candidate - 1, result.witness
@@ -530,15 +524,17 @@ def edge_restricted_diagnosability(g: Graph, h: int, *, method: str = "auto",
 
     The witness is the indistinguishable pair found at t = value + 1.  Edge
     budgets beyond the minimum degree are computed all the same but flagged,
-    since the closed-form bounds no longer apply there.  ``jobs`` is ignored.
+    since the closed-form bounds no longer apply there.  ``audit`` must be a
+    bool; ``jobs`` must be an int of at least 1, and is then ignored.
     """
     if _check_instance(g, Graph).vertex_count == 0:
         raise InputError("diagnosability of the empty graph is undefined")
     m = len(g._ends) // 2
     if _check_bound("edge budget h", h) > m:
         raise InputError(f"edge budget h={h} outside 0..{m}")
-    return _ascend(g, "edge-restricted", h, lambda t: (t, h), g.vertex_count, method, audit,
-                   outside_analyzed_range=h > min_degree(g))
+    _check_search(method, audit, jobs)
+    return _ascend(g, "edge-restricted", h, lambda t: (t, h), g.vertex_count, audit,
+                   outside_analyzed_range=h > _min_degree(g))
 
 
 def vertex_restricted_edge_diagnosability(g: Graph, r: int, *, method: str = "auto",
@@ -548,22 +544,22 @@ def vertex_restricted_edge_diagnosability(g: Graph, r: int, *, method: str = "au
     With no faulty vertices allowed every edge status is pinned by its two
     tests, so r=0 yields the edge count with no search.  For r >= 1 the value
     is -1 when even (r, 0) fails (possible only on degenerate graphs such as
-    a single vertex or an isolated edge component).  ``jobs`` is ignored.
+    a single vertex or an isolated edge component).  ``audit`` must be a
+    bool; ``jobs`` must be an int of at least 1, and is then ignored.
     """
     if _check_instance(g, Graph).vertex_count == 0:
         raise InputError("diagnosability of the empty graph is undefined")
     _check_bound("vertex budget r", r)
-    _check_method(method)
+    _check_search(method, audit, jobs)
     m = len(g._ends) // 2
     if r == 0:
         return DiagnosabilityReport(
             graph_name=g.name, kind="vertex-restricted-edge", level=0, value=m,
             witness=None, elapsed_seconds=0.0, stats={"method": "analytic"})
-    return _ascend(g, "vertex-restricted-edge", r, lambda s: (r, s), m + 1,
-                   method, audit)
+    return _ascend(g, "vertex-restricted-edge", r, lambda s: (r, s), m + 1, audit)
 
 
 def pmc_diagnosability(g: Graph, *, method: str = "auto", audit: bool = False,
                        jobs: int = 1) -> int:
-    """Classical diagnosability: vertex faults only, no edge budget; ``jobs`` is ignored."""
-    return edge_restricted_diagnosability(g, 0, method=method, audit=audit).value
+    """Classical diagnosability: ``edge_restricted_diagnosability`` at edge budget 0."""
+    return edge_restricted_diagnosability(g, 0, method=method, audit=audit, jobs=jobs).value

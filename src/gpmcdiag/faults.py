@@ -29,10 +29,10 @@ class TestOutcome(IntEnum):
 class FaultPair:
     """A consistent fault circumstance bound to one graph.
 
-    Constructing an inconsistent pair (an edge of S incident to a vertex of F)
-    raises ConsistencyError; silent normalization would corrupt experiments.
-    Any collections of valid vertex ids and canonical edges are accepted and
-    kept as frozensets.
+    The constructor checks pairs built from outside input: it keeps any
+    collections of valid vertex ids and canonical edges as frozensets, and an
+    inconsistent pair (an edge of S incident to a vertex of F) raises
+    ConsistencyError; silent normalization would corrupt experiments.
     """
 
     graph: Graph
@@ -107,12 +107,16 @@ def fault_pair_from_record(g: Graph, record: dict) -> FaultPair:
 
 
 def _pair_from_masks(g: Graph, f_mask: int, s_mask: int) -> FaultPair:
+    """The pair of masks the library built, consistent by construction: no checks."""
     ends = g._ends
-    return FaultPair(
-        g,
-        frozenset(_masks.bits(f_mask)),
-        frozenset((ends[2 * k], ends[2 * k + 1]) for k in _masks.bits(s_mask)),
-    )
+    fp = object.__new__(FaultPair)
+    object.__setattr__(fp, "graph", g)
+    object.__setattr__(fp, "faulty_vertices", frozenset(_masks.bits(f_mask)))
+    object.__setattr__(fp, "faulty_edges", frozenset(
+        (ends[2 * k], ends[2 * k + 1]) for k in _masks.bits(s_mask)))
+    object.__setattr__(fp, "f_mask", f_mask)
+    object.__setattr__(fp, "s_mask", s_mask)
+    return fp
 
 
 # ---------------------------------------------------------------------------

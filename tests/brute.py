@@ -33,7 +33,6 @@ import numpy as np
 import gpmcdiag as gd
 from gpmcdiag import _masks
 from gpmcdiag.diagnosability import _blocking_edges, _cover_subset
-from gpmcdiag.faults import _pair_from_masks
 
 
 def directed_tests(g) -> list:
@@ -79,8 +78,13 @@ def consistent_groups(g, max_vertices: int, max_edges: int):
 
 def all_consistent_pairs(g, max_vertices: int, max_edges: int) -> list:
     """Every consistent fault pair within the size bounds, in lexicographic
-    (|F|, F, |S|, S) order, for exhaustive checks on small graphs."""
-    return [_pair_from_masks(g, f, sm)
+    (|F|, F, |S|, S) order, for exhaustive checks on small graphs.  Each is
+    built by the checked ``FaultPair`` constructor, not by the library's
+    unchecked ``_pair_from_masks``, so the oracles share no builder with the
+    search and the decoder they check."""
+    edges = g.edges
+    return [gd.FaultPair(g, frozenset(_masks.bits(f)),
+                         frozenset(edges[k] for k in _masks.bits(sm)))
             for f, smasks in consistent_groups(g, max_vertices, max_edges)
             for sm in smasks]
 

@@ -121,3 +121,40 @@ def test_junk_in_one_argument_is_refused_with_input_error(name, data):
         getattr(gd, name)(*args, **kwargs)
     except InputError:
         pass
+
+
+#: the search entry points: name -> positional arguments of one valid call
+SEARCH_CALLS = {
+    "edge_restricted_diagnosability": (Q2, 1),
+    "is_ts_diagnosable": (Q2, 1, 0),
+    "pmc_diagnosability": (Q2,),
+    "vertex_restricted_edge_diagnosability": (Q2, 1),
+}
+
+
+def _answer(result):
+    """What a search entry point answers, without its statistics."""
+    if isinstance(result, gd.TsResult):
+        return result.diagnosable, result.witness
+    if isinstance(result, gd.DiagnosabilityReport):
+        return result.value, result.witness
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CALLS))
+@pytest.mark.parametrize("keyword, junk", [("audit", junk) for junk in ("no", 1, None, [None])]
+                         + [("jobs", junk) for junk in (0, -1, True, 1.5, None, [None])])
+def test_search_options_junk_is_refused(name, keyword, junk):
+    # audit is exactly a bool, not read by truthiness; jobs is an int of at
+    # least 1, checked although the search ignores it
+    with pytest.raises(InputError, match=keyword):
+        getattr(gd, name)(*SEARCH_CALLS[name], **{keyword: junk})
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CALLS))
+def test_search_options_in_range_are_accepted(name):
+    call = getattr(gd, name)
+    expected = _answer(call(*SEARCH_CALLS[name]))
+    for audit in (True, False):
+        for jobs in (1, 2, 4):
+            assert _answer(call(*SEARCH_CALLS[name], audit=audit, jobs=jobs)) == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import re
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import gpmcdiag as gd
 from gpmcdiag import ConsistencyError, GraphMismatchError, InputError, _masks
-from gpmcdiag.faults import ADVERSARY_STRATEGIES, _candidate_masks, _syndrome_from_mask, _test_index
+from gpmcdiag.faults import (ADVERSARY_STRATEGIES, _candidate_masks, _pair_from_masks,
+                             _syndrome_from_mask, _test_index)
 
 import brute
 from brute import (brute_force_decode, directed_tests, forced_value, reference_candidate_masks,
@@ -623,3 +625,30 @@ class TestCandidateMasksFixedCases:
                 _agrees_with_reference(g, sig.fail_mask, t, 1)
             found = _agrees_with_reference(g, sig.fail_mask, 2, 0)
             assert (fp.f_mask | 1 << 4, 0) in found
+
+
+PAIR_FIELDS = ["graph", "faulty_vertices", "faulty_edges", "f_mask", "s_mask"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(DECODER_GRAPHS),
+                 st.builds(gd.build_random, st.integers(1, 12),
+                           st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 999))),
+       st.data())
+def test_pair_from_masks_equals_checked_pair(g, data):
+    # the search and the decoder build their pairs from masks without
+    # FaultPair's checks; each such pair must be the one the checks build
+    f = data.draw(st.integers(0, (1 << g.vertex_count) - 1), label="F")
+    free = [k for k, (a, b) in enumerate(g.edges) if not (f >> a) & 1 and not (f >> b) & 1]
+    picked = data.draw(st.sets(st.sampled_from(free)) if free else st.just(set()), label="S")
+    sm = sum(1 << k for k in picked)
+    built = _pair_from_masks(g, f, sm)
+    checked = gd.FaultPair(g, set(_masks.bits(f)), [g.edges[k] for k in picked])
+    assert type(built) is gd.FaultPair
+    assert built == checked and checked == built
+    assert hash(built) == hash(checked)
+    assert (built.f_mask, built.s_mask) == (checked.f_mask, checked.s_mask) == (f, sm)
+    assert built.to_record() == checked.to_record()
+    assert str(built) == str(checked)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, data.draw(st.sampled_from(PAIR_FIELDS), label="field"), None)

@@ -25,3 +25,47 @@ def test_public_names_resolve_once():
                "common_neighbors", "hypercube_neighbor"}
     assert removed.isdisjoint(names)
     assert not any(hasattr(gd, name) for name in removed)
+
+
+#: the (caller, public callee) pairs in library code, each kept on purpose;
+#: any other call of a public function would re-check arguments the caller
+#: has checked or built already, and a pair that disappears leaves the list
+ALLOWED_PUBLIC_CALLS = {
+    # perfbench/tracing.py times each level as the span search.level
+    ("_ascend", "is_ts_diagnosable"),
+    ("pmc_diagnosability", "edge_restricted_diagnosability"),
+    ("fault_pair_from_record", "make_fault_pair"),
+    ("make_fault_pair", "edge"),
+    ("_canonical_edge", "edge"),
+    ("_check_edge_id", "edge"),
+    ("analytic_upper_bounds", "min_degree"),
+}
+
+
+def _public_calls(tree, public):
+    """(enclosing function, callee) of every call by name of a public function."""
+    found = []
+
+    def visit(node, caller):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            caller = node.name
+        elif (caller is not None and isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id in public):
+            found.append((caller, node.func.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, caller)
+
+    visit(tree, None)
+    return found
+
+
+def test_library_calls_public_functions_only_where_allowed():
+    # each public function checks its arguments once; library code passes
+    # values it has checked or built itself to private helpers instead.
+    # Classes and exceptions are exempt, and so is the CLI, which is a caller
+    public = {name for name in gd.__all__ if not isinstance(getattr(gd, name), type)}
+    found = set()
+    for path in sorted(Path(gd.__file__).parent.glob("*.py")):
+        if path.name != "cli.py":
+            found.update(_public_calls(ast.parse(path.read_text(), filename=str(path)), public))
+    assert found == ALLOWED_PUBLIC_CALLS
