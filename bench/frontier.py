@@ -3,7 +3,8 @@
 The benchmark under ``perfbench/`` times passes of a few milliseconds; the
 instances here take seconds at the frontier of what the search can answer,
 or, for ``diagnose-q12``, decode syndromes of a graph with 4,096 vertices,
-or, for ``inject-q15``, hold the largest graph the library accepts.
+or, for ``inject-q15`` and ``edge-list-q15``, build the largest graph the
+library accepts, from the hypercube builder or from edge-list text.
 Each instance runs in its own child process for a fixed number of passes, so
 peak memory does not grow with speed.  A pass builds the graph and answers
 one query; for ``cli-q4`` it makes a thousand in-process ``cli.main`` calls
@@ -106,6 +107,20 @@ def _inject(gd, n):
     verdict = gd.distinguishable(g, pair, other)
     return (gd.is_consistent(sig, pair)
             and verdict.distinguishable == gd.distinguishable_oracle(g, pair, other))
+
+
+def _parse_relabelled_hypercube(gd, n):
+    # the edge count of parse_edge_list's graph of Q_n's edges, relabelled as
+    # in _relabelled_hypercube_t0 and written as text without the library;
+    # the degree sum also proves the graph has every edge
+    size = 1 << n
+    perm = list(range(size))
+    random.Random(1).shuffle(perm)
+    lines = [f"{size} {n << (n - 1)}"]
+    lines += [f"{perm[v]} {perm[v | 1 << b]}" for v in range(size) for b in range(n)
+              if not v >> b & 1]
+    g = gd.parse_edge_list("\n".join(lines) + "\n")
+    return sum(gd.degree(g, v) for v in range(g.vertex_count)) // 2
 
 
 #: the ``search-q4`` command line of the benchmark under ``perfbench/``
@@ -226,6 +241,11 @@ INSTANCES = {
         "routes (True: consistent, and the routes agree)", _inject, (15,), (8,),
         {"value": True, "witness": None, "structures_examined": None},
         {"value": True, "witness": None, "structures_examined": None}),
+    "edge-list-q15": (
+        "parse_edge_list of relabelled Q_15's edge-list text, written in the pass (the "
+        "value: the parsed graph's edge count)", _parse_relabelled_hypercube, (15,), (8,),
+        {"value": 245760, "witness": None, "structures_examined": None},
+        {"value": 1024, "witness": None, "structures_examined": None}),
     "cli-q4": (
         "1,000 cli.main calls of t_1(Q_4) in one process (True: every call exits 0 "
         "with the same bytes, and the value is 3)", _cli_repeat, (1000,), (20,),

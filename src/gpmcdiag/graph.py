@@ -42,13 +42,15 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
     Every graph is built by one core (``_fill``) from two edge columns,
-    checked in bulk, and keeps its edges as one flat endpoint column
-    ``_ends``: edge k = (a, b), a < b, sits at ``_ends[2k]`` and
-    ``_ends[2k + 1]``, the edges in ascending order.  That is also the tester
-    column of the canonical test order: test i is ``_ends[i]`` ->
-    ``_ends[i ^ 1]``.  Per vertex u, ``_nbrs[u]`` holds its neighbor ids,
-    ascending, and ``_eids[u]`` the index k of the edge to each of them, one
-    int shared by both endpoints.  An edge is found by bisecting an
+    which it takes as given.  The constructor checks its outside edges once
+    and sorts them into the columns; the builders hand their own sorted
+    columns to ``_from_columns``.  A graph keeps its edges as one flat
+    endpoint column ``_ends``: edge k = (a, b), a < b, sits at
+    ``_ends[2k]`` and ``_ends[2k + 1]``, the edges in ascending order.  That
+    is also the tester column of the canonical test order: test i is
+    ``_ends[i]`` -> ``_ends[i ^ 1]``.  Per vertex u, ``_nbrs[u]`` holds its
+    neighbor ids, ascending, and ``_eids[u]`` the index k of the edge to each
+    of them, one int shared by both endpoints.  An edge is found by bisecting an
     endpoint's ``_nbrs`` row (``_edge_id``).  ``edges``, the edges as
     canonical (min, max) tuples, is read-only and built from the column on
     first use.  Vertex ids are ints, never bools.  ``labels`` optionally
@@ -81,50 +83,24 @@ class Graph:
             pairs = list(edges)
         except TypeError:
             raise InputError(f"edges must be an iterable of vertex pairs, not {edges!r}") from None
-        canon = _canonical_edges(vertex_count, pairs)
+        # 2-tuples of exact ints, the common input, are only oriented here,
+        # their already canonical tuples reused; anything else is checked
+        # edge by edge, so the first bad edge in input order raises its own error
+        if (set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}
+                and set(map(type, chain.from_iterable(pairs))) <= {int}):
+            canon = [e if e[0] < e[1] else (e[1], e[0]) for e in pairs]
+        else:
+            canon = [_canonical_edge(vertex_count, item) for item in pairs]
         _check_edge_count(len(canon))
         canon.sort()
-        ends = list(chain.from_iterable(canon))
-        try:
-            self._fill(vertex_count, ends[::2], ends[1::2], labels, name)
-        except InputError:
-            # the first bad edge in input order names itself; when there is
-            # none, the core's own error (a duplicate edge, bad labels) stands
+        lo, hi = _columns(canon)
+        # oriented and sorted, an edge can still lie out of range, be a
+        # self-loop or repeat the one before it
+        if canon and (lo[0] < 0 or max(hi) >= vertex_count or not all(map(lt, lo, hi))
+                      or not all(map(lt, canon, islice(canon, 1, None)))):
             for item in pairs:
                 _canonical_edge(vertex_count, item)
-            raise
-
-    @classmethod
-    def _from_columns(cls, vertex_count: int, lo: list, hi: list, labels=None,
-                      name: str = "graph") -> Graph:
-        """The graph whose edge k is (lo[k], hi[k]); a builder's entry point."""
-        g = cls.__new__(cls)
-        g._fill(vertex_count, lo, hi, labels, name)
-        return g
-
-    def _fill(self, vertex_count: int, lo: list, hi: list, labels, name: str):
-        """Build every structure from the edge columns lo and hi.
-
-        Both columns are checked in bulk, never trusted: ints, not bools,
-        lo[k] < hi[k] < vertex_count, and the pairs strictly increasing.
-        """
-        m = len(lo)
-        _check_edge_count(m)
-        if len(hi) != m:
-            raise InputError(f"edge columns differ in length: {m} and {len(hi)}")
-        if not {*map(type, lo), *map(type, hi)} <= {int} and not all(map(_is_int, chain(lo, hi))):
-            raise InputError("edge endpoints must be ints (not bools)")
-        if m and (min(lo) < 0 or max(hi) >= vertex_count):
-            raise InputError(f"edge endpoints must lie in 0..{vertex_count - 1}")
-        if not all(map(lt, lo, hi)):
-            k = list(map(lt, lo, hi)).index(False)
-            raise InputError(f"edge {k} ({lo[k]}, {hi[k]}) is not a (min, max) pair")
-        if not all(map(lt, zip(lo, hi), zip(islice(lo, 1, None), islice(hi, 1, None)))):
-            pairs = list(zip(lo, hi))
-            k = list(map(lt, pairs, islice(pairs, 1, None))).index(False) + 1
-            if pairs[k] == pairs[k - 1]:
-                raise InputError("duplicate edge in edge list")
-            raise InputError(f"edge {k} ({lo[k]}, {hi[k]}) is out of order")
+            raise InputError("duplicate edge in edge list")
         if labels is not None:
             try:
                 labels = tuple(labels)
@@ -132,6 +108,24 @@ class Graph:
                 raise InputError(f"labels must be a sequence, not {labels!r}") from None
             if len(labels) != vertex_count:
                 raise InputError("labels must cover every vertex")
+        self._fill(vertex_count, lo, hi, labels, name)
+
+    @classmethod
+    def _from_columns(cls, vertex_count: int, lo, hi, labels=None, name: str = "graph") -> Graph:
+        """The graph whose edge k is (lo[k], hi[k]); a builder's entry point.
+
+        Nothing is checked: the builder guarantees that lo and hi are
+        sequences of ints, not bools, of one length, with lo[k] < hi[k] <
+        vertex_count and the pairs strictly ascending, and that labels is a
+        tuple of vertex_count labels or None.
+        """
+        g = cls.__new__(cls)
+        g._fill(vertex_count, lo, hi, labels, name)
+        return g
+
+    def _fill(self, vertex_count: int, lo, hi, labels, name: str):
+        """Build every structure from edge columns that keep ``_from_columns``' contract."""
+        m = len(lo)
         # the edges are sorted, so each vertex meets its neighbors in ascending order
         nbrs = [[] for _ in range(vertex_count)]
         eids = [[] for _ in range(vertex_count)]
@@ -204,20 +198,6 @@ class Graph:
         return f"Graph({self.name}: {self.vertex_count} vertices, {len(self._ends) // 2} edges)"
 
 
-def _canonical_edges(vertex_count: int, pairs: list) -> list:
-    """The edges as canonical (min, max) tuples, in input order.
-
-    2-tuples of exact ints, the common input, are only oriented here, their
-    already canonical tuples reused: the graph's core checks the endpoints in
-    bulk.  Anything else is checked edge by edge, so the first bad edge in
-    input order raises its own InputError.
-    """
-    if (set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}
-            and set(map(type, chain.from_iterable(pairs))) <= {int}):
-        return [e if e[0] < e[1] else (e[1], e[0]) for e in pairs]
-    return [_canonical_edge(vertex_count, item) for item in pairs]
-
-
 def _canonical_edge(vertex_count: int, item) -> tuple[int, int]:
     """One edge as a canonical (min, max) tuple, checked on its own."""
     try:
@@ -228,6 +208,12 @@ def _canonical_edge(vertex_count: int, item) -> tuple[int, int]:
     if not (0 <= e[0] and e[1] < vertex_count):
         raise InputError(f"edge {u}-{v} has an endpoint outside 0..{vertex_count - 1}")
     return e
+
+
+def _columns(pairs) -> tuple[list, list]:
+    """The lo and hi columns of an iterable of (lo, hi) pairs."""
+    ends = list(chain.from_iterable(pairs))
+    return ends[::2], ends[1::2]
 
 
 def _is_int(x) -> bool:
@@ -310,11 +296,17 @@ def girth(g: Graph):
 
     BFS from every vertex; a non-tree edge seen at BFS level d closes a cycle
     of length at most d(u) + d(v) + 1, and the minimum over all start vertices
-    is exact.  Fine at the graph sizes this library works with.
+    is exact.  Two cuts keep it exact: a BFS whose vertices have degrees
+    summing to 2(|visited| - 1) covered a whole component that is a tree, so
+    no other vertex of it starts one; and on a vertex-transitive builder
+    graph every vertex lies on a shortest cycle, so vertex 0 alone starts one.
     """
     _check_instance(g, Graph)
     best = math.inf
-    for source in range(g.vertex_count):
+    in_tree = set()     # the vertices of components known to be trees
+    for source in range(1 if g._vertex_transitive else g.vertex_count):
+        if source in in_tree:
+            continue
         dist = {source: 0}
         parent = {source: None}
         queue = deque([source])
@@ -331,6 +323,8 @@ def girth(g: Graph):
                     best = min(best, dist[cur] + dist[nxt] + 1)
         if best == 3:
             return 3
+        if sum(map(len, map(g._nbrs.__getitem__, dist))) == 2 * (len(dist) - 1):
+            in_tree.update(dist)
     return best
 
 
@@ -364,7 +358,7 @@ def build_hypercube(n: int) -> Graph:
     vertices = list(range(size))
     lo = list(chain.from_iterable(map(repeat, vertices, map(len, clear))))
     hi = list(map(vertices.__getitem__, map(or_, lo, chain.from_iterable(clear))))
-    labels = list(map(format, vertices, repeat(f"0{n}b")))
+    labels = tuple(map(format, vertices, repeat(f"0{n}b")))
     return _transitive(Graph._from_columns(size, lo, hi, labels, f"hypercube-{n}"))
 
 
@@ -372,22 +366,26 @@ def build_path(n: int) -> Graph:
     if _check_int("path length n", n) < 1:
         raise InputError("path needs at least one vertex")
     _check_vertex_count(n)
-    return Graph(n, [(i, i + 1) for i in range(n - 1)], name=f"path-{n}")
+    return Graph._from_columns(n, range(n - 1), range(1, n), name=f"path-{n}")
 
 
 def build_cycle(n: int) -> Graph:
     if _check_int("cycle length n", n) < 3:
         raise InputError("cycle needs at least three vertices")
     _check_vertex_count(n)
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return _transitive(Graph(n, edges, name=f"cycle-{n}"))
+    # the path's edges with (0, n - 1) second in order
+    lo = [0, *range(n - 1)]
+    hi = [1, n - 1, *range(2, n)]
+    return _transitive(Graph._from_columns(n, lo, hi, name=f"cycle-{n}"))
 
 
 def build_complete(n: int) -> Graph:
     if _check_int("complete graph size n", n) < 1:
         raise InputError("complete graph needs at least one vertex")
     _check_edge_count(n * (n - 1) // 2)
-    return _transitive(Graph(n, list(combinations(range(n), 2)), name=f"complete-{n}"))
+    # combinations yields the pairs (lo, hi) in ascending order
+    lo, hi = _columns(combinations(range(n), 2))
+    return _transitive(Graph._from_columns(n, lo, hi, name=f"complete-{n}"))
 
 
 def build_random(n: int, p: float, seed: int) -> Graph:
@@ -401,8 +399,8 @@ def build_random(n: int, p: float, seed: int) -> Graph:
         raise InputError("edge probability must be in [0, 1]")
     _check_edge_count(n * (n - 1) // 2)     # every candidate edge draws a number
     rng = random.Random(seed)
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return Graph(n, edges, name=f"random-{n}-p{p}-s{seed}")
+    lo, hi = _columns(e for e in combinations(range(n), 2) if rng.random() < p)
+    return Graph._from_columns(n, lo, hi, name=f"random-{n}-p{p}-s{seed}")
 
 
 #: Per stock topology: its builder and the keyword parameters it takes.

@@ -16,7 +16,8 @@ canonical order and ``forced_value`` applies the model's rule to one of
 them.  ``forced_masks`` and ``reference_syndrome_mask`` are the shift-or
 references for the library's one-step test-mask builders.  ``reference_inject_render`` writes an inject
 report row by row from ``Syndrome.to_triples``, as the CLI's renderers did
-before they read the syndrome's columns.
+before they read the syndrome's columns.  ``reference_girth`` runs a BFS
+from every vertex, the reference for ``girth``'s cuts.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import time
+from collections import deque
 from itertools import combinations, product
 
 import numpy as np
@@ -423,6 +426,27 @@ def pmc_brute_diagnosability(g) -> int:
             return t
         t += 1
     return t
+
+
+def reference_girth(g):
+    """Length of a shortest cycle, or math.inf for forests, from a BFS out of
+    every vertex: a non-tree edge u-v closes a cycle of length at most
+    d(u) + d(v) + 1, and the minimum over all start vertices is exact."""
+    best = math.inf
+    for source in range(g.vertex_count):
+        dist = {source: 0}
+        parent = {source: None}
+        queue = deque([source])
+        while queue:
+            cur = queue.popleft()
+            for nxt in gd.neighbors(g, cur):
+                if nxt not in dist:
+                    dist[nxt] = dist[cur] + 1
+                    parent[nxt] = cur
+                    queue.append(nxt)
+                elif parent[cur] != nxt:
+                    best = min(best, dist[cur] + dist[nxt] + 1)
+    return best
 
 
 # ---------------------------------------------------------------------------

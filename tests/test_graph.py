@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -214,6 +215,31 @@ class TestGirth:
         assert gd.girth(gd.build_cycle(5)) == 5
         assert gd.girth(gd.build_complete(4)) == 3
 
+    @pytest.mark.parametrize("build", [gd.build_path, gd.build_cycle])
+    def test_path_and_cycle_at_the_vertex_cap(self, build):
+        # a BFS from every vertex would take minutes here: the path is one tree
+        # component, searched once, and the cycle is searched from vertex 0
+        g = build(gd.graph.VERTEX_CAP)
+        assert gd.girth(g) == (g.vertex_count if g.vertex_transitive else math.inf)
+
+    @pytest.mark.parametrize("g", [
+        *map(gd.build_cycle, range(3, 30)), *map(gd.build_hypercube, range(1, 9)),
+        *map(gd.build_complete, range(1, 7)), gd.build_path(1), gd.Graph(0, [])],
+        ids=lambda g: g.name)
+    def test_builders_match_the_all_sources_reference(self, g):
+        assert gd.girth(g) == brute.reference_girth(g)
+
+    @given(st.integers(0, 14), st.floats(0, 1), st.integers(0, 2**32), st.integers(0, 3))
+    def test_random_graphs_match_the_all_sources_reference(self, n, p, seed, extra):
+        # a random forest, disconnected when a vertex draws no parent, plus a
+        # few extra edges, so tree and cyclic components mix; and G(n, p)
+        rng = random.Random(seed)
+        edges = {(rng.randrange(v), v) for v in range(1, n) if rng.random() < p}
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(extra) if n > 1}
+        graphs = [gd.Graph(n, edges)] + ([gd.build_random(n, p, seed)] if n else [])
+        for g in graphs:
+            assert gd.girth(g) == brute.reference_girth(g)
+
 
 def common(g, u, v):
     return gd.neighbors(g, u) & gd.neighbors(g, v)
@@ -400,39 +426,57 @@ class TestGraphValidation:
         assert gd.build_cycle(5).vertex_transitive
 
 
+#: per builder, its edges written independently of graph.py
+BUILDER_EDGES = {
+    "hypercube": lambda n: [(v, v | 1 << b) for v in range(1 << n) for b in range(n)
+                            if not v >> b & 1],
+    "path": lambda n: [(i, i + 1) for i in range(n - 1)],
+    "cycle": lambda n: [(i, (i + 1) % n) for i in range(n)],
+    "complete": lambda n: [(a, b) for a in range(n) for b in range(a + 1, n)],
+}
+
+
+def assert_built_as_edge_list(g, edges, labels=None):
+    """g equals what the constructor makes of ``edges``, shuffled and each
+    written backwards, in its columns, adjacency, edge ids, edges and labels."""
+    edges = [(b, a) for a, b in edges]
+    random.Random(len(edges)).shuffle(edges)
+    ref = gd.Graph(g.vertex_count, edges, labels=labels)
+    assert len(g._ends) == len(ref._ends) == 2 * len(edges)
+    assert g._ends == ref._ends
+    assert g._nbrs == ref._nbrs
+    assert g._eids == ref._eids
+    assert g.edges == ref.edges
+    assert g.labels == ref.labels
+
+
 class TestEdgeColumns:
-    """Every graph is built from its edge columns (lo, hi), checked in bulk."""
+    """Every graph is built from its edge columns (lo, hi); the builders hand
+    theirs to the core unchecked, so each builder is proven here instead."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_hypercube_columns_match_edge_list(self, n):
-        # the builder's columns give what the constructor makes of the plain
-        # edge list, adjacency and edge ids included
         g = gd.build_hypercube(n)
-        size = 1 << n
-        edges = [(v, v | 1 << b) for v in range(size) for b in range(n) if not v >> b & 1]
-        labels = [format(v, f"0{n}b") for v in range(size)]
-        ref = gd.Graph(size, edges, labels=labels)
-        assert len(g._ends) == len(ref._ends) == 2 * len(edges) == 2 * n << (n - 1)
-        assert g.edges == ref.edges
-        assert g._nbrs == ref._nbrs
-        assert g._eids == ref._eids
-        assert g.labels == ref.labels
+        assert (g.vertex_count, len(g._ends)) == (1 << n, 2 * n << (n - 1))
+        assert_built_as_edge_list(g, BUILDER_EDGES["hypercube"](n),
+                                  [format(v, f"0{n}b") for v in range(1 << n)])
 
-    @pytest.mark.parametrize("lo, hi, message", [
-        ([0, 1, 0], [1, 2, 2], "edge 2 (0, 2) is out of order"),
-        ([0, 1, 1], [1, 2, 2], "duplicate edge"),
-        ([0, 1], [1, 1], "edge 1 (1, 1) is not a (min, max) pair"),
-        ([0, 2], [1, 1], "edge 1 (2, 1) is not a (min, max) pair"),
-        ([0, 1], [1, 3], "edge endpoints must lie in 0..2"),
-        ([-1, 0], [0, 1], "edge endpoints must lie in 0..2"),
-        ([0, 1], [1, True], "edge endpoints must be ints"),
-        ([False, 1], [1, 2], "edge endpoints must be ints"),
-        ([0, 1], [1, 2.0], "edge endpoints must be ints"),
-        ([0, 1], [1], "edge columns differ in length"),
+    @pytest.mark.parametrize("name, n", [
+        *(("path", n) for n in (1, 2, 3, 10, 1000)),
+        *(("cycle", n) for n in (3, 4, 5, 10, 1000)),
+        *(("complete", n) for n in (1, 2, 3, 4, 30)),
     ])
-    def test_malformed_columns_refused(self, lo, hi, message):
-        with pytest.raises(InputError, match=re.escape(message)):
-            gd.Graph._from_columns(3, lo, hi)
+    def test_builder_columns_match_edge_list(self, name, n):
+        g = gd.build_named_topology(name, n=n)
+        assert g.vertex_count == n
+        assert_built_as_edge_list(g, BUILDER_EDGES[name](n))
+
+    @given(st.integers(1, 40), st.floats(0, 1), st.integers(0, 2**32))
+    def test_random_columns_match_edge_list(self, n, p, seed):
+        # the same draws, one per candidate edge in combinations order
+        rng = random.Random(seed)
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        assert_built_as_edge_list(gd.build_random(n, p, seed), edges)
 
     def test_edges_built_once(self):
         # every graph, from a builder's columns or the caller's tuples, builds

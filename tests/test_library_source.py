@@ -42,16 +42,18 @@ ALLOWED_PUBLIC_CALLS = {
 }
 
 
-def _public_calls(tree, public):
-    """(enclosing function, callee) of every call by name of a public function."""
+def _calls(tree, names):
+    """(enclosing function, callee) of every call of a name in ``names``,
+    called by its name or as an attribute."""
     found = []
 
     def visit(node, caller):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             caller = node.name
-        elif (caller is not None and isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Name) and node.func.id in public):
-            found.append((caller, node.func.id))
+        elif caller is not None and isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee in names:
+                found.append((caller, callee))
         for child in ast.iter_child_nodes(node):
             visit(child, caller)
 
@@ -67,5 +69,19 @@ def test_library_calls_public_functions_only_where_allowed():
     found = set()
     for path in sorted(Path(gd.__file__).parent.glob("*.py")):
         if path.name != "cli.py":
-            found.update(_public_calls(ast.parse(path.read_text(), filename=str(path)), public))
+            found.update(_calls(ast.parse(path.read_text(), filename=str(path)), public))
     assert found == ALLOWED_PUBLIC_CALLS
+
+
+def test_only_the_builders_hand_columns_to_the_core():
+    # the graph core takes its edge columns unchecked: outside edges reach it
+    # through the constructor's one check, and the columns of graph.py's
+    # builders are proven by the builder-equality tests in test_graph.py
+    builders = ("build_hypercube", "build_path", "build_cycle", "build_complete",
+                "build_random")
+    found = set()
+    for path in sorted(Path(gd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.update((path.name, *call) for call in _calls(tree, {"_from_columns", "_fill"}))
+    assert found == {("graph.py", "__init__", "_fill"), ("graph.py", "_from_columns", "_fill"),
+                     *(("graph.py", name, "_from_columns") for name in builders)}
