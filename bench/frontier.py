@@ -230,6 +230,11 @@ INSTANCES = {
         _roundtrip, (4, (0, 3, 5, 6), 4), (3, (0, 3), 2),
         {"value": True, "witness": None, "structures_examined": None},
         {"value": True, "witness": None, "structures_examined": None}),
+    "roundtrip-q8": (
+        "adversarial_roundtrip on Q_8, F = {0, 255}, S = {} at (2, 0), where both "
+        "faulty testers are pinned", _roundtrip, (8, (0, 255), 2), (5, (0, 31), 2),
+        {"value": True, "witness": None, "structures_examined": None},
+        {"value": True, "witness": None, "structures_examined": None}),
     "diagnose-q12": (
         "diagnose on Q_12 at (8, 3), 150 random-adversary syndromes of random in-bound "
         "pairs (the value: how many decode UNIQUE back to their pair)", _diagnose_random,

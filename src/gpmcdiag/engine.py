@@ -67,16 +67,29 @@ EXHAUSTIVE_ADVERSARY_LIMIT = 16
 def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
     """True when every adversary choice still decodes to the injected pair.
 
-    Every assignment of the faulty testers' results is tried, so the answer
-    is exact.  A pair whose faulty testers run more than 16 tests (over 2^16
-    assignments) raises InputError before any table is built.  Intended
-    for graphs already known (t, s)-diagnosable; a False from an in-bound
-    pair on such a graph would contradict diagnosability.
+    Every assignment of the faulty testers' results that can change the
+    decode is tried, so the answer is exact.  Intended for graphs already
+    known (t, s)-diagnosable; a False from an in-bound pair on such a graph
+    would contradict diagnosability.
+
+    A faulty tester f with more than t + s good neighbours is pinned: every
+    in-bound candidate blames it, whatever its tests read.  Each good
+    neighbour x of f is good under the pair and no faulty edge touches f, so
+    the test x -> f fails in every adversary syndrome.  A candidate
+    (F', S') that leaves f good must explain each of those failures by
+    x in F' or (x, f) in S', one distinct member each, so it holds more than
+    t + s members and is out of bounds.  So every candidate puts every
+    pinned tester in F', where the tests that tester runs constrain nothing,
+    and the candidates are the same whatever those tests read.  Their free
+    tests stay at pass; only the other free tests are enumerated, and a pair
+    with more than 16 of those (over 2^16 assignments) raises InputError
+    before any table is built.  A pair whose faulty testers are all pinned
+    takes one search at any size.
 
     The decoder's failure tables are built once, from the tests the pair
     forces to fail, and the assignments are visited in Gray-code order: each
-    step toggles one free test a -> b in fail_out[a], fail_in[b] and b's
-    tested bit, then searches the stepped tables.
+    step toggles one enumerated test a -> b in fail_out[a], fail_in[b] and
+    b's tested bit, then searches the stepped tables.
     """
     if _check_instance(fp, FaultPair).graph is not g:
         raise GraphMismatchError("fault pair belongs to a different graph")
@@ -85,11 +98,15 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
     if len(fp.faulty_vertices) > t or len(fp.faulty_edges) > s:
         raise InputError("injected pair exceeds the diagnosis bounds")
     free, fail = _masks._fault_tests(g, fp.f_mask, fp.s_mask)
+    ends, f_mask = g._ends, fp.f_mask
+    pinned = {f for f in fp.faulty_vertices
+              if sum(not f_mask >> x & 1 for x in g._nbrs[f]) > t + s}
+    free = [pos for pos in free if ends[pos] not in pinned]
     if len(free) > EXHAUSTIVE_ADVERSARY_LIMIT:
         raise InputError(
-            f"{len(free)} tests have a faulty tester; the roundtrip tries every "
-            f"assignment only up to {EXHAUSTIVE_ADVERSARY_LIMIT}")
-    ends = g._ends
+            f"{len(free)} tests have a faulty tester with at most t + s good neighbours; "
+            f"the roundtrip tries every assignment of such tests only up to "
+            f"{EXHAUSTIVE_ADVERSARY_LIMIT}")
     steps = [(ends[pos], 1 << ends[pos], ends[pos ^ 1], 1 << ends[pos ^ 1]) for pos in free]
     fail_in, fail_out, tested = _fail_tables(g, _masks.mask_of(fail, len(ends)))
     expected = [(fp.f_mask, fp.s_mask)]

@@ -296,16 +296,33 @@ def girth(g: Graph):
 
     BFS from every vertex; a non-tree edge seen at BFS level d closes a cycle
     of length at most d(u) + d(v) + 1, and the minimum over all start vertices
-    is exact.  Two cuts keep it exact: a BFS whose vertices have degrees
-    summing to 2(|visited| - 1) covered a whole component that is a tree, so
-    no other vertex of it starts one; and on a vertex-transitive builder
-    graph every vertex lies on a shortest cycle, so vertex 0 alone starts one.
+    is exact.  The BFS runs on the 2-core of what is left: vertices with at
+    most one neighbour left lie on no cycle, so they are peeled away first,
+    and each source is deleted after its BFS, peeling again.  This stays
+    exact, because the smallest vertex of a shortest cycle still sees that
+    whole cycle when its turn comes.  So a forest starts no BFS, and a long
+    cycle starts one.  On a vertex-transitive builder graph every vertex lies
+    on a shortest cycle, so vertex 0 alone starts one.
     """
     _check_instance(g, Graph)
+    nbrs = g._nbrs
+    left = list(map(len, nbrs))     # per vertex, its neighbours not yet deleted
+    alive = [True] * g.vertex_count
+
+    def delete(stack):
+        while stack:
+            v = stack.pop()
+            if alive[v]:
+                alive[v] = False
+                for w in nbrs[v]:
+                    left[w] -= 1
+                    if left[w] == 1:
+                        stack.append(w)
+
+    delete([v for v, d in enumerate(left) if d < 2])
     best = math.inf
-    in_tree = set()     # the vertices of components known to be trees
     for source in range(1 if g._vertex_transitive else g.vertex_count):
-        if source in in_tree:
+        if not alive[source]:
             continue
         dist = {source: 0}
         parent = {source: None}
@@ -314,7 +331,9 @@ def girth(g: Graph):
             cur = queue.popleft()
             if dist[cur] * 2 >= best:
                 continue
-            for nxt in g._nbrs[cur]:
+            for nxt in nbrs[cur]:
+                if not alive[nxt]:
+                    continue
                 if nxt not in dist:
                     dist[nxt] = dist[cur] + 1
                     parent[nxt] = cur
@@ -323,8 +342,7 @@ def girth(g: Graph):
                     best = min(best, dist[cur] + dist[nxt] + 1)
         if best == 3:
             return 3
-        if sum(map(len, map(g._nbrs.__getitem__, dist))) == 2 * (len(dist) - 1):
-            in_tree.update(dist)
+        delete([source])
     return best
 
 

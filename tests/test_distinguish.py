@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gpmcdiag as gd
-from gpmcdiag import InputError
+from gpmcdiag import InputError, _masks
 
 import brute
 from brute import all_pairs_agreement, literal_distinguishable, reference_witness, sigma_set
@@ -80,6 +81,25 @@ def test_witness_is_first_hit_in_canonical_order():
                 w = gd.distinguishable(g, p1, p2).witness
                 got = None if w is None else (w.condition, w.edge, w.direction)
                 assert got == reference_witness(g, p1, p2), f"{g.name} {p1} {p2}"
+
+
+WITNESS_GRAPHS = full_gallery() + [gd.build_hypercube(n) for n in range(2, 8)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(WITNESS_GRAPHS), st.data())
+def test_witness_is_the_smallest_of_every_hit(g, data):
+    # the first hit of each row against the minimum over every hit, on
+    # patterns of up to 5 faulty vertices and 3 faulty edges a side
+    def pattern():
+        f = data.draw(st.sets(st.integers(0, g.vertex_count - 1), max_size=5))
+        spare = [k for k, (a, b) in enumerate(g.edges) if a not in f and b not in f]
+        s = data.draw(st.sets(st.sampled_from(spare), max_size=3)) if spare else ()
+        return _masks.vertex_mask(f), _masks.vertex_mask(s)
+
+    masks = (*pattern(), *pattern())
+    assert (_masks.find_condition_witness(g, *masks)
+            == brute.smallest_condition_hit(g, *masks))
 
 
 def _check_witness(g, p1, p2, w):

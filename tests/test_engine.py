@@ -86,11 +86,14 @@ class TestDiagnose:
 ROUNDTRIP_GRAPHS = [
     gd.build_hypercube(3),
     gd.build_hypercube(4),
+    gd.build_hypercube(5),
     gd.build_complete(5),
+    gd.build_complete(6),
     gd.build_cycle(7),
     gd.build_random(8, 0.4, 1),
     gd.build_random(9, 0.5, 2),
     gd.build_random(10, 0.3, 3),
+    gd.build_random(10, 0.8, 3),
 ]
 
 
@@ -135,6 +138,18 @@ class TestAdversarialRoundtrip:
         k5 = gd.build_complete(5)
         assert gd.adversarial_roundtrip(k5, gd.make_fault_pair(k5, {0, 1, 2, 3}, set()), 4, 0) is False
         assert calls
+
+    def test_pinned_testers_take_one_search(self, monkeypatch):
+        # three pairwise non-adjacent faulty vertices of Q_8 at (3, 1): each
+        # has 8 > t + s good neighbours, so all 24 free tests are pinned and
+        # one search answers
+        calls = []
+        search = engine._search_candidates
+        monkeypatch.setattr(engine, "_search_candidates",
+                            lambda *args: calls.append(args) or search(*args))
+        q8 = gd.build_hypercube(8)
+        assert gd.adversarial_roundtrip(q8, gd.make_fault_pair(q8, {0, 3, 5}, set()), 3, 1)
+        assert len(calls) == 1
 
     # 8 faulty vertices -> 32 free tests, beyond the exhaustive limit; the
     # pair has an in-bound indistinguishable partner, its complement in Q_4

@@ -217,10 +217,17 @@ class TestGirth:
 
     @pytest.mark.parametrize("build", [gd.build_path, gd.build_cycle])
     def test_path_and_cycle_at_the_vertex_cap(self, build):
-        # a BFS from every vertex would take minutes here: the path is one tree
-        # component, searched once, and the cycle is searched from vertex 0
+        # a BFS from every vertex would take minutes here: the path peels away
+        # before any BFS, and the cycle is searched from vertex 0
         g = build(gd.graph.VERTEX_CAP)
         assert gd.girth(g) == (g.vertex_count if g.vertex_transitive else math.inf)
+
+    def test_parsed_cycle_at_the_vertex_cap(self):
+        # read from an edge list the cycle is not marked vertex-transitive;
+        # deleting vertex 0 after its BFS peels the rest, so one BFS runs
+        g = gd.parse_edge_list(gd.format_edge_list(gd.build_cycle(gd.graph.VERTEX_CAP)))
+        assert not g.vertex_transitive
+        assert gd.girth(g) == gd.graph.VERTEX_CAP
 
     @pytest.mark.parametrize("g", [
         *map(gd.build_cycle, range(3, 30)), *map(gd.build_hypercube, range(1, 9)),
@@ -237,7 +244,11 @@ class TestGirth:
         edges = {(rng.randrange(v), v) for v in range(1, n) if rng.random() < p}
         edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(extra) if n > 1}
         graphs = [gd.Graph(n, edges)] + ([gd.build_random(n, p, seed)] if n else [])
-        for g in graphs:
+        if n >= 3:
+            # a builder's cycle or hypercube read back from text is not marked
+            # vertex-transitive, so every vertex may start a BFS
+            graphs.append(gd.build_cycle(n) if extra % 2 else gd.build_hypercube(min(n, 6)))
+        for g in graphs + [gd.parse_edge_list(gd.format_edge_list(g)) for g in graphs]:
             assert gd.girth(g) == brute.reference_girth(g)
 
 
