@@ -146,34 +146,32 @@ def share_syndrome(ff1: int, fp1: int, ff2: int, fp2: int) -> bool:
     return (ff1 & fp2) == 0 and (fp1 & ff2) == 0
 
 
-def condition_hits(g, f1: int, s1: int, f2: int, s2: int, first_per_row: bool = False):
-    """Every hit of the distinguishability conditions, as (edge k, condition, direction).
+def condition_hits(g, f1: int, s1: int, f2: int, s2: int):
+    """The first hit of each row of the distinguishability conditions, as
+    (edge k, condition, direction).
 
     Direction 1 means the first pattern holds the exposed fault.  Condition 1
     hits at k when one endpoint is faulty on that side only, the other is
     fault-free on both sides and k is not faulty on the other side; condition
     2 when k is faulty on that side only and neither endpoint is faulty on the
-    other side.  Only the one-sided faulty vertices' adjacencies and the
-    one-sided faulty edges are walked; no hit repeats.  The rows walked, each
-    one-sided edge set and each one-sided faulty vertex's ``_eids`` row, run
-    in ascending k, so with ``first_per_row`` each row stops at its first
-    hit, its smallest.
+    other side.  The rows walked are each one-sided faulty edge set and each
+    one-sided faulty vertex's ``_eids`` row; each runs in ascending k and stops
+    at its first hit, its smallest, so no hit repeats and the smallest hit of
+    all is the smallest of these.
     """
     ends = g._ends
     for d, other_f, direction in ((s1 & ~s2, f2, 1), (s2 & ~s1, f1, 2)):
         for k in bits(d):
             if not (other_f >> ends[2 * k]) & 1 and not (other_f >> ends[2 * k + 1]) & 1:
                 yield k, 2, direction
-                if first_per_row:
-                    break
+                break
     both_f = f1 | f2
     for d, other_s, direction in ((f1 & ~f2, s2, 1), (f2 & ~f1, s1, 2)):
         for u in bits(d):
             for v, k in zip(g._nbrs[u], g._eids[u]):
                 if not (both_f >> v) & 1 and not (other_s >> k) & 1:
                     yield k, 1, direction
-                    if first_per_row:
-                        break
+                    break
 
 
 def pairs_indistinguishable(g, f1: int, s1: int, f2: int, s2: int) -> bool:
@@ -185,10 +183,9 @@ def find_condition_witness(g, f1: int, s1: int, f2: int, s2: int):
     """(condition, edge, direction) of the smallest hit, or None.
 
     Hits order by edge index (canonical edge order), then condition 1 before
-    condition 2, then direction 1 before 2; see ``condition_hits``.  The
-    smallest hit is the smallest of the rows' first hits.
+    condition 2, then direction 1 before 2; see ``condition_hits``.
     """
-    hit = min(condition_hits(g, f1, s1, f2, s2, first_per_row=True), default=None)
+    hit = min(condition_hits(g, f1, s1, f2, s2), default=None)
     if hit is None:
         return None
     k, condition, direction = hit

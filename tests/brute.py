@@ -18,8 +18,6 @@ references for the library's one-step test-mask builders.  ``reference_inject_re
 report row by row from ``Syndrome.to_triples``, as the CLI's renderers did
 before they read the syndrome's columns.  ``reference_girth`` runs a BFS
 from every vertex, the reference for ``girth``'s cuts.
-``smallest_condition_hit`` takes the minimum over every condition hit, the
-reference for ``find_condition_witness``.
 """
 
 from __future__ import annotations
@@ -399,17 +397,6 @@ def reference_witness(g, p1, p2):
             if e in a.faulty_edges and e not in b.faulty_edges and u not in fb and v not in fb:
                 return 2, e, direction
     return None
-
-
-def smallest_condition_hit(g, f1: int, s1: int, f2: int, s2: int):
-    """(condition, edge, direction) of the smallest of every condition hit, or
-    None: the minimum over all of ``_masks.condition_hits``, the reference for
-    ``_masks.find_condition_witness``, which compares only each row's first."""
-    hit = min(_masks.condition_hits(g, f1, s1, f2, s2), default=None)
-    if hit is None:
-        return None
-    k, condition, direction = hit
-    return condition, g.edges[k], direction
 
 
 def vertex_sets_indistinguishable(g, f1: frozenset, f2: frozenset) -> bool:

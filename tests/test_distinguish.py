@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gpmcdiag as gd
-from gpmcdiag import InputError, _masks
+from gpmcdiag import InputError
 
 import brute
 from brute import all_pairs_agreement, literal_distinguishable, reference_witness, sigma_set
@@ -88,18 +88,20 @@ WITNESS_GRAPHS = full_gallery() + [gd.build_hypercube(n) for n in range(2, 8)]
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(WITNESS_GRAPHS), st.data())
-def test_witness_is_the_smallest_of_every_hit(g, data):
-    # the first hit of each row against the minimum over every hit, on
+def test_witness_matches_the_canonical_scan(g, data):
+    # the first hit of each row against the literal scan of the edges, on
     # patterns of up to 5 faulty vertices and 3 faulty edges a side
     def pattern():
         f = data.draw(st.sets(st.integers(0, g.vertex_count - 1), max_size=5))
-        spare = [k for k, (a, b) in enumerate(g.edges) if a not in f and b not in f]
+        spare = [e for e in g.edges if e[0] not in f and e[1] not in f]
         s = data.draw(st.sets(st.sampled_from(spare), max_size=3)) if spare else ()
-        return _masks.vertex_mask(f), _masks.vertex_mask(s)
+        return pair(g, f, s)
 
-    masks = (*pattern(), *pattern())
-    assert (_masks.find_condition_witness(g, *masks)
-            == brute.smallest_condition_hit(g, *masks))
+    p1, p2 = pattern(), pattern()
+    assume(p1 != p2)
+    w = gd.distinguishable(g, p1, p2).witness
+    got = None if w is None else (w.condition, w.edge, w.direction)
+    assert got == reference_witness(g, p1, p2)
 
 
 def _check_witness(g, p1, p2, w):
