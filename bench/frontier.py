@@ -58,8 +58,8 @@ def _random_dense(gd, n, h):
     return gd.edge_restricted_diagnosability(gd.build_random(n, 0.8, 1), h)
 
 
-def _hypercube_t0(gd, n):
-    return gd.edge_restricted_diagnosability(gd.build_hypercube(n), 0)
+def _hypercube_th(gd, n, h):
+    return gd.edge_restricted_diagnosability(gd.build_hypercube(n), h)
 
 
 def _relabelled_hypercube_t0(gd, n):
@@ -205,16 +205,27 @@ INSTANCES = {
         {"value": 19, "witness": "96f5bbd35602a3bd", "structures_examined": 32101998586372050325},
         {"value": 5, "witness": "8d72bd0a2fc71b53", "structures_examined": 3031688}),
     "hypercube13-t0": (
-        "t_0 of Q_13, from the single seed 0", _hypercube_t0, (13,), (6,),
+        "t_0 of Q_13, from the single seed 0", _hypercube_th, (13, 0), (6, 0),
         {"value": 13, "witness": "53fa913a966ef12a", "structures_examined": int(
             "22090980632502981269705677247912107353348344171387589064352645141493088646765923")},
         {"value": 6, "witness": "c8534de6a0cd286b", "structures_examined": 355923755607931}),
     "hypercube14-t0": (
-        "t_0 of Q_14, from the single seed 0", _hypercube_t0, (14,), (7,),
+        "t_0 of Q_14, from the single seed 0", _hypercube_th, (14, 0), (7, 0),
         {"value": 14, "witness": "0be339de178ed717", "structures_examined": int(
             "11100480361218350273887671968063828744236854517066497596704982167644"
             "37100507944816535025160036")},
         {"value": 7, "witness": "8e0d33c7424a781c", "structures_examined": 367389460952700575607}),
+    "hypercube13-t1": (
+        "t_1 of Q_13, from the single seed 0", _hypercube_th, (13, 1), (6, 1),
+        {"value": 12, "witness": "fee014ef780dbb3d", "structures_examined": int(
+            "51648100684191242051642433008782509993424270472275579842320020553859401248")},
+        {"value": 5, "witness": "67422b5baf25be79", "structures_examined": 3546498183990}),
+    "hypercube14-t1": (
+        "t_1 of Q_14, from the single seed 0", _hypercube_th, (14, 1), (7, 1),
+        {"value": 13, "witness": "f02f3df1baf0e8ce", "structures_examined": int(
+            "75496364503167172773161378819486772360884574306046370541971299"
+            "1986713310509350120632675")},
+        {"value": 6, "witness": "49058f2320c95319", "structures_examined": 1132910338754586123}),
     "relabelled-q8-t0": (
         "t_0 of Q_8 relabelled, every seed swept", _relabelled_hypercube_t0, (8,), (4,),
         {"value": 8, "witness": "29a60831ad3b4668",

@@ -27,10 +27,13 @@ checks its leaf order and counts against a leaf-by-leaf walk
 relations on graphs of up to 30 vertices (``tests/test_metamorphic.py``).
 
 Vertex-transitive graphs are searched from the single seed vertex 0, since
-any witness can be translated to one whose smallest difference vertex is 0;
-``audit=True`` disables that shortcut and sweeps every seed; ``audit`` must
-be a bool.  Seeds are searched one after another in-process; the public
-``jobs`` keyword must be an int of at least 1, and is then ignored.
+any witness can be translated to one whose smallest difference vertex is 0.
+Their s = 0 levels up to t_0 are proven by one closure cut, cached on the
+graph (``_closure_value``), so an s = 0 ascent walks only level t_0 + 1.
+``audit=True`` disables both shortcuts and sweeps every seed at every
+level; ``audit`` must be a bool.  Seeds are searched one after another
+in-process; the public ``jobs`` keyword must be an int of at least 1, and
+is then ignored.
 """
 
 from __future__ import annotations
@@ -417,19 +420,142 @@ def _blocking_edges(g: Graph, side, umask: int) -> int:
     return smask
 
 
+def _closure_value(g: Graph, seed: int) -> int:
+    """The least 2|N[D]| - |D| over the vertex sets D that hold ``seed``.
+
+    N[D] is D with its neighbors.  At s = 0 this decides every level of the
+    search at once.
+
+    - Level t fails exactly when some nonempty D has |N[D]| - floor(|D|/2)
+      <= t.  A witness (X1, X2, C) with s = 0 sends no edge from D = X1 | X2
+      past C, so C holds N[D] - D, and the larger of X1, X2 has at least
+      ceil(|D|/2) vertices: t >= ceil(|D|/2) + |N[D]| - |D|.  Conversely,
+      split such a D into ceil(|D|/2) and floor(|D|/2) vertices and take
+      C = N[D] - D: both sides stay within t and no edge leaves X1 | X2 | C.
+    - Doubled, the condition is f(D) = 2|N[D]| - |D| <= 2t: for even |D|
+      the two are equal, and for odd |D| f(D) is odd, so f(D) <= 2t - 1
+      exactly when f(D) <= 2t.  So with f* the least f(D), level t fails
+      exactly when t >= ceil(f* / 2), and the largest diagnosable level is
+      ceil(f* / 2) - 1, with no rounding slack.  As f(V) = |V|, that level
+      plus one is at most |V|, inside every ascent's range.
+    - On a vertex-transitive graph an automorphism carries any D to one that
+      holds vertex 0, with the same |D| and |N[D]|, so the least f(D) over
+      the D that hold 0 is f*; on a one-vertex graph 0 is the only vertex.
+
+    The least f(D) with ``seed`` in D is a maximum-weight closure (J.-C.
+    Picard, Management Science 22, 1976; compare G. F. Sullivan, FOCS 1984,
+    on PMC diagnosability in polynomial time).  In the network, the source
+    sends 1 unit to each vertex u (without limit to the seed), u reaches
+    w' for each w in N[u] without limit, and each w' sends 2 units to the
+    sink.  A finite cut with the vertices D on the source side must hold
+    N[D]' there too, and the cheapest does so and no more, at the price
+    |V| - |D| + 2|N[D]|; so the least cut, the largest flow, is
+    |V| + min f(D).
+
+    The flow needs no arc list.  Each vertex u other than the seed carries
+    its one unit to one w' (``into[u]``), and the seed up to 2 units to
+    each w' of N[seed] (``sent``); the senders of w' lie in N[w], since
+    closed neighborhoods are symmetric, so the residual arcs back from w'
+    are found by scanning N[w].  The seed first fills N[seed]; then each
+    other vertex, and last the seed until it fails, sends one unit along a
+    breadth-first augmenting path.  A path only moves a placed vertex's
+    unit, so each vertex other than the seed needs one search.  A search
+    that fails leaves every node it reached unable to reach the sink for
+    good: no residual arc leaves that set except into the source, so no
+    later augmenting path enters it and none of its arcs change.  Its nodes
+    stay marked and are skipped, so failed searches cost O(|V| + |E|) in
+    all.
+    """
+    nbrs = g._nbrs
+    n = g.vertex_count
+    load = [0] * n      # units on w' -> sink, at most 2
+    into = [-1] * n     # per vertex other than the seed: the w' its unit reaches, or -1
+    sent = [0] * n      # units from the seed to w'
+    for w in (seed, *nbrs[seed]):
+        sent[w] = load[w] = 2
+    seen = bytearray(n)     # vertices reached by this search, or by a failed one
+    reached = bytearray(n)  # w' nodes, likewise
+    via = [0] * n           # per w': the vertex that reached it
+    gave = [0] * n          # per vertex: the w' it was reached from, which it gives up
+
+    def augment(source) -> bool:
+        # one unit from ``source`` to the sink along a shortest residual path
+        lefts = [source]
+        rights = []
+        seen[source] = 1
+        for u in lefts:
+            for w in (u, *nbrs[u]):
+                if reached[w]:
+                    continue
+                reached[w] = 1
+                rights.append(w)
+                via[w] = u
+                if load[w] < 2:
+                    load[w] += 1
+                    while True:
+                        x = via[w]
+                        if x == seed:
+                            sent[w] += 1
+                        else:
+                            into[x] = w
+                        if x == source:
+                            break
+                        w = gave[x]
+                        if x == seed:
+                            sent[w] -= 1
+                    for x in lefts:
+                        seen[x] = 0
+                    for x in rights:
+                        reached[x] = 0
+                    return True
+                for x in (w, *nbrs[w]):
+                    if not seen[x] and (into[x] == w or x == seed and sent[w]):
+                        seen[x] = 1
+                        gave[x] = w
+                        lefts.append(x)
+        return False
+
+    for u in range(n):
+        if u != seed:
+            augment(u)
+    while not seen[seed] and augment(seed):
+        pass
+    return sum(load) - n
+
+
+def _seed_zero_t0(g: Graph) -> int:
+    """The largest t at which seed 0 has no s = 0 witness, cached on g.
+
+    That is t_0 itself on a graph searched from seed 0 alone; the network of
+    ``_closure_value`` is freed on return, before any walk lays out masks.
+    """
+    if g._t0 is None:
+        g._t0 = (_closure_value(g, 0) + 1) // 2 - 1
+    return g._t0
+
+
 def _local_search(g: Graph, t: int, s: int, audit: bool):
-    """The first witness over the seeds in ascending order, searched in-process."""
+    """The first witness over the seeds in ascending order, searched in-process.
+
+    An s = 0 level of a graph searched from seed 0 alone, without ``audit``,
+    is not walked when the closure cut of ``_closure_value`` proves it has
+    no witness: every level up to t_0.  A walk there would find no witness
+    and report the same closed-form count, so the counts do not change, and
+    level t_0 + 1 is walked as before, meeting the same first witness.
+    """
     if g.vertex_transitive and not audit:
         seeds = [0] if g.vertex_count else []
     else:
         seeds = list(range(g.vertex_count))
     n = g.vertex_count
     top = min(t, n)
+    proven = s == 0 and not audit and len(seeds) == 1
     examined = 0
     hit = None
     for m in seeds:
-        if _first_size(g, t, s, m) > top:
-            # cut at the root: no witness, every leaf counted in closed form
+        if _first_size(g, t, s, m) > top or proven and t <= _seed_zero_t0(g):
+            # cut at the root or proven by the closure cut: no witness,
+            # every leaf counted in closed form
             examined += _seed_leaves(n, t, m)
             continue
         hit, count = _search_seed(g, t, s, m)

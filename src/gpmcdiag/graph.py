@@ -71,6 +71,7 @@ class Graph:
         "_eids",
         "_layout",
         "_min_degree",
+        "_t0",
     )
 
     def __init__(self, vertex_count, edges, labels=None, name="graph"):
@@ -148,6 +149,7 @@ class Graph:
         self._eids = tuple(map(tuple, eids))
         self._layout = None  # neighbor-bits cache, built on demand by _masks.layout_of
         self._min_degree = None  # delta(G) cache, set on first use by _min_degree
+        self._t0 = None  # seed 0's t_0 cache, set on first use by diagnosability._seed_zero_t0
 
     @property
     def edges(self) -> tuple:

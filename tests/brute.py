@@ -428,6 +428,20 @@ def pmc_brute_diagnosability(g) -> int:
     return t
 
 
+def reference_closure_value(g, seed: int) -> int:
+    """The least 2|N[D]| - |D| over every vertex set D holding ``seed``, by
+    enumerating the sets; N[D] is D with its neighbors."""
+    others = [v for v in range(g.vertex_count) if v != seed]
+    best = None
+    for size in range(len(others) + 1):
+        for rest in combinations(others, size):
+            d = {seed, *rest}
+            closed = d.union(*(gd.neighbors(g, v) for v in d))
+            value = 2 * len(closed) - len(d)
+            best = value if best is None else min(best, value)
+    return best
+
+
 def reference_girth(g):
     """Length of a shortest cycle, or math.inf for forests, from a BFS out of
     every vertex: a non-tree edge u-v closes a cycle of length at most

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -222,12 +223,23 @@ class TestGirth:
         g = build(gd.graph.VERTEX_CAP)
         assert gd.girth(g) == (g.vertex_count if g.vertex_transitive else math.inf)
 
-    def test_parsed_cycle_at_the_vertex_cap(self):
+    def test_parsed_cycle_at_the_vertex_cap(self, monkeypatch):
         # read from an edge list the cycle is not marked vertex-transitive;
-        # deleting vertex 0 after its BFS peels the rest, so one BFS runs
+        # deleting vertex 0 after its BFS peels the rest, so one BFS runs.
+        # Each BFS makes one queue, and a second one fails at once, so a
+        # girth that searches from every vertex fails here instead of hanging
         g = gd.parse_edge_list(gd.format_edge_list(gd.build_cycle(gd.graph.VERTEX_CAP)))
         assert not g.vertex_transitive
+        queues = []
+
+        def one_queue(items):
+            queues.append(items)
+            assert len(queues) == 1, "girth started a second BFS"
+            return deque(items)
+
+        monkeypatch.setattr(gd.graph, "deque", one_queue)
         assert gd.girth(g) == gd.graph.VERTEX_CAP
+        assert queues == [[0]]
 
     @pytest.mark.parametrize("g", [
         *map(gd.build_cycle, range(3, 30)), *map(gd.build_hypercube, range(1, 9)),
