@@ -215,11 +215,6 @@ INSTANCES = {
             "11100480361218350273887671968063828744236854517066497596704982167644"
             "37100507944816535025160036")},
         {"value": 7, "witness": "8e0d33c7424a781c", "structures_examined": 367389460952700575607}),
-    "hypercube13-t1": (
-        "t_1 of Q_13, from the single seed 0", _hypercube_th, (13, 1), (6, 1),
-        {"value": 12, "witness": "fee014ef780dbb3d", "structures_examined": int(
-            "51648100684191242051642433008782509993424270472275579842320020553859401248")},
-        {"value": 5, "witness": "67422b5baf25be79", "structures_examined": 3546498183990}),
     "hypercube14-t1": (
         "t_1 of Q_14, from the single seed 0", _hypercube_th, (14, 1), (7, 1),
         {"value": 13, "witness": "f02f3df1baf0e8ce", "structures_examined": int(

@@ -206,10 +206,10 @@ def _build_fault_pair(g: Graph, args) -> tuple:
             raise InputError("--random-faults excludes explicit fault lists")
         if args.seed is None:
             raise InputError("--random-faults requires --seed")
-        counts = _parse_vertices(args.random_faults)
-        if len(counts) != 2:
-            raise InputError("--random-faults takes two counts, e.g. 2,1")
-        nv, ns = counts
+        try:
+            nv, ns = map(int, args.random_faults.split(","))
+        except ValueError:
+            raise InputError(f"--random-faults expects NV,NS, not {args.random_faults!r}") from None
         if nv < 0 or ns < 0:
             raise InputError("--random-faults counts must be non-negative")
         rng = random.Random(args.seed)

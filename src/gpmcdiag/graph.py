@@ -44,8 +44,12 @@ class Graph:
     Every graph is built by one core (``_fill``) from two edge columns,
     which it takes as given.  The constructor checks its outside edges once
     and sorts them into the columns; the builders hand their own sorted
-    columns to ``_from_columns``.  A graph keeps its edges as one flat
-    endpoint column ``_ends``: edge k = (a, b), a < b, sits at
+    columns to ``_from_columns``.  A refused edge list is named by one edge,
+    by the rule ``_first_bad_edge`` writes once: the first edge in input
+    order that is not a pair of ints, is a self-loop or has an endpoint
+    outside 0..vertex_count-1, failing that the first repeat, as
+    ``duplicate edge u-v`` at its second occurrence.  A graph keeps its
+    edges as one flat endpoint column ``_ends``: edge k = (a, b), a < b, sits at
     ``_ends[2k]`` and ``_ends[2k + 1]``, the edges in ascending order.  That
     is also the tester column of the canonical test order: test i is
     ``_ends[i]`` -> ``_ends[i ^ 1]``.  Per vertex u, ``_nbrs[u]`` holds its
@@ -75,33 +79,32 @@ class Graph:
     )
 
     def __init__(self, vertex_count, edges, labels=None, name="graph"):
-        if not _is_int(vertex_count):
-            raise InputError(f"vertex_count must be an int, not {vertex_count!r}")
-        if vertex_count < 0:
-            raise InputError("vertex_count must be non-negative")
         _check_vertex_count(vertex_count)
         try:
             pairs = list(edges)
         except TypeError:
             raise InputError(f"edges must be an iterable of vertex pairs, not {edges!r}") from None
+        _check_edge_count(len(pairs))
         # 2-tuples of exact ints, the common input, are only oriented here,
-        # their already canonical tuples reused; anything else is checked
-        # edge by edge, so the first bad edge in input order raises its own error
+        # their already canonical tuples reused; anything else goes through
+        # edge(), and when an item fails there the scan names the first bad edge
         if (set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}
                 and set(map(type, chain.from_iterable(pairs))) <= {int}):
             canon = [e if e[0] < e[1] else (e[1], e[0]) for e in pairs]
         else:
-            canon = [_canonical_edge(vertex_count, item) for item in pairs]
-        _check_edge_count(len(canon))
+            # an iterator item is read once, so edge() and the scan see the same values
+            pairs = [tuple(islice(p, 3)) if hasattr(p, "__next__") else p for p in pairs]
+            try:
+                canon = [edge(u, v) for u, v in pairs]
+            except (TypeError, ValueError):     # ValueError includes InputError
+                raise InputError(_first_bad_edge(vertex_count, pairs)[1]) from None
         canon.sort()
         lo, hi = _columns(canon)
         # oriented and sorted, an edge can still lie out of range, be a
         # self-loop or repeat the one before it
         if canon and (lo[0] < 0 or max(hi) >= vertex_count or not all(map(lt, lo, hi))
                       or not all(map(lt, canon, islice(canon, 1, None)))):
-            for item in pairs:
-                _canonical_edge(vertex_count, item)
-            raise InputError("duplicate edge in edge list")
+            raise InputError(_first_bad_edge(vertex_count, pairs)[1])
         if labels is not None:
             try:
                 labels = tuple(labels)
@@ -200,16 +203,29 @@ class Graph:
         return f"Graph({self.name}: {self.vertex_count} vertices, {len(self._ends) // 2} edges)"
 
 
-def _canonical_edge(vertex_count: int, item) -> tuple[int, int]:
-    """One edge as a canonical (min, max) tuple, checked on its own."""
-    try:
-        u, v = item
-    except (TypeError, ValueError):
-        raise InputError(f"edge {item!r} is not a pair of vertices") from None
-    e = edge(u, v)
-    if not (0 <= e[0] and e[1] < vertex_count):
-        raise InputError(f"edge {u}-{v} has an endpoint outside 0..{vertex_count - 1}")
-    return e
+def _first_bad_edge(vertex_count: int, pairs):
+    """(index, message) of the edge that ``Graph(...)`` refuses pairs for, or None.
+
+    The one rule for naming it: the first item in input order that is not a
+    pair, has an endpoint that is not an int, is a self-loop or has an
+    endpoint outside 0..vertex_count-1; failing that, the first repeat of an
+    earlier edge, in either orientation, named at its second occurrence.
+    """
+    seen, repeat = set(), None
+    for i, item in enumerate(pairs):
+        try:
+            u, v = item
+            e = edge(u, v)
+        except InputError as exc:
+            return i, str(exc)
+        except (TypeError, ValueError):
+            return i, f"edge {item!r} is not a pair of vertices"
+        if not (0 <= e[0] and e[1] < vertex_count):
+            return i, f"edge {u}-{v} has an endpoint outside 0..{vertex_count - 1}"
+        if repeat is None and e in seen:
+            repeat = i, f"duplicate edge {u}-{v}"
+        seen.add(e)
+    return repeat
 
 
 def _columns(pairs) -> tuple[list, list]:
@@ -244,8 +260,9 @@ def _check_bound(name: str, value, least: int = 0) -> int:
     return value
 
 
-def _check_vertex_count(n: int):
-    if n > VERTEX_CAP:
+def _check_vertex_count(n):
+    """Refuse n unless it is an int, not a bool, in 0..VERTEX_CAP."""
+    if _check_bound("vertex_count", n) > VERTEX_CAP:
         raise InputError(f"{n} vertices exceed the cap of {VERTEX_CAP} (the size of Q_15)")
 
 
@@ -463,13 +480,17 @@ def parse_edge_list(text: str, name: str = "edge-list") -> Graph:
     """Parse the plain text format: first line "n m", then m lines "u v".
 
     Lines starting with '#' and blank lines are ignored.  Errors carry the
-    1-based line number of the offending line.
+    1-based line number of the offending line.  The header is checked as
+    soon as it is read, before any edge line: n must be in 0..VERTEX_CAP and
+    m at most EDGE_CAP.  A refused edge list names the edge that
+    ``Graph(...)`` names, with its message, as "line L: <message>": the
+    first edge that is out of range or a self-loop, failing that the second
+    occurrence of the first repeat.
     """
     if not isinstance(text, str):
         raise InputError(f"edge list text must be a str, not {text!r}")
-    header = None
-    edges = []
-    expected = None
+    n = m = None
+    pairs, lines = [], []   # lines: the line of each pair, read only to name a refused edge
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -481,30 +502,26 @@ def parse_edge_list(text: str, name: str = "edge-list") -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise InputError(f"line {lineno}: expected two integers, got {raw!r}") from None
-        if header is None:
-            header = (a, b)
-            expected = b
-            continue
-        edges.append((lineno, a, b))
-    if header is None:
-        raise InputError("line 1: missing 'n m' header line")
-    n, m = header
-    if len(edges) != expected:
-        raise InputError(f"header declares {m} edges but {len(edges)} were given")
-    try:
-        return Graph(n, [(a, b) for (_, a, b) in edges], name=name)
-    except InputError:
-        # rescan to report the offending line
-        seen = set()
-        for lineno, a, b in edges:
+        if n is None:
+            n, m = a, b
             try:
-                e = _canonical_edge(n, (a, b))
+                _check_vertex_count(n)
+                _check_edge_count(m)
             except InputError as exc:
                 raise InputError(f"line {lineno}: {exc}") from None
-            if e in seen:
-                raise InputError(f"line {lineno}: duplicate edge {a}-{b}") from None
-            seen.add(e)
-        raise
+            continue
+        pairs.append((a, b))
+        lines.append(lineno)
+    if n is None:
+        raise InputError("line 1: missing 'n m' header line")
+    if len(pairs) != m:
+        raise InputError(f"header declares {m} edges but {len(pairs)} were given")
+    try:
+        return Graph(n, pairs, name=name)
+    except InputError:
+        # the header is checked, so the graph refused an edge
+        index, message = _first_bad_edge(n, pairs)
+        raise InputError(f"line {lines[index]}: {message}") from None
 
 
 def format_edge_list(g: Graph) -> str:

@@ -129,6 +129,13 @@ class TestInjectCommand:
                          f"--random-faults={counts}", "--seed", "1"]) == 2
             assert "non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("counts", ["1,a", "1", "1,2,3", ""])
+    def test_random_faults_not_two_counts(self, capsys, counts):
+        # the counts are named as the flag's NV,NS form, not as a vertex list
+        assert main(["inject", "--topology", "hypercube", "--n", "3",
+                     f"--random-faults={counts}", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: --random-faults expects NV,NS, not {counts!r}\n"
+
     def test_random_faults_reproducible(self, tmp_path):
         args = ["inject", "--topology", "hypercube", "--n", "3",
                 "--random-faults", "2,1", "--seed", "5"]

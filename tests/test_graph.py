@@ -399,7 +399,7 @@ class TestGraphValidation:
 
     @pytest.mark.parametrize("n, edges, message", [
         (3, [(0, 1), (1, 1)], "self-loop at vertex 1 "),
-        (3, [(0, 1), (2, 1), (1, 0)], "duplicate edge in edge list"),
+        (3, [(0, 1), (2, 1), (1, 0)], "duplicate edge 1-0"),
         (3, [(0, 1), (1, 3)], "edge 1-3 has an endpoint outside 0..2"),
         (3, [(0, 1), (-1, 2)], "edge -1-2 has an endpoint outside 0..2"),
         (0, [(0, 1)], "edge 0-1 has an endpoint outside 0..-1"),
@@ -411,10 +411,25 @@ class TestGraphValidation:
         (3, [(0, 5), (0, None)], "edge 0-5 has an endpoint outside"),
         (3, [(0, None), (0, 5)], "edge 0-None has an endpoint that is not an int"),
         (3, [(0, 1), (1, 0), (0, 5)], "edge 0-5 has an endpoint outside"),
+        (3, [[0, 1], [1, 0], [0, 5]], "edge 0-5 has an endpoint outside"),
+        (3, [(0, 1), (1, 2), (1, 0), (2, 1)], "duplicate edge 1-0"),
     ])
     def test_bad_edge_messages(self, n, edges, message):
         with pytest.raises(InputError, match=re.escape(message)):
             gd.Graph(n, edges)
+
+    @pytest.mark.parametrize("second, message", [
+        ((1, 1), "self-loop at vertex 1 "),
+        ((0, 5), "edge 0-5 has an endpoint outside 0..2"),
+        ((1, 0), "duplicate edge 1-0"),
+        ((0, 1, 2), "edge (0, 1, 2) is not a pair of vertices"),
+    ])
+    def test_iterator_items_are_read_once(self, second, message):
+        # an edge given as an iterator is read once, so a refused list still
+        # names its own bad edge, not an exhausted iterator before it
+        with pytest.raises(InputError, match=re.escape(message)):
+            gd.Graph(3, [iter((0, 1)), iter(second)])
+        assert gd.Graph(3, [iter((0, 1)), iter((2, 1))]).edges == ((0, 1), (1, 2))
 
     @pytest.mark.parametrize("u, v, message", [
         (1.5, 2, "edge 1.5-2 has an endpoint that is not an int"),
@@ -625,11 +640,26 @@ class TestEdgeListFormat:
         ("2 2\n0 1\n0 5\n", "line 3: edge 0-5 has an endpoint outside 0..1"),
         ("2 2\n0 1\n1 1\n", "line 3: self-loop at vertex 1 "),
         ("2 2\n# c\n0 1\n1 0\n", "line 4: duplicate edge 1-0"),
-    ], ids=["range", "self-loop", "duplicate"])
+        ("3 3\n0 1\n1 0\n0 5\n", "line 4: edge 0-5 has an endpoint outside 0..2"),
+    ], ids=["range", "self-loop", "duplicate", "range-after-duplicate"])
     def test_bad_edge_line_messages(self, text, message):
-        # the rescan names the line with the graph's own per-edge message
+        # the parser names the line of the edge the graph names, with its message
         with pytest.raises(InputError, match=re.escape(message)):
             gd.parse_edge_list(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("-1 1\n0 1\n", "line 1: vertex_count must be non-negative, not -1"),
+        ("# n m\n1.5 0\n", "line 2: expected two integers, got '1.5 0'"),
+        (f"{gd.graph.VERTEX_CAP + 1} 0\n",
+         f"line 1: {gd.graph.VERTEX_CAP + 1} vertices exceed the cap"),
+        (f"4 {gd.graph.EDGE_CAP + 1}\n0 x\n",
+         f"line 1: {gd.graph.EDGE_CAP + 1} edges exceed the cap"),
+    ], ids=["negative-n", "float-n", "n-over-cap", "m-over-cap"])
+    def test_header_checked_before_any_edge_line(self, text, message):
+        # a bad header is named on its own line, never blamed on an edge line
+        with pytest.raises(InputError) as refused:
+            gd.parse_edge_list(text)
+        assert str(refused.value).startswith(message)
 
     def test_missing_header(self):
         with pytest.raises(InputError, match="line 1"):
@@ -638,6 +668,78 @@ class TestEdgeListFormat:
     def test_text_not_a_str_rejected(self):
         with pytest.raises(InputError, match="must be a str"):
             gd.parse_edge_list(5)
+
+
+def refusal(n, edges):
+    """(index, message) of the edge a refused edge list is named by, or None:
+    the first edge that has a non-int endpoint, is a self-loop or lies out
+    of range, failing that the second occurrence of the first repeat."""
+    for i, (u, v) in enumerate(edges):
+        if not (type(u) is int and type(v) is int):
+            return i, f"edge {u!r}-{v!r} has an endpoint that is not an int"
+        if u == v:
+            return i, f"self-loop at vertex {u} is not a valid edge"
+        if min(u, v) < 0 or max(u, v) >= n:
+            return i, f"edge {u}-{v} has an endpoint outside 0..{n - 1}"
+    seen = set()
+    for i, e in enumerate(map(frozenset, edges)):
+        if e in seen:
+            return i, f"duplicate edge {edges[i][0]}-{edges[i][1]}"
+        seen.add(e)
+    return None
+
+
+EDGE_FAULTS = ("range", "self-loop", "non-int", "repeat", "swapped-repeat")
+
+
+@given(st.data())
+def test_parser_and_constructor_name_the_same_bad_edge(data):
+    # one or two faults injected into a valid list, each list given both to
+    # Graph(...) and as text with comments and blank lines: both name the
+    # same edge with the same message, the parser prefixed by its line
+    n = data.draw(st.integers(2, 6), label="n")
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8,
+                               unique=True), label="edges")
+    edges = [e[::-1] if data.draw(st.booleans()) else e for e in edges]
+    for kind in data.draw(st.lists(st.sampled_from(EDGE_FAULTS), min_size=1, max_size=2),
+                          label="faults"):
+        if kind.endswith("repeat"):
+            j = data.draw(st.integers(0, len(edges) - 1))
+            bad = edges[j] if kind == "repeat" else edges[j][::-1]
+            at = data.draw(st.integers(j + 1, len(edges)))
+        else:
+            u = data.draw(st.integers(0, n - 1))
+            if kind == "range":
+                bad = (u, data.draw(st.sampled_from([-1, n, n + 2])))
+            elif kind == "self-loop":
+                bad = (u, u)
+            else:
+                bad = (u, data.draw(st.sampled_from([True, 1.5, None])))
+            bad = bad[::-1] if data.draw(st.booleans()) else bad
+            at = data.draw(st.integers(0, len(edges)))
+        edges.insert(at, bad)
+    index, message = refusal(n, edges)
+    items = [list(e) for e in edges] if data.draw(st.booleans()) else edges
+    with pytest.raises(InputError) as refused:
+        gd.Graph(n, items)
+    assert str(refused.value) == message
+
+    lines = [f"{n} {len(edges)}"]
+    line_of = []
+    for u, v in edges:
+        lines += data.draw(st.lists(st.sampled_from(["", "# comment", "  "]), max_size=2))
+        lines.append(f"{u} {v}")
+        line_of.append(len(lines))
+    with pytest.raises(InputError) as refused:
+        gd.parse_edge_list("\n".join(lines) + "\n")
+    words = [i for i, e in enumerate(edges) if not all(type(x) is int for x in e)]
+    if words:
+        # a non-int endpoint is not an integer in text: the line reader refuses it
+        line = line_of[words[0]]
+        assert str(refused.value) == f"line {line}: expected two integers, got {lines[line - 1]!r}"
+    else:
+        assert str(refused.value) == f"line {line_of[index]}: {message}"
 
 
 class TestDotExport:

@@ -36,7 +36,9 @@ ALLOWED_PUBLIC_CALLS = {
     ("pmc_diagnosability", "edge_restricted_diagnosability"),
     ("fault_pair_from_record", "make_fault_pair"),
     ("make_fault_pair", "edge"),
-    ("_canonical_edge", "edge"),
+    # Graph(...) orients non-tuple input, and the one scan names a refused edge
+    ("__init__", "edge"),
+    ("_first_bad_edge", "edge"),
     ("_check_edge_id", "edge"),
     ("analytic_upper_bounds", "min_degree"),
 }
@@ -85,3 +87,26 @@ def test_only_the_builders_hand_columns_to_the_core():
         found.update((path.name, *call) for call in _calls(tree, {"_from_columns", "_fill"}))
     assert found == {("graph.py", "__init__", "_fill"), ("graph.py", "_from_columns", "_fill"),
                      *(("graph.py", name, "_from_columns") for name in builders)}
+
+
+def test_one_scan_names_a_refused_edge_list():
+    # which edge of a refused list is named, and why, is written once: only
+    # Graph.__init__ and the edge-list parser ask _first_bad_edge, and the
+    # parser has no loop of its own over the edges once the graph refuses them
+    scan = {"_first_bad_edge"}
+    found = []
+    for path in sorted(Path(gd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, caller) for caller, _ in _calls(tree, scan)]
+    graph = ast.parse(Path(gd.graph.__file__).read_text())
+    graph_class = next(node for node in graph.body
+                       if isinstance(node, ast.ClassDef) and node.name == "Graph")
+    in_class = [caller for caller, _ in _calls(graph_class, scan)]
+    assert set(in_class) == {"__init__"}
+    assert sorted(found) == sorted([("graph.py", "__init__")] * len(in_class)
+                                   + [("graph.py", "parse_edge_list")])
+    parser = next(node for node in graph.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "parse_edge_list")
+    handlers = [node for node in ast.walk(parser) if isinstance(node, ast.ExceptHandler)]
+    assert not [node for handler in handlers for node in ast.walk(handler)
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
