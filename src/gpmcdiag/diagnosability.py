@@ -16,9 +16,11 @@ walks count nothing.  The count of structures examined is that of a
 leaf-by-leaf walk, computed once per seed on return: every leaf of a seed
 with no witness, a sum of binomial coefficients, or the rank of the
 witness's leaf in the walk's order plus one, read off the combinatorial
-number system.  A seed cut at its root is counted without being searched.
-``_search_seed`` proves both cuts admissible, so the search stays exact, and
-proves the count.
+number system.  ``_first_size`` is the one bound layer under the walks: per
+level and seed it answers the smallest |X1| at which a witness can lie, and
+a seed whose level it proves is counted without being searched.
+``_search_seed`` proves both walk cuts admissible and the count, and
+``_first_size`` proves each of its rules, so the search stays exact.
 The test suite checks it on every gallery graph and on random and dense
 random graphs against an oracle that enumerates every consistent pair within
 bounds and compares them pairwise (``full_search`` in ``tests/brute.py``),
@@ -28,8 +30,8 @@ relations on graphs of up to 30 vertices (``tests/test_metamorphic.py``).
 
 Vertex-transitive graphs are searched from the single seed vertex 0, since
 any witness can be translated to one whose smallest difference vertex is 0.
-Their s = 0 levels up to t_0 are proven by one closure cut, cached on the
-graph (``_closure_value``), so an s = 0 ascent walks only level t_0 + 1.
+Their s = 0 levels up to t_0 are proven by one closure cut, a flow cached on
+the graph (``_first_size``), so an s = 0 ascent walks only level t_0 + 1.
 ``audit=True`` disables both shortcuts and sweeps every seed at every
 level; ``audit`` must be a bool.  Seeds are searched one after another
 in-process; the public ``jobs`` keyword must be an int of at least 1, and
@@ -215,12 +217,50 @@ def _leaf_rank(n: int, t: int, seed: int, x1mask: int, x2mask: int) -> int:
             + sum(comb(q, j) for j in range(len(picks))) + _lex_rank(picks, q))
 
 
-def _first_size(g: Graph, t: int, s: int, seed: int) -> int:
-    """The smallest |X1| at which the root {seed} is not cut."""
-    return max(1, len(g._nbrs[seed]) - t - s + 1)
+def _first_size(g: Graph, t: int, s: int, seed: int, alone: bool) -> int:
+    """The smallest |X1| at which a witness of ``seed`` at (t, s) can lie.
+
+    |V| + 1 means the level is proven for the seed: it has no witness, and
+    its leaves are counted in closed form, as a walk without a witness
+    counts them.  Each rule that proves a level or skips sizes is one case
+    here; the strongest answer wins.  ``alone`` says the graph is searched
+    from seed 0 alone, so that one flow answers for the whole level; with
+    several seeds a flow per seed would cost more than the walks it saves.
+
+    - Root cut.  In a witness every vertex of N(X1) - X1 lies in X2 or C or
+      is the far end of one of the at most s blamed edges, so
+      |N(X1) - X1| <= t + s (``_search_seed``'s boundary cut).  N(seed)
+      loses at most |X1| - 1 vertices to X1, so deg(seed) - (|X1| - 1) <=
+      t + s: |X1| >= deg(seed) - t - s + 1.
+    - Closure cut, at s = 0 for seed 0 when ``alone``.  A witness
+      (X1, X2, C) at s = 0 sends no edge from D = X1 | X2 past C, so C holds
+      N[D] - D (N[D] is D with its neighbors), and the larger of X1, X2 has
+      at least ceil(|D|/2) vertices: t >= ceil(|D|/2) + |N[D]| - |D|.  Doubled,
+      2t >= f(D) = 2|N[D]| - |D|.  Every witness of seed 0 has 0 in D, so
+      with f* the least f(D) over the D that hold 0 (``_closure_value``,
+      one flow, cached on the graph), seed 0 has no witness while 2t < f*,
+      that is, at every level up to t_0 = ceil(f*/2) - 1.  Conversely, a D
+      with f(D) <= 2t, split into ceil(|D|/2) and floor(|D|/2) vertices
+      with C = N[D] - D, is a witness (for odd |D|, f(D) is odd and so at
+      most 2t - 1).  On a vertex-transitive graph an automorphism carries
+      any D to one that holds 0, and on a one-vertex graph 0 is the only
+      vertex, so there t_0 is exact and level t_0 + 1 fails; as f(V) = |V|,
+      that level lies inside every ascent's range.  The flow runs only at
+      the first s = 0 level whose root is not cut, and its network is freed
+      before that level's walk lays out masks.
+    """
+    first = max(1, len(g._nbrs[seed]) - t - s + 1)
+    if first > t:   # deg(seed) < |V|, so first <= |V|: this is first > min(t, |V|)
+        return g.vertex_count + 1
+    if alone and s == 0 and seed == 0:
+        if g._closure is None:
+            g._closure = _closure_value(g, 0)
+        if 2 * t < g._closure:
+            return g.vertex_count + 1
+    return first
 
 
-def _search_seed(g: Graph, t: int, s: int, seed: int):
+def _search_seed(g: Graph, t: int, s: int, seed: int, first: int):
     """Difference-structure witness whose smallest difference vertex is ``seed``.
 
     X1 holds ``seed`` and later vertices; X2 holds later vertices outside X1.
@@ -255,10 +295,9 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
     At r = 0 each cut rejects only leaves that break a bound every witness
     obeys, so no leaf that yields a witness is cut, and the first witness is
     the one a leaf-by-leaf walk would meet.  With s = 0 the heavy set is
-    N(X1), and the heavy cut implies the boundary cut on N(X1).  The root
-    {seed} has no heavy vertex when s > 0 and has heavy set N(seed) when
-    s = 0, so it is cut exactly while deg(seed) - (|X1| - 1) > t + s
-    (``_first_size``); those sizes are not walked.
+    N(X1), and the heavy cut implies the boundary cut on N(X1).  The walk
+    starts at |X1| = ``first``, the answer of ``_first_size``, which proves
+    that no witness has a smaller X1.
 
     The walks are plain recursions that return the first witness straight
     up, and they count nothing: the count comes in closed form on return.
@@ -402,7 +441,7 @@ def _search_seed(g: Graph, t: int, s: int, seed: int):
         return None
 
     root = [nbr[seed]] + [0] * s
-    for size1 in range(_first_size(g, t, s, seed), top + 1):
+    for size1 in range(first, top + 1):
         hit = x1_walk(0, size1 - 1, 1 << seed, root)
         if hit is not None:
             f1, _, f2, _ = hit
@@ -421,26 +460,10 @@ def _blocking_edges(g: Graph, side, umask: int) -> int:
 
 
 def _closure_value(g: Graph, seed: int) -> int:
-    """The least 2|N[D]| - |D| over the vertex sets D that hold ``seed``.
+    """The least f(D) = 2|N[D]| - |D| over the vertex sets D that hold ``seed``.
 
-    N[D] is D with its neighbors.  At s = 0 this decides every level of the
-    search at once.
-
-    - Level t fails exactly when some nonempty D has |N[D]| - floor(|D|/2)
-      <= t.  A witness (X1, X2, C) with s = 0 sends no edge from D = X1 | X2
-      past C, so C holds N[D] - D, and the larger of X1, X2 has at least
-      ceil(|D|/2) vertices: t >= ceil(|D|/2) + |N[D]| - |D|.  Conversely,
-      split such a D into ceil(|D|/2) and floor(|D|/2) vertices and take
-      C = N[D] - D: both sides stay within t and no edge leaves X1 | X2 | C.
-    - Doubled, the condition is f(D) = 2|N[D]| - |D| <= 2t: for even |D|
-      the two are equal, and for odd |D| f(D) is odd, so f(D) <= 2t - 1
-      exactly when f(D) <= 2t.  So with f* the least f(D), level t fails
-      exactly when t >= ceil(f* / 2), and the largest diagnosable level is
-      ceil(f* / 2) - 1, with no rounding slack.  As f(V) = |V|, that level
-      plus one is at most |V|, inside every ascent's range.
-    - On a vertex-transitive graph an automorphism carries any D to one that
-      holds vertex 0, with the same |D| and |N[D]|, so the least f(D) over
-      the D that hold 0 is f*; on a one-vertex graph 0 is the only vertex.
+    N[D] is D with its neighbors.  At s = 0 it proves every level of seed 0
+    up to t_0 at once: the closure cut of ``_first_size``.
 
     The least f(D) with ``seed`` in D is a maximum-weight closure (J.-C.
     Picard, Management Science 22, 1976; compare G. F. Sullivan, FOCS 1984,
@@ -523,46 +546,31 @@ def _closure_value(g: Graph, seed: int) -> int:
     return sum(load) - n
 
 
-def _seed_zero_t0(g: Graph) -> int:
-    """The largest t at which seed 0 has no s = 0 witness, cached on g.
-
-    That is t_0 itself on a graph searched from seed 0 alone; the network of
-    ``_closure_value`` is freed on return, before any walk lays out masks.
-    """
-    if g._t0 is None:
-        g._t0 = (_closure_value(g, 0) + 1) // 2 - 1
-    return g._t0
-
-
 def _local_search(g: Graph, t: int, s: int, audit: bool):
     """The first witness over the seeds in ascending order, searched in-process.
 
-    An s = 0 level of a graph searched from seed 0 alone, without ``audit``,
-    is not walked when the closure cut of ``_closure_value`` proves it has
-    no witness: every level up to t_0.  A walk there would find no witness
-    and report the same closed-form count, so the counts do not change, and
-    level t_0 + 1 is walked as before, meeting the same first witness.
+    A vertex-transitive or one-vertex graph is searched from seed 0 alone,
+    unless ``audit``.  Each seed is walked from the size ``_first_size``
+    answers, or not at all when it proves the level for the seed.  A proven
+    seed has no witness, and a walk of it would report the same closed-form
+    count, so the counts do not change, and the first level that is not
+    proven meets the same first witness as a walk of every level.
     """
-    if g.vertex_transitive and not audit:
-        seeds = [0] if g.vertex_count else []
-    else:
-        seeds = list(range(g.vertex_count))
     n = g.vertex_count
+    alone = not audit and (g.vertex_transitive or n == 1)
+    seeds = range(min(n, 1) if alone else n)
     top = min(t, n)
-    proven = s == 0 and not audit and len(seeds) == 1
-    examined = 0
-    hit = None
-    for m in seeds:
-        if _first_size(g, t, s, m) > top or proven and t <= _seed_zero_t0(g):
-            # cut at the root or proven by the closure cut: no witness,
-            # every leaf counted in closed form
-            examined += _seed_leaves(n, t, m)
+    hit, examined = None, 0
+    for seed in seeds:
+        first = _first_size(g, t, s, seed, alone)
+        if first > top:
+            examined += _seed_leaves(n, t, seed)
             continue
-        hit, count = _search_seed(g, t, s, m)
+        hit, count = _search_seed(g, t, s, seed, first)
         examined += count
         if hit is not None:
             break
-    return hit, {"structures_examined": examined, "seeds": len(seeds)}
+    return hit, {"method": "local", "structures_examined": examined, "seeds": len(seeds)}
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +620,6 @@ def is_ts_diagnosable(g: Graph, t: int, s: int, *, method: str = "auto",
     # no pair has more than m faulty edges, and no cut or cover of the search
     # fires beyond s = m, so a larger s answers as s = m does
     masks, stats = _local_search(g, t, min(s, len(g._ends) // 2), audit)
-    stats = {"method": "local", **stats}
     if masks is None:
         return TsResult(True, None, stats)
     return TsResult(False, _witness_pairs(g, masks), stats)

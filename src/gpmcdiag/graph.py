@@ -75,7 +75,7 @@ class Graph:
         "_eids",
         "_layout",
         "_min_degree",
-        "_t0",
+        "_closure",
     )
 
     def __init__(self, vertex_count, edges, labels=None, name="graph"):
@@ -152,7 +152,7 @@ class Graph:
         self._eids = tuple(map(tuple, eids))
         self._layout = None  # neighbor-bits cache, built on demand by _masks.layout_of
         self._min_degree = None  # delta(G) cache, set on first use by _min_degree
-        self._t0 = None  # seed 0's t_0 cache, set on first use by diagnosability._seed_zero_t0
+        self._closure = None  # seed 0's closure value f*, cached by diagnosability._first_size
 
     @property
     def edges(self) -> tuple:
@@ -266,8 +266,9 @@ def _check_vertex_count(n):
         raise InputError(f"{n} vertices exceed the cap of {VERTEX_CAP} (the size of Q_15)")
 
 
-def _check_edge_count(m: int):
-    if m > EDGE_CAP:
+def _check_edge_count(m):
+    """Refuse m unless it is an int, not a bool, in 0..EDGE_CAP."""
+    if _check_bound("edge count", m) > EDGE_CAP:
         raise InputError(f"{m} edges exceed the cap of {EDGE_CAP} (the size of Q_15)")
 
 
@@ -476,21 +477,8 @@ def build_named_topology(name: str, **params) -> Graph:
 # edge-list text format and DOT export
 # ---------------------------------------------------------------------------
 
-def parse_edge_list(text: str, name: str = "edge-list") -> Graph:
-    """Parse the plain text format: first line "n m", then m lines "u v".
-
-    Lines starting with '#' and blank lines are ignored.  Errors carry the
-    1-based line number of the offending line.  The header is checked as
-    soon as it is read, before any edge line: n must be in 0..VERTEX_CAP and
-    m at most EDGE_CAP.  A refused edge list names the edge that
-    ``Graph(...)`` names, with its message, as "line L: <message>": the
-    first edge that is out of range or a self-loop, failing that the second
-    occurrence of the first repeat.
-    """
-    if not isinstance(text, str):
-        raise InputError(f"edge list text must be a str, not {text!r}")
-    n = m = None
-    pairs, lines = [], []   # lines: the line of each pair, read only to name a refused edge
+def _edge_rows(text: str):
+    """(line number, a, b) of each line of edge-list text that is neither blank nor a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -499,29 +487,45 @@ def parse_edge_list(text: str, name: str = "edge-list") -> Graph:
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected two fields, got {raw!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            yield lineno, int(parts[0]), int(parts[1])
         except ValueError:
             raise InputError(f"line {lineno}: expected two integers, got {raw!r}") from None
-        if n is None:
-            n, m = a, b
-            try:
-                _check_vertex_count(n)
-                _check_edge_count(m)
-            except InputError as exc:
-                raise InputError(f"line {lineno}: {exc}") from None
-            continue
-        pairs.append((a, b))
-        lines.append(lineno)
-    if n is None:
+
+
+def parse_edge_list(text: str, name: str = "edge-list") -> Graph:
+    """Parse the plain text format: first line "n m", then m lines "u v".
+
+    Lines starting with '#' and blank lines are ignored.  Errors carry the
+    1-based line number of the offending line.  The header is checked as
+    soon as it is read, before any edge line: n must be in 0..VERTEX_CAP and
+    m in 0..EDGE_CAP.  A refused edge list names the edge that
+    ``Graph(...)`` names, with its message, as "line L: <message>": the
+    first edge that is out of range or a self-loop, failing that the second
+    occurrence of the first repeat.  Its line is found by reading the text
+    again, so no line number is kept per edge.
+    """
+    if not isinstance(text, str):
+        raise InputError(f"edge list text must be a str, not {text!r}")
+    rows = _edge_rows(text)
+    header = next(rows, None)
+    if header is None:
         raise InputError("line 1: missing 'n m' header line")
+    lineno, n, m = header
+    try:
+        _check_vertex_count(n)
+        _check_edge_count(m)
+    except InputError as exc:
+        raise InputError(f"line {lineno}: {exc}") from None
+    pairs = [(a, b) for _, a, b in rows]
     if len(pairs) != m:
         raise InputError(f"header declares {m} edges but {len(pairs)} were given")
     try:
         return Graph(n, pairs, name=name)
     except InputError:
-        # the header is checked, so the graph refused an edge
+        # the header is checked, so the graph refused an edge; row 0 is the header
         index, message = _first_bad_edge(n, pairs)
-        raise InputError(f"line {lines[index]}: {message}") from None
+        lineno = next(islice(_edge_rows(text), index + 1, None))[0]
+        raise InputError(f"line {lineno}: {message}") from None
 
 
 def format_edge_list(g: Graph) -> str:

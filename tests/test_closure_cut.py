@@ -59,9 +59,9 @@ def spied_levels(monkeypatch, g, bounds_of, **kwargs):
     """The report of an ascent, and the (t, s, seed) of each ``_search_seed`` call."""
     calls = []
 
-    def spy(g, t, s, seed):
+    def spy(g, t, s, seed, first):
         calls.append((t, s, seed))
-        return _search_seed(g, t, s, seed)
+        return _search_seed(g, t, s, seed, first)
 
     monkeypatch.setattr(diagnosability, "_search_seed", spy)
     return bounds_of(g, **kwargs), calls
@@ -74,9 +74,10 @@ def summary(report):
 
 
 def walked_everywhere(monkeypatch, spec, bounds_of):
-    # the ascent with the cut proving nothing: every level walked, as before
+    # the ascent with the cut proving nothing: f* = 0 gives t_0 = -1, so
+    # every level is walked, as before
     with monkeypatch.context() as patch:
-        patch.setattr(diagnosability, "_seed_zero_t0", lambda g: -1)
+        patch.setattr(diagnosability, "_closure_value", lambda g, v: 0)
         return spied_levels(patch, build(spec), bounds_of)
 
 
@@ -151,9 +152,10 @@ def test_audit_walks_every_level(monkeypatch, flows):
 
 
 def test_the_bound_is_cached_on_the_graph(flows):
+    # Q_4's f* is f({0}) = 2 * 5 - 1, so t_0 = ceil(9 / 2) - 1
     g = gd.build_hypercube(4)
-    assert g._t0 is None
+    assert g._closure is None
     for r in (1, 2, 3):
         gd.vertex_restricted_edge_diagnosability(g, r)
-    assert edge_t0(g).value == g._t0 == 4
+    assert edge_t0(g).value == 4 and g._closure == 9
     assert flows == [0]

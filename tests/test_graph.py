@@ -654,7 +654,12 @@ class TestEdgeListFormat:
          f"line 1: {gd.graph.VERTEX_CAP + 1} vertices exceed the cap"),
         (f"4 {gd.graph.EDGE_CAP + 1}\n0 x\n",
          f"line 1: {gd.graph.EDGE_CAP + 1} edges exceed the cap"),
-    ], ids=["negative-n", "float-n", "n-over-cap", "m-over-cap"])
+        # a negative edge count is refused before a bad edge line or a count
+        # of the edge lines could be blamed for it
+        ("3 -1\n0 x\n", "line 1: edge count must be non-negative, not -1"),
+        ("3 -1\n0 1\n", "line 1: edge count must be non-negative, not -1"),
+    ], ids=["negative-n", "float-n", "n-over-cap", "m-over-cap", "negative-m-bad-line",
+            "negative-m"])
     def test_header_checked_before_any_edge_line(self, text, message):
         # a bad header is named on its own line, never blamed on an edge line
         with pytest.raises(InputError) as refused:

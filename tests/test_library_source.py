@@ -110,3 +110,15 @@ def test_one_scan_names_a_refused_edge_list():
     handlers = [node for node in ast.walk(parser) if isinstance(node, ast.ExceptHandler)]
     assert not [node for handler in handlers for node in ast.walk(handler)
                 if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+
+
+def test_one_bound_layer_decides_where_the_search_starts():
+    # whether a seed is walked at a level, and from which |X1|, is answered
+    # once: only _local_search asks _first_size, and only _first_size runs
+    # the closure flow, so no walk works out its own start again
+    found = []
+    for path in sorted(Path(gd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, *call) for call in _calls(tree, {"_first_size", "_closure_value"})]
+    assert sorted(found) == [("diagnosability.py", "_first_size", "_closure_value"),
+                             ("diagnosability.py", "_local_search", "_first_size")]

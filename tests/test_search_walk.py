@@ -12,7 +12,10 @@ here.  The rank and the total are also checked against every leaf's
 position, not only first witnesses, and the sum over seeds against
 ``is_ts_diagnosable``, which counts a seed cut at its root without
 searching it.  A verdict-only comparison such as
-``test_methods_agree_on_grid`` would see none of these.
+``test_methods_agree_on_grid`` would see none of these.  The bound layer
+under the walks, ``_first_size``, is checked against the leaf-by-leaf walk
+too: it never starts a seed above the X1 of its first witness, and never
+proves a level where the seed has one.
 """
 
 import random
@@ -21,15 +24,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gpmcdiag as gd
-from gpmcdiag.diagnosability import _leaf_rank, _search_seed, _seed_leaves
+from gpmcdiag.diagnosability import _first_size, _leaf_rank, _search_seed, _seed_leaves
 
 from brute import full_is_ts_diagnosable, reference_leaves, reference_search_seed
 from gallery import full_gallery
 
 
 def assert_same_walk(g, t, s, seeds):
+    # each seed walked from the root cut's size, with the closure cut off
     for seed in seeds:
-        assert _search_seed(g, t, s, seed) == reference_search_seed(g, t, s, seed), \
+        first = _first_size(g, t, s, seed, False)
+        assert _search_seed(g, t, s, seed, first) == reference_search_seed(g, t, s, seed), \
             f"{g.name} t={t} s={s} seed={seed}"
 
 
@@ -127,3 +132,25 @@ def test_total_matches_on_relabelled_q5(t, s):
     g = gd.Graph(q.vertex_count, [(perm[a], perm[b]) for a, b in q.edges])
     assert not g.vertex_transitive
     assert_same_total(g, t, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
+def test_bound_layer_is_sound_on_random_graphs(n, p, gen_seed):
+    # every rule of _first_size, at every level and seed and with or without
+    # the single-seed rules: the leaf-by-leaf walk meets witnesses by |X1|
+    # ascending, so its first witness has the least |X1| of any
+    g = gd.build_random(n, p, gen_seed)
+    for t in range(n + 2):
+        for s in range(len(g.edges) + 1):
+            for seed in range(n):
+                answers = {alone: _first_size(g, t, s, seed, alone) for alone in (False, True)}
+                if max(answers.values()) == 1:
+                    continue    # nothing skipped, nothing to check
+                hit, _ = reference_search_seed(g, t, s, seed)
+                size1 = n + 1 if hit is None else (hit[0] & ~hit[2]).bit_count()
+                for alone, first in answers.items():
+                    where = f"{g.name} t={t} s={s} seed={seed} alone={alone}"
+                    assert first <= size1, where
+                    if first > min(t, n):
+                        assert hit is None, where
