@@ -47,6 +47,7 @@ from .errors import InputError
 from .faults import Syndrome, generate_syndrome, make_fault_pair
 from .graph import (
     Graph,
+    _check_bound,
     build_named_topology,
     format_edge_list,
     girth,
@@ -283,6 +284,9 @@ def cmd_inject(args):
 def cmd_diagnose(args):
     g, topo_cfg = _build_graph(args)
     pair, fault_cfg = _build_fault_pair(g, args)
+    # a bound's own error comes before the pair is compared with it
+    _check_bound("bound t", args.t)
+    _check_bound("bound s", args.s)
     if len(pair.faulty_vertices) > args.t or len(pair.faulty_edges) > args.s:
         raise InputError("injected pair exceeds the requested bounds")
     sig = _make_syndrome(pair, args)

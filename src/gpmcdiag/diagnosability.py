@@ -6,19 +6,22 @@ structure of an indistinguishable pair (the "local" method).  Writing
 X1 = F1 - F2, X2 = F2 - F1, C = F1 & F2, a witness exists exactly when
 disjoint (X1, X2, C) exist with X1 or X2 nonempty, |X1| + |C| <= t,
 |X2| + |C| <= t, and each of X1, X2 sends at most s edges to vertices outside
-X1 | X2 | C.  The faulty edge sets are then forced (each side's uncovered
-neighbors are blocked by the other side's edges), so no edge subsets are ever
-enumerated.  X1 and X2 are walked depth first by two plain recursions that
-return the first witness straight up.  Two bounds cut every subtree in which
-no leaf can be a witness: a vertex-boundary bound, and a heavy-vertex bound
-(a vertex with more than s neighbors in X1 cannot lie outside X2 | C).  The
-walks count nothing.  The count of structures examined is that of a
-leaf-by-leaf walk, computed once per seed on return: every leaf of a seed
-with no witness, a sum of binomial coefficients, or the rank of the
-witness's leaf in the walk's order plus one, read off the combinatorial
-number system.  ``_first_size`` is the one bound layer under the walks: per
-level and seed it answers the smallest |X1| at which a witness can lie, and
-a seed whose level it proves is counted without being searched.
+X1 | X2 | C.  A witness is that structure: the search returns (X1, X2, C),
+and so do the paper's two extremal constructions, as vertex masks.
+``_witness_pairs`` alone turns a structure into its two pairs: F1 = X1 | C,
+F2 = X2 | C, and the faulty edge sets are forced (each side blames the other
+side's edges leaving X1 | X2 | C), so no edge subsets are ever enumerated.
+X1 and X2 are walked depth first by two plain recursions that return the
+first witness straight up.  Two bounds cut every subtree in which no leaf
+can be a witness: a vertex-boundary bound, and a heavy-vertex bound (a
+vertex with more than s neighbors in X1 cannot lie outside X2 | C).  The
+walks count nothing.  ``_seed_count`` alone gives a seed's count of
+structures examined, that of a leaf-by-leaf walk: every leaf of a seed with
+no witness, a sum of binomial coefficients, or the rank of the witness's
+leaf in the walk's order plus one, read off the combinatorial number
+system.  ``_first_size`` is the one bound layer under the walks: per level
+and seed it answers the smallest |X1| at which a witness can lie, and a
+seed whose level it proves is counted without being searched.
 ``_search_seed`` proves both walk cuts admissible and the count, and
 ``_first_size`` proves each of its rules, so the search stays exact.
 The test suite checks it on every gallery graph and on random and dense
@@ -99,29 +102,32 @@ def analytic_upper_bounds(g: Graph, h: int) -> AnalyticBounds:
 def construct_indistinguishable_witness(g: Graph, u: int, h: int) -> tuple[FaultPair, FaultPair]:
     """The vertex-seeded indistinguishable pair with edge budget h.
 
-    With u's neighbors ordered by ascending id, the first pair makes u and the
-    last d(u) - h neighbors faulty; the second makes only those neighbors
-    faulty and instead blames the first h incident edges.  A good tester can
-    never reach u over a non-blamed edge, so the two circumstances produce a
-    common syndrome.  Proves t_h <= d(u) - h; tight when d(u) is minimum.
+    With u's neighbors ordered by ascending id, it is the structure
+    X1 = {u}, X2 = empty, C = the last d(u) - h neighbors.  The first pair
+    makes u and C faulty and blames no edge; the second makes only C faulty
+    and blames u's edges leaving X1 | C, the first h incident edges.  A good
+    tester can never reach u over a non-blamed edge, so the two
+    circumstances produce a common syndrome.  Proves t_h <= d(u) - h; tight
+    when d(u) is minimum.
     """
     nbrs = _row(g, u)
     if _check_bound("edge budget h", h) > len(nbrs):
         raise InputError(f"edge budget h={h} outside 0..deg({u})={len(nbrs)}")
-    rest = _masks.vertex_mask(nbrs[h:])
-    return _witness_pairs(g, (rest | 1 << u, 0, rest, _masks.vertex_mask(g._eids[u][:h])))
+    return _witness_pairs(g, 1 << u, 0, _masks.vertex_mask(nbrs[h:]))
 
 
 def construct_edge_witness(g: Graph, e) -> tuple[FaultPair, FaultPair]:
     """The edge-seeded indistinguishable pair ({u}, NE(v)-e) vs ({v}, NE(u)-e).
 
-    Each side blames the opposite endpoint's remaining incident edges, so every
-    test that could expose the difference is blocked.  Both faulty edge sets
-    have size degree-1; with both endpoints at minimum degree this refutes
-    (1, delta-1)-diagnosability and hence bounds the single-fault edge
-    diagnosability by delta - 2.
+    It is the structure X1 = {u}, X2 = {v}, C = empty for the edge e = uv,
+    with u an endpoint of minimum degree (a when both ends of e = (a, b)
+    are).  Each side blames the opposite endpoint's edges leaving {u, v},
+    its remaining incident edges, so every test that could expose the
+    difference is blocked.  Both faulty edge sets have size degree-1; with
+    both endpoints at minimum degree this refutes (1, delta-1)-diagnosability
+    and hence bounds the single-fault edge diagnosability by delta - 2.
     """
-    (a, b), k = _check_instance(g, Graph)._check_edge_id(e)
+    (a, b), _ = _check_instance(g, Graph)._check_edge_id(e)
     delta = _min_degree(g)
     if len(g._nbrs[a]) == delta:
         u, v = a, b
@@ -129,13 +135,18 @@ def construct_edge_witness(g: Graph, e) -> tuple[FaultPair, FaultPair]:
         u, v = b, a
     else:
         raise InputError(f"edge {a}-{b} has no endpoint of minimum degree {delta}")
-    return _witness_pairs(g, (1 << u, _masks.vertex_mask(g._eids[v]) & ~(1 << k),
-                              1 << v, _masks.vertex_mask(g._eids[u]) & ~(1 << k)))
+    return _witness_pairs(g, 1 << u, 1 << v, 0)
 
 
-def _witness_pairs(g: Graph, masks) -> tuple[FaultPair, FaultPair]:
-    """The pairs of library-built witness masks (f1, s1, f2, s2), checked by both routes."""
-    f1, s1, f2, s2 = masks
+def _witness_pairs(g: Graph, x1: int, x2: int, c: int) -> tuple[FaultPair, FaultPair]:
+    """The pairs of the library-built structure (X1, X2, C), checked by both routes.
+
+    X1, X2 and C are vertex masks.  F1 = X1 | C and F2 = X2 | C, and S is
+    forced: each pair blames the other side's edges leaving X1 | X2 | C.
+    """
+    umask = x1 | x2 | c
+    f1, s1 = x1 | c, _blocking_edges(g, _masks.bits(x2), umask)
+    f2, s2 = x2 | c, _blocking_edges(g, _masks.bits(x1), umask)
     p1 = _pair_from_masks(g, f1, s1)
     p2 = _pair_from_masks(g, f2, s2)
     if not _masks.pairs_indistinguishable(g, f1, s1, f2, s2):
@@ -197,6 +208,17 @@ def _seed_leaves(n: int, t: int, seed: int) -> int:
     """Every (X1, X2) leaf of ``seed``: the structures a search without a witness examines."""
     m = n - seed
     return _leaves_below(m, t, min(t, m) + 1)
+
+
+def _seed_count(n: int, t: int, seed: int, hit) -> int:
+    """The structures a leaf-by-leaf walk of ``seed`` examines (``_search_seed``).
+
+    Every leaf when the seed has no witness (``hit`` is None), else the rank
+    of the witness's leaf (X1, X2) plus one; ``hit`` is (X1, X2, C).
+    """
+    if hit is None:
+        return _seed_leaves(n, t, seed)
+    return _leaf_rank(n, t, seed, hit[0], hit[1]) + 1
 
 
 def _lex_rank(positions, m: int) -> int:
@@ -324,8 +346,8 @@ def _search_seed(g: Graph, t: int, s: int, seed: int, first: int):
     Knuth, TAOCP 4A, 7.2.1.3).  The walk meets the first witness a
     leaf-by-leaf walk meets, and that walk counts every leaf up to and
     including it, or every leaf when there is none, so the count is the
-    rank plus one, or the total.  X1 and X2 are read back off the witness:
-    X1 = F1 - F2 and X2 = F2 - F1.
+    rank plus one, or the total (``_seed_count``, on the structure the walk
+    returns).
 
     The X1 walk keeps atleast[d], the vertices with at least d + 1
     neighbors in X1, for d = 0..s.  Adding w to X1 makes atleast'[0] =
@@ -336,7 +358,8 @@ def _search_seed(g: Graph, t: int, s: int, seed: int, first: int):
     |N(X1) - X| and |heavy(X1) - X| are kept as counts that drop by one
     when a pick lies in the set.
 
-    Returns ((f1, s1, f2, s2) masks or None, structures_examined).
+    Returns the first witness as vertex masks (x1, x2, c), or None.
+    ``_witness_pairs`` builds its two pairs and their forced S.
     """
     n = g.vertex_count
     top = min(t, n)
@@ -422,13 +445,7 @@ def _search_seed(g: Graph, t: int, s: int, seed: int, first: int):
                 if chosen is None:
                     return None
                 cmask = _masks.vertex_mask(chosen)
-            f1 = x1mask | cmask
-            f2 = x2mask | cmask
-            umask = x1mask | x2mask | cmask
-            # S is forced: each pair blames the other side's edges leaving U
-            s1 = _blocking_edges(g, _masks.bits(x2mask), umask)
-            s2 = _blocking_edges(g, _masks.bits(x1mask), umask)
-            return f1, s1, f2, s2
+            return x1mask, x2mask, cmask
 
         for size2 in range(min(t, k) + 1):
             cmax_all = t - max(size1, size2)
@@ -444,9 +461,8 @@ def _search_seed(g: Graph, t: int, s: int, seed: int, first: int):
     for size1 in range(first, top + 1):
         hit = x1_walk(0, size1 - 1, 1 << seed, root)
         if hit is not None:
-            f1, _, f2, _ = hit
-            return hit, _leaf_rank(n, t, seed, f1 & ~f2, f2 & ~f1) + 1
-    return None, _seed_leaves(n, t, seed)
+            return hit
+    return None
 
 
 def _blocking_edges(g: Graph, side, umask: int) -> int:
@@ -547,14 +563,14 @@ def _closure_value(g: Graph, seed: int) -> int:
 
 
 def _local_search(g: Graph, t: int, s: int, audit: bool):
-    """The first witness over the seeds in ascending order, searched in-process.
+    """The first witness (X1, X2, C) over the seeds in ascending order, searched in-process.
 
     A vertex-transitive or one-vertex graph is searched from seed 0 alone,
     unless ``audit``.  Each seed is walked from the size ``_first_size``
     answers, or not at all when it proves the level for the seed.  A proven
-    seed has no witness, and a walk of it would report the same closed-form
-    count, so the counts do not change, and the first level that is not
-    proven meets the same first witness as a walk of every level.
+    seed has no witness, and ``_seed_count`` counts it as it counts a walked
+    seed with none, so the counts do not change, and the first level that
+    is not proven meets the same first witness as a walk of every level.
     """
     n = g.vertex_count
     alone = not audit and (g.vertex_transitive or n == 1)
@@ -563,11 +579,8 @@ def _local_search(g: Graph, t: int, s: int, audit: bool):
     hit, examined = None, 0
     for seed in seeds:
         first = _first_size(g, t, s, seed, alone)
-        if first > top:
-            examined += _seed_leaves(n, t, seed)
-            continue
-        hit, count = _search_seed(g, t, s, seed, first)
-        examined += count
+        hit = _search_seed(g, t, s, seed, first) if first <= top else None
+        examined += _seed_count(n, t, seed, hit)
         if hit is not None:
             break
     return hit, {"method": "local", "structures_examined": examined, "seeds": len(seeds)}
@@ -619,10 +632,10 @@ def is_ts_diagnosable(g: Graph, t: int, s: int, *, method: str = "auto",
     _check_search(method, audit, jobs)
     # no pair has more than m faulty edges, and no cut or cover of the search
     # fires beyond s = m, so a larger s answers as s = m does
-    masks, stats = _local_search(g, t, min(s, len(g._ends) // 2), audit)
-    if masks is None:
+    hit, stats = _local_search(g, t, min(s, len(g._ends) // 2), audit)
+    if hit is None:
         return TsResult(True, None, stats)
-    return TsResult(False, _witness_pairs(g, masks), stats)
+    return TsResult(False, _witness_pairs(g, *hit), stats)
 
 
 def _ascend(g: Graph, kind: str, level: int, bounds, top: int, audit: bool,

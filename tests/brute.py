@@ -263,9 +263,11 @@ def reference_search_seed(g, t: int, s: int, seed: int):
 
     Every leaf of ``reference_leaves`` is visited and counted, and each
     recounts both cover counts over its own vertices; no subtree is cut.
-    The library must return the same ((f1, s1, f2, s2) masks or None,
-    structures_examined) for every seed, so this pins the leaf order and the
-    count, not only the verdict.  Like ``full_search`` it works over the
+    It returns ((f1, s1, f2, s2) masks or None, structures_examined).  The
+    library's walk returns only the structure (X1, X2, C) or None; the same
+    masks must follow from it through ``_witness_pairs`` and the same count
+    through ``_seed_count``, for every seed, so this pins the leaf order and
+    the count, not only the verdict.  Like ``full_search`` it works over the
     library's bit encodings, and it reads the library's ``_cover_subset`` and
     ``_blocking_edges``.
     """

@@ -173,6 +173,14 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--topology", "hypercube", "--n", "3",
                      "--faulty-vertices", "0,3", "--t", "1", "--s", "0"]) == 2
 
+    @pytest.mark.parametrize("name, bounds", [("t", ["-1", "0"]), ("s", ["0", "-1"])])
+    def test_negative_bound_named_before_the_pair_is_compared(self, capsys, name, bounds):
+        # the fault-free pair exceeds a negative bound too, but the bound's
+        # own error is the one reported
+        assert main(["diagnose", "--topology", "hypercube", "--n", "2",
+                     "--t", bounds[0], "--s", bounds[1]]) == 2
+        assert capsys.readouterr().err == f"error: bound {name} must be non-negative, not -1\n"
+
     def test_random_adversary_needs_seed(self, capsys):
         assert main(["diagnose", "--topology", "hypercube", "--n", "3",
                      "--faulty-vertices", "0", "--t", "1", "--s", "0",

@@ -398,6 +398,45 @@ class TestEdgeSeededWitness:
             gd.construct_edge_witness(q3, (0, 7))
 
 
+CONSTRUCTION_GRAPHS = ([gd.build_hypercube(n) for n in range(1, 7)]
+                       + [gd.build_cycle(n) for n in range(3, 9)]
+                       + [gd.build_complete(n) for n in range(2, 7)]
+                       + [gd.build_random(n, p, seed) for n, p, seed in
+                          ((6, 0.5, 1), (8, 0.4, 2), (9, 0.7, 3), (10, 0.3, 4))])
+
+
+def _incident(g, x):
+    """NE(x): the edges at x, in canonical (min, max) form."""
+    return {(min(x, w), max(x, w)) for w in gd.neighbors(g, x)}
+
+
+def _as_sets(pairs):
+    return [(p.faulty_vertices, p.faulty_edges) for p in pairs]
+
+
+@pytest.mark.parametrize("g", CONSTRUCTION_GRAPHS, ids=lambda g: g.name)
+def test_constructions_return_the_pairs_their_docstrings_state(g):
+    # expected pairs from the docstrings' formulas, in this order, so a swap
+    # of the two pairs' roles or of the blamed edges fails here
+    for u in range(g.vertex_count):
+        nbrs = sorted(gd.neighbors(g, u))
+        for h in range(len(nbrs) + 1):
+            last = frozenset(nbrs[h:])
+            first_edges = frozenset((min(u, w), max(u, w)) for w in nbrs[:h])
+            expected = [(last | {u}, frozenset()), (last, first_edges)]
+            assert _as_sets(gd.construct_indistinguishable_witness(g, u, h)) == expected, (u, h)
+    delta = gd.min_degree(g)
+    for a, b in g.edges:
+        if delta not in (gd.degree(g, a), gd.degree(g, b)):
+            with pytest.raises(InputError, match="no endpoint of minimum degree"):
+                gd.construct_edge_witness(g, (a, b))
+            continue
+        u, v = (a, b) if gd.degree(g, a) == delta else (b, a)
+        expected = [(frozenset({u}), frozenset(_incident(g, v) - {(a, b)})),
+                    (frozenset({v}), frozenset(_incident(g, u) - {(a, b)}))]
+        assert _as_sets(gd.construct_edge_witness(g, (a, b))) == expected, (a, b)
+
+
 def test_gallery_satisfies_selection_conditions():
     for g in full_gallery():
         assert g.vertex_count <= 8

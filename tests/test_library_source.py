@@ -122,3 +122,15 @@ def test_one_bound_layer_decides_where_the_search_starts():
         found += [(path.name, *call) for call in _calls(tree, {"_first_size", "_closure_value"})]
     assert sorted(found) == [("diagnosability.py", "_first_size", "_closure_value"),
                              ("diagnosability.py", "_local_search", "_first_size")]
+
+
+def test_one_witness_layer_builds_pairs_and_counts_seeds():
+    # a witness is its structure (X1, X2, C): only _witness_pairs writes the
+    # forced S and builds pairs from masks, only _seed_count ranks or totals a
+    # seed's leaves, and the walk itself does neither
+    rules = {"_blocking_edges", "_pair_from_masks", "_leaf_rank", "_seed_leaves"}
+    tree = ast.parse(Path(gd.diagnosability.__file__).read_text())
+    assert sorted(_calls(tree, rules)) == [
+        ("_seed_count", "_leaf_rank"), ("_seed_count", "_seed_leaves"),
+        ("_witness_pairs", "_blocking_edges"), ("_witness_pairs", "_blocking_edges"),
+        ("_witness_pairs", "_pair_from_masks"), ("_witness_pairs", "_pair_from_masks")]

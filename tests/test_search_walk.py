@@ -3,10 +3,11 @@
 ``brute.reference_search_seed`` visits and counts every (X1, X2) leaf of
 ``brute.reference_leaves``; the library cuts whole subtrees by a
 vertex-boundary bound and a heavy-vertex bound, counts nothing while it
-walks, and computes the count on return: the total number of leaves of a
-seed with no witness, or the rank of the witness's leaf plus one.  Both
-must return the same witness masks and the same count of structures for
-every seed, so a walk that visits the leaves in another order, cuts a
+walks, and returns the witness's structure (X1, X2, C); ``_seed_count``
+computes the count from it: the total number of leaves of a seed with no
+witness, or the rank of the witness's leaf plus one.  The library's masks
+(through ``_witness_pairs``) and count must equal the walk's for every
+seed, so a walk that visits the leaves in another order, cuts a
 subtree that holds a witness, or meets a different first witness fails
 here.  The rank and the total are also checked against every leaf's
 position, not only first witnesses, and the sum over seeds against
@@ -24,17 +25,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gpmcdiag as gd
-from gpmcdiag.diagnosability import _first_size, _leaf_rank, _search_seed, _seed_leaves
+from gpmcdiag.diagnosability import (_first_size, _leaf_rank, _search_seed, _seed_count,
+                                     _seed_leaves, _witness_pairs)
 
 from brute import full_is_ts_diagnosable, reference_leaves, reference_search_seed
 from gallery import full_gallery
 
 
 def assert_same_walk(g, t, s, seeds):
-    # each seed walked from the root cut's size, with the closure cut off
+    # each seed walked from the root cut's size, with the closure cut off; the
+    # walk's structure (X1, X2, C) becomes masks through the one pair builder,
+    # and its count comes from the one count rule
     for seed in seeds:
         first = _first_size(g, t, s, seed, False)
-        assert _search_seed(g, t, s, seed, first) == reference_search_seed(g, t, s, seed), \
+        hit = _search_seed(g, t, s, seed, first)
+        masks = hit and tuple(m for p in _witness_pairs(g, *hit) for m in (p.f_mask, p.s_mask))
+        count = _seed_count(g.vertex_count, t, seed, hit)
+        assert (masks, count) == reference_search_seed(g, t, s, seed), \
             f"{g.name} t={t} s={s} seed={seed}"
 
 
