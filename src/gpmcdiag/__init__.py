@@ -34,13 +34,13 @@ from .engine import (
     DiagnosisStatus,
     adversarial_roundtrip,
     diagnose,
+    enumerate_consistent_pairs,
 )
 from .errors import ConsistencyError, GraphMismatchError, InputError
 from .faults import (
     FaultPair,
     Syndrome,
     TestOutcome,
-    enumerate_consistent_pairs,
     fault_pair_from_record,
     generate_syndrome,
     is_consistent,

@@ -30,9 +30,10 @@ by ``int.from_bytes``.  Only ``forced_masks`` keeps a fused walk as well, on
 narrow graphs, because the search checks every witness it finds with it.
 Syndromes are built from the positions ``_fault_tests`` returns:
 ``faults.generate_syndrome`` adds the chosen free positions to the
-forced-fail ones, and ``engine.adversarial_roundtrip`` builds the decoder's
-failure tables from the forced-fail ones and steps them one free test at a
-time, so no adversary expansion builds a mask per syndrome.
+forced-fail ones, and ``faults._replay``, which answers
+``engine.adversarial_roundtrip``, builds the decoder's failure tables from
+the forced-fail ones and steps them one free test at a time, so no
+adversary expansion builds a mask per syndrome.
 
 Everything in here is exact arithmetic over those encodings; it only exists
 so the hot loops touch machine integers instead of frozensets.
@@ -95,15 +96,10 @@ def _fault_tests(g, f: int, s: int) -> tuple[list, list]:
     arbitrary, fail = [], []
     for u in faulty:
         for v, k in zip(g._nbrs[u], g._eids[u]):
-            t = 2 * k       # the test of the smaller endpoint
-            if u < v:
-                arbitrary.append(t)
-                if v not in faulty:
-                    fail.append(t + 1)
-            else:
-                arbitrary.append(t + 1)
-                if v not in faulty:
-                    fail.append(t)
+            p = 2 * k + (v < u)     # u -> v; p ^ 1 is v -> u
+            arbitrary.append(p)
+            if v not in faulty:
+                fail.append(p ^ 1)
     ends = g._ends
     for k in bits(s):
         t = 2 * k

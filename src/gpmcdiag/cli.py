@@ -200,8 +200,7 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
 def _build_fault_pair(g: Graph, args) -> tuple:
     fverts = _parse_vertices(args.faulty_vertices)
     fedges = _parse_edges(args.faulty_edges)
-    spec: dict = {"faulty_vertices": sorted(fverts),
-                  "faulty_edges": [sorted(e) for e in fedges]}
+    spec: dict = {}
     if args.random_faults is not None:
         if fverts or fedges:
             raise InputError("--random-faults excludes explicit fault lists")
@@ -225,9 +224,9 @@ def _build_fault_pair(g: Graph, args) -> tuple:
         if ns > len(candidates):
             raise InputError(f"cannot pick {ns} faulty edges avoiding the faulty vertices")
         fedges = sorted((ends[2 * k], ends[2 * k + 1]) for k in rng.sample(candidates, ns))
-        spec = {"random_faults": [nv, ns],
-                "faulty_vertices": fverts,
-                "faulty_edges": [list(e) for e in fedges]}
+        spec["random_faults"] = [nv, ns]
+    spec["faulty_vertices"] = sorted(fverts)
+    spec["faulty_edges"] = [sorted(e) for e in fedges]
     pair = make_fault_pair(g, fverts, fedges)
     return pair, spec
 

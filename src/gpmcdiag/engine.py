@@ -5,6 +5,11 @@ Decoding enumerates the consistent fault pairs within the (t, s) bounds.  On a
 one in-bound explanation, so the decoder pinpoints it; otherwise the result
 honestly reports every candidate rather than ranking them, because the model
 gives no grounds to prefer one.
+
+Every public decoding entry point is here (``enumerate_consistent_pairs``,
+``diagnose`` and ``adversarial_roundtrip``), and each checks its arguments
+before any decode.  The failure tables they decode with are built, stepped
+and searched in ``faults`` only.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ from enum import Enum
 
 from . import _masks
 from .errors import GraphMismatchError, InputError
-from .faults import (FaultPair, Syndrome, _candidate_masks, _fail_tables, _pair_from_masks,
-                     _search_candidates)
+from .faults import FaultPair, Syndrome, _candidate_masks, _pair_from_masks, _replay
 from .graph import Graph, _check_bound, _check_instance
 
 
@@ -44,13 +48,24 @@ class DiagnosisResult:
         return self.candidates[0]
 
 
-def diagnose(g: Graph, sig: Syndrome, t: int, s: int, *,
-             candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> DiagnosisResult:
-    """All in-bound fault pairs consistent with the syndrome, classified."""
+def _check_decode(g: Graph, sig: Syndrome, t: int, s: int) -> None:
+    """The checks of a syndrome decode: sig belongs to g, and t and s are bounds."""
     if _check_instance(sig, Syndrome).graph is not g:
         raise GraphMismatchError("syndrome belongs to a different graph")
     _check_bound("bound t", t)
     _check_bound("bound s", s)
+
+
+def enumerate_consistent_pairs(g: Graph, sig: Syndrome, t: int, s: int) -> list[FaultPair]:
+    """All consistent fault pairs with |F| <= t and |S| <= s explaining sig."""
+    _check_decode(g, sig, t, s)
+    return [_pair_from_masks(g, f, sm) for f, sm in _candidate_masks(g, sig.fail_mask, t, s)]
+
+
+def diagnose(g: Graph, sig: Syndrome, t: int, s: int, *,
+             candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> DiagnosisResult:
+    """All in-bound fault pairs consistent with the syndrome, classified."""
+    _check_decode(g, sig, t, s)
     _check_bound("candidate cap", candidate_cap, 1)
     found = _candidate_masks(g, sig.fail_mask, t, s)
     total = len(found)
@@ -84,12 +99,7 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
     tests stay at pass; only the other free tests are enumerated, and a pair
     with more than 16 of those (over 2^16 assignments) raises InputError
     before any table is built.  A pair whose faulty testers are all pinned
-    takes one search at any size.
-
-    The decoder's failure tables are built once, from the tests the pair
-    forces to fail, and the assignments are visited in Gray-code order: each
-    step toggles one enumerated test a -> b in fail_out[a], fail_in[b] and
-    b's tested bit, then searches the stepped tables.
+    takes one search at any size.  ``faults._replay`` visits the assignments.
     """
     if _check_instance(fp, FaultPair).graph is not g:
         raise GraphMismatchError("fault pair belongs to a different graph")
@@ -107,16 +117,4 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
             f"{len(free)} tests have a faulty tester with at most t + s good neighbours; "
             f"the roundtrip tries every assignment of such tests only up to "
             f"{EXHAUSTIVE_ADVERSARY_LIMIT}")
-    steps = [(ends[pos], 1 << ends[pos], ends[pos ^ 1], 1 << ends[pos ^ 1]) for pos in free]
-    fail_in, fail_out, tested = _fail_tables(g, _masks.mask_of(fail, len(ends)))
-    expected = [(fp.f_mask, fp.s_mask)]
-    if _search_candidates(g, fail_in, fail_out, tested, t, s) != expected:
-        return False
-    for step in range(1, 1 << len(steps)):
-        a, abit, b, bbit = steps[(step & -step).bit_length() - 1]
-        fail_out[a] ^= bbit
-        fail_in[b] ^= abit
-        tested = tested | bbit if fail_in[b] else tested & ~bbit
-        if _search_candidates(g, fail_in, fail_out, tested, t, s) != expected:
-            return False
-    return True
+    return _replay(g, fail, free, t, s, [(fp.f_mask, fp.s_mask)])

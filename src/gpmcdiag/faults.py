@@ -6,6 +6,13 @@ directed tests, one per endpoint acting as tester.  A good tester reports
 exactly whether its testee or the test edge is faulty; a faulty tester reports
 an arbitrary but fixed value per test.  A syndrome is one complete assignment
 of results to all tests.
+
+The syndrome decoder's private data, the failure tables (``fail_in``,
+``fail_out``, ``tested``), is built, stepped and searched here and nowhere
+else: ``_fail_tables`` builds them, ``_search_candidates`` lists the
+in-bound pairs they explain and ``_replay`` steps them through an
+adversary's choices.  The public decoding entry points, which check their
+arguments and call these, are in ``engine``.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from functools import cached_property
 
 from . import _masks
 from .errors import ConsistencyError, GraphMismatchError, InputError
-from .graph import Graph, _check_bound, _check_instance, _check_int, _min_degree, edge
+from .graph import Graph, _check_instance, _check_int, _min_degree, edge
 
 
 class TestOutcome(IntEnum):
@@ -299,7 +306,7 @@ def is_consistent(sig: Syndrome, fp: FaultPair) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# consistent-pair enumeration (syndrome decoding core)
+# consistent-pair enumeration (syndrome decoding core): the failure tables
 # ---------------------------------------------------------------------------
 
 def _fail_tables(g: Graph, fail_mask: int) -> tuple[list[int], list[int], int]:
@@ -336,7 +343,7 @@ def _search_candidates(g: Graph, fail_in: list[int], fail_out: list[int], tested
     """(f_mask, s_mask) of every in-bound fault pair consistent with the
     syndrome whose failure tables ``_fail_tables`` built.
 
-    The tables are only read, so a caller may step them between calls.
+    The tables are only read, so ``_replay`` steps them between calls.
     Results come out in (|F|, F) lexicographic order.  Rather than trying
     every vertex set of size at most t, the search decides vertices faulty
     (in F) or good and applies four rules, each a necessary condition of the
@@ -506,10 +513,25 @@ def _candidate_masks(g: Graph, fail_mask: int, t: int, s: int):
     return _search_candidates(g, *_fail_tables(g, fail_mask), t, s)
 
 
-def enumerate_consistent_pairs(g: Graph, sig: Syndrome, t: int, s: int) -> list[FaultPair]:
-    """All consistent fault pairs with |F| <= t and |S| <= s explaining sig."""
-    if _check_instance(sig, Syndrome).graph is not g:
-        raise GraphMismatchError("syndrome belongs to a different graph")
-    _check_bound("bound t", t)
-    _check_bound("bound s", s)
-    return [_pair_from_masks(g, f, sm) for f, sm in _candidate_masks(g, sig.fail_mask, t, s)]
+def _replay(g: Graph, fail: list, free: list, t: int, s: int, expected: list) -> bool:
+    """True when every assignment of the tests at the positions ``free``, on
+    top of the failing tests at the positions ``fail``, decodes to exactly
+    ``expected``; False at the first one that does not.
+
+    The failure tables are built once, from ``fail``, and the assignments are
+    visited in Gray-code order: each step toggles one test a -> b of ``free``
+    in fail_out[a], fail_in[b] and b's tested bit, then searches the stepped
+    tables.
+    """
+    ends = g._ends
+    steps = [(ends[pos], 1 << ends[pos], ends[pos ^ 1], 1 << ends[pos ^ 1]) for pos in free]
+    fail_in, fail_out, tested = _fail_tables(g, _masks.mask_of(fail, len(ends)))
+    for step in range(1 << len(steps)):
+        if step:
+            a, abit, b, bbit = steps[(step & -step).bit_length() - 1]
+            fail_out[a] ^= bbit
+            fail_in[b] ^= abit
+            tested = tested | bbit if fail_in[b] else tested & ~bbit
+        if _search_candidates(g, fail_in, fail_out, tested, t, s) != expected:
+            return False
+    return True

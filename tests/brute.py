@@ -187,8 +187,9 @@ def reference_syndrome_mask(fp, strategy: str, seed=None, assignments=None) -> i
 def adversary_syndromes(g, f: int, s: int):
     """(free-test count, fail masks of every syndrome) of pattern (f, s).
 
-    The replay oracle for ``adversarial_roundtrip``, which steps the
-    decoder's failure tables instead of building masks.  A test is free
+    The replay oracle for ``adversarial_roundtrip``, whose replay
+    (``faults._replay``) steps the decoder's failure tables instead of
+    building masks.  A test is free
     when its tester is faulty.  The masks come lazily, in ascending order of
     assignment, so nothing is built before the first: bit i of an
     assignment fails the i-th free test, ascending, and every other test

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from collections import OrderedDict
 from pathlib import Path
 
@@ -526,3 +529,19 @@ def test_repeated_main_calls_share_one_parser(monkeypatch, capsys):
         assert (code, err) == (0, "")
         assert out.encode() == (GOLDEN / name).read_bytes(), name
     assert built == 0
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["topology", "--topology", "hypercube", "--n", "2", "--format", "json"], 0),
+    (["topology", "--topology", "hypercube", "--n", "99"], 2),
+])
+def test_module_entry_point_matches_main(capsys, argv, expected):
+    # python -m gpmcdiag runs a source checkout's CLI: the same stdout,
+    # stderr and exit code as cli.main in this process
+    code = main(argv)
+    captured = capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(Path(gd.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "gpmcdiag", *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (code, captured.out, captured.err)
+    assert code == expected

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpmcdiag as gd
-from gpmcdiag import DiagnosisStatus, GraphMismatchError, InputError, engine
+from gpmcdiag import DiagnosisStatus, GraphMismatchError, InputError, faults
 from gpmcdiag.faults import _candidate_masks
 
 import brute
@@ -127,8 +127,8 @@ class TestAdversarialRoundtrip:
         # 5 faulty vertices -> 20 free tests, beyond the exhaustive limit:
         # refused before the first search
         calls = []
-        search = engine._search_candidates
-        monkeypatch.setattr(engine, "_search_candidates",
+        search = faults._search_candidates
+        monkeypatch.setattr(faults, "_search_candidates",
                             lambda *args: calls.append(args) or search(*args))
         fp = gd.make_fault_pair(q4, {0, 3, 5, 6, 9}, set())
         with pytest.raises(InputError, match="20 tests .* up to 16"):
@@ -144,8 +144,8 @@ class TestAdversarialRoundtrip:
         # has 8 > t + s good neighbours, so all 24 free tests are pinned and
         # one search answers
         calls = []
-        search = engine._search_candidates
-        monkeypatch.setattr(engine, "_search_candidates",
+        search = faults._search_candidates
+        monkeypatch.setattr(faults, "_search_candidates",
                             lambda *args: calls.append(args) or search(*args))
         q8 = gd.build_hypercube(8)
         assert gd.adversarial_roundtrip(q8, gd.make_fault_pair(q8, {0, 3, 5}, set()), 3, 1)

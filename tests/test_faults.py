@@ -98,6 +98,14 @@ def test_fault_pair_keeps_its_sets_as_frozensets(q3):
     assert pair == gd.make_fault_pair(q3, [1], [(6, 2)])
 
 
+def test_fault_pair_refuses_an_edge_out_of_canonical_form(q2):
+    # the pair keeps its edges as given, so a reversed edge would be stored
+    # beside an s_mask naming (0, 1) and disagree with make_fault_pair's pair
+    with pytest.raises(InputError, match=re.escape("edge (1, 0) is not in canonical")):
+        gd.FaultPair(q2, [], [(1, 0)])
+    assert gd.make_fault_pair(q2, [], [(1, 0)]).faulty_edges == {(0, 1)}
+
+
 class TestEnumerateTests:
     # the oracle's test list and the library's test positions share one order
     def test_counts(self, q2, q3):

@@ -134,3 +134,25 @@ def test_one_witness_layer_builds_pairs_and_counts_seeds():
         ("_seed_count", "_leaf_rank"), ("_seed_count", "_seed_leaves"),
         ("_witness_pairs", "_blocking_edges"), ("_witness_pairs", "_blocking_edges"),
         ("_witness_pairs", "_pair_from_masks"), ("_witness_pairs", "_pair_from_masks")]
+
+
+def test_only_faults_owns_the_failure_tables():
+    # the decoder's failure tables are built, stepped and searched in faults.py
+    # only: no other module imports, calls or names them; every public
+    # decoding entry point is defined in engine.py, and the checks of a
+    # syndrome decode are written once there
+    private = {"_fail_tables", "_search_candidates", "fail_in", "fail_out"}
+    owners, defined = set(), {}
+    for path in sorted(Path(gd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners.update(path.name for node in ast.walk(tree)
+                      if {getattr(node, key, None) for key in ("id", "attr", "name")} & private)
+        defined.update((node.name, path.name) for node in tree.body
+                       if isinstance(node, ast.FunctionDef))
+    assert owners == {"faults.py"}
+    entry_points = ("diagnose", "enumerate_consistent_pairs", "adversarial_roundtrip")
+    assert {name: defined[name] for name in entry_points} == dict.fromkeys(entry_points,
+                                                                           "engine.py")
+    engine = ast.parse(Path(gd.engine.__file__).read_text())
+    assert sorted(_calls(engine, {"_check_decode"})) == [
+        ("diagnose", "_check_decode"), ("enumerate_consistent_pairs", "_check_decode")]
