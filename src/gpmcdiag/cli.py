@@ -568,7 +568,3 @@ def main(argv=None) -> int:
     if not args.output:
         sys.stdout.write(text)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,7 +8,7 @@ gives no grounds to prefer one.
 
 Every public decoding entry point is here (``enumerate_consistent_pairs``,
 ``diagnose`` and ``adversarial_roundtrip``), and each checks its arguments
-before any decode.  The failure tables they decode with are built, stepped
+through one helper before any decode.  The failure tables they decode with are built, stepped
 and searched in ``faults`` only.
 """
 
@@ -48,24 +48,24 @@ class DiagnosisResult:
         return self.candidates[0]
 
 
-def _check_decode(g: Graph, sig: Syndrome, t: int, s: int) -> None:
-    """The checks of a syndrome decode: sig belongs to g, and t and s are bounds."""
-    if _check_instance(sig, Syndrome).graph is not g:
-        raise GraphMismatchError("syndrome belongs to a different graph")
+def _check_decode(g: Graph, obj: object, cls: type, what: str, t: int, s: int) -> None:
+    """The checks of a decode: obj is a cls bound to g, and t and s are bounds."""
+    if _check_instance(obj, cls).graph is not g:
+        raise GraphMismatchError(f"{what} belongs to a different graph")
     _check_bound("bound t", t)
     _check_bound("bound s", s)
 
 
 def enumerate_consistent_pairs(g: Graph, sig: Syndrome, t: int, s: int) -> list[FaultPair]:
     """All consistent fault pairs with |F| <= t and |S| <= s explaining sig."""
-    _check_decode(g, sig, t, s)
+    _check_decode(g, sig, Syndrome, "syndrome", t, s)
     return [_pair_from_masks(g, f, sm) for f, sm in _candidate_masks(g, sig.fail_mask, t, s)]
 
 
 def diagnose(g: Graph, sig: Syndrome, t: int, s: int, *,
              candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> DiagnosisResult:
     """All in-bound fault pairs consistent with the syndrome, classified."""
-    _check_decode(g, sig, t, s)
+    _check_decode(g, sig, Syndrome, "syndrome", t, s)
     _check_bound("candidate cap", candidate_cap, 1)
     found = _candidate_masks(g, sig.fail_mask, t, s)
     total = len(found)
@@ -101,10 +101,7 @@ def adversarial_roundtrip(g: Graph, fp: FaultPair, t: int, s: int) -> bool:
     before any table is built.  A pair whose faulty testers are all pinned
     takes one search at any size.  ``faults._replay`` visits the assignments.
     """
-    if _check_instance(fp, FaultPair).graph is not g:
-        raise GraphMismatchError("fault pair belongs to a different graph")
-    _check_bound("bound t", t)
-    _check_bound("bound s", s)
+    _check_decode(g, fp, FaultPair, "fault pair", t, s)
     if len(fp.faulty_vertices) > t or len(fp.faulty_edges) > s:
         raise InputError("injected pair exceeds the diagnosis bounds")
     free, fail = _masks._fault_tests(g, fp.f_mask, fp.s_mask)

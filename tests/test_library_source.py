@@ -139,8 +139,8 @@ def test_one_witness_layer_builds_pairs_and_counts_seeds():
 def test_only_faults_owns_the_failure_tables():
     # the decoder's failure tables are built, stepped and searched in faults.py
     # only: no other module imports, calls or names them; every public
-    # decoding entry point is defined in engine.py, and the checks of a
-    # syndrome decode are written once there
+    # decoding entry point is defined in engine.py, and the checks they
+    # share are written once there
     private = {"_fail_tables", "_search_candidates", "fail_in", "fail_out"}
     owners, defined = set(), {}
     for path in sorted(Path(gd.__file__).parent.glob("*.py")):
@@ -155,4 +155,5 @@ def test_only_faults_owns_the_failure_tables():
                                                                            "engine.py")
     engine = ast.parse(Path(gd.engine.__file__).read_text())
     assert sorted(_calls(engine, {"_check_decode"})) == [
-        ("diagnose", "_check_decode"), ("enumerate_consistent_pairs", "_check_decode")]
+        ("adversarial_roundtrip", "_check_decode"), ("diagnose", "_check_decode"),
+        ("enumerate_consistent_pairs", "_check_decode")]
