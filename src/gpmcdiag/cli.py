@@ -217,10 +217,11 @@ def _build_fault_pair(g: Graph, args) -> tuple:
             raise InputError(f"cannot pick {nv} faulty vertices from {g.vertex_count}")
         fverts = sorted(rng.sample(range(g.vertex_count), nv))
         ends = g._ends
+        faulty = set(fverts)
         # sample edge ids: rng.sample draws by position, so the pick is the
         # one it makes from the list of edges avoiding fverts
         candidates = [k for k in range(len(ends) // 2)
-                      if ends[2 * k] not in fverts and ends[2 * k + 1] not in fverts]
+                      if ends[2 * k] not in faulty and ends[2 * k + 1] not in faulty]
         if ns > len(candidates):
             raise InputError(f"cannot pick {ns} faulty edges avoiding the faulty vertices")
         fedges = sorted((ends[2 * k], ends[2 * k + 1]) for k in rng.sample(candidates, ns))

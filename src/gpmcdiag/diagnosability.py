@@ -151,9 +151,7 @@ def _witness_pairs(g: Graph, x1: int, x2: int, c: int) -> tuple[FaultPair, Fault
     p2 = _pair_from_masks(g, f2, s2)
     if not _masks.pairs_indistinguishable(g, f1, s1, f2, s2):
         raise AssertionError(f"constructed witness {p1} vs {p2} is distinguishable")
-    ff1, fp1 = _masks.forced_masks(g, f1, s1)
-    ff2, fp2 = _masks.forced_masks(g, f2, s2)
-    if not _masks.share_syndrome(ff1, fp1, ff2, fp2):
+    if not _masks.share_syndrome(g, f1, s1, f2, s2):
         raise AssertionError("condition check and forced-outcome check disagree")
     return p1, p2
 
@@ -372,6 +370,7 @@ def _search_seed(g: Graph, t: int, s: int, seed: int, first: int):
         if r == 0:
             return x2_search(x1mask, atleast[0], atleast[s])
         n1, h1 = atleast[0], atleast[s]
+        # s = 0 branches kept: an all-vertices sentinel ran search-irregular 4% slower
         below = atleast[s - 1] if s else 0
         r -= 1
         for j in range(i, k1 - r):

@@ -1,13 +1,18 @@
 """Deciding whether two fault pairs can be told apart by some syndrome.
 
-Two routes are kept deliberately separate so each can check the other:
+Two routes are kept deliberately separate so each can check the other, and
+each is one predicate on two fault patterns in ``_masks``, which the search's
+witness check calls the same way:
 
 - ``distinguishable`` evaluates the two structural conditions (a fault-free
   vertex that can test a one-sided faulty vertex over a non-faulty edge, or a
-  one-sided faulty edge with both endpoints fault-free on the other side).
-- ``distinguishable_oracle`` compares forced outcomes test by test: the
-  syndrome sets of two patterns intersect exactly when no test is forced to
-  opposite values, because unconstrained tests can always be set to agree.
+  one-sided faulty edge with both endpoints fault-free on the other side),
+  and names the smallest hit of ``_masks.condition_hits``, the evaluator
+  behind ``_masks.pairs_indistinguishable``.
+- ``distinguishable_oracle`` compares forced outcomes test by test through
+  ``_masks.share_syndrome``: the syndrome sets of two patterns intersect
+  exactly when no test is forced to opposite values, because unconstrained
+  tests can always be set to agree.
 
 The literal definition, materializing both syndrome sets and intersecting
 them, is the test suite's reference (``sigma_set`` in ``tests/brute.py``).
@@ -50,21 +55,22 @@ def _check_pair_args(g: Graph, p1: FaultPair, p2: FaultPair):
 def distinguishable(g: Graph, p1: FaultPair, p2: FaultPair) -> Verdict:
     """Structural-condition route; returns a checkable witness when positive.
 
-    The reported witness uses the lexicographically smallest qualifying edge.
+    The witness is the smallest hit: the qualifying edge of smallest index
+    (canonical edge order), then condition 1 before condition 2, then
+    direction 1 before direction 2.
     """
     _check_pair_args(g, p1, p2)
-    hit = _masks.find_condition_witness(g, p1.f_mask, p1.s_mask, p2.f_mask, p2.s_mask)
+    hit = min(_masks.condition_hits(g, p1.f_mask, p1.s_mask, p2.f_mask, p2.s_mask),
+              default=None)
     if hit is None:
         return Verdict(False)
-    condition, e, direction = hit
-    return Verdict(True, Witness(condition, e, direction))
+    k, condition, direction = hit
+    return Verdict(True, Witness(condition, (g._ends[2 * k], g._ends[2 * k + 1]), direction))
 
 
 def distinguishable_oracle(g: Graph, p1: FaultPair, p2: FaultPair) -> bool:
     """Forced-outcome route: the syndrome sets are disjoint iff some test is
     forced to pass under one pair and to fail under the other."""
     _check_pair_args(g, p1, p2)
-    ff1, fp1 = _masks.forced_masks(g, p1.f_mask, p1.s_mask)
-    ff2, fp2 = _masks.forced_masks(g, p2.f_mask, p2.s_mask)
-    return not _masks.share_syndrome(ff1, fp1, ff2, fp2)
+    return not _masks.share_syndrome(g, p1.f_mask, p1.s_mask, p2.f_mask, p2.s_mask)
 

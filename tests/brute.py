@@ -154,7 +154,7 @@ def forced_masks(g, f: int, s: int) -> tuple[int, int]:
     for k in _masks.bits(s):
         touched |= 3 << (2 * k)
     ff = touched & ~arb
-    fp = _masks.all_tests(g) & ~(arb | ff)
+    fp = ((1 << 2 * len(g.edges)) - 1) & ~(arb | ff)
     return ff, fp
 
 
@@ -168,7 +168,7 @@ def reference_syndrome_mask(fp, strategy: str, seed=None, assignments=None) -> i
     """
     g = fp.graph
     ff, fpm = forced_masks(g, fp.f_mask, fp.s_mask)
-    free = list(_masks.bits(_masks.all_tests(g) & ~(ff | fpm)))
+    free = list(_masks.bits(((1 << 2 * len(g.edges)) - 1) & ~(ff | fpm)))
     if strategy == "all-pass":
         chosen = []
     elif strategy == "all-fail":

@@ -147,6 +147,30 @@ class TestInjectCommand:
         assert raw1 == raw2
         assert len(rep1["result"]["pair"]["F"]) == 2
 
+    @pytest.mark.parametrize("topology, counts, seed, pair", [
+        (["--topology", "hypercube", "--n", "4"], "3,2", 7,
+         {"F": [2, 6, 10], "S": [[0, 4], [13, 15]]}),
+        (["--topology", "cycle", "--n", "9"], "2,3", 4,
+         {"F": [3, 4], "S": [[0, 1], [5, 6], [6, 7]]}),
+        (["--topology", "random", "--n", "10", "--p", "0.5", "--topology-seed", "3"], "2,4", 1,
+         {"F": [1, 2], "S": [[0, 6], [3, 4], [4, 7], [6, 7]]}),
+        (["--topology", "complete", "--n", "6"], "1,5", 11,
+         {"F": [3], "S": [[1, 2], [1, 5], [2, 4], [2, 5], [4, 5]]}),
+        (["--topology", "hypercube", "--n", "8"], "40,6", 7,
+         {"F": [9, 11, 12, 14, 15, 17, 18, 22, 23, 24, 31, 38, 54, 56, 57, 61, 93, 101,
+                107, 108, 111, 129, 137, 141, 144, 147, 149, 160, 161, 165, 166, 210, 211,
+                223, 230, 232, 242, 244, 250, 252],
+          "S": [[43, 171], [46, 174], [86, 214], [134, 150], [177, 241], [183, 247]]}),
+    ])
+    def test_random_faults_draw_is_pinned(self, tmp_path, topology, counts, seed, pair):
+        # the vertices come from one rng.sample over the vertex ids and the
+        # edges from one over the edge ids avoiding them, in ascending order;
+        # any change to either list or its order changes the draw
+        code, rep, _ = run_json(tmp_path, ["inject", *topology, "--random-faults", counts,
+                                           "--seed", str(seed)])
+        assert code == 0
+        assert rep["result"]["pair"] == pair
+
     def test_inconsistent_faults_rejected(self, capsys):
         assert main(["inject", "--topology", "hypercube", "--n", "3",
                      "--faulty-vertices", "0", "--faulty-edges", "0-1"]) == 2

@@ -157,3 +157,23 @@ def test_only_faults_owns_the_failure_tables():
     assert sorted(_calls(engine, {"_check_decode"})) == [
         ("adversarial_roundtrip", "_check_decode"), ("diagnose", "_check_decode"),
         ("enumerate_consistent_pairs", "_check_decode")]
+
+
+def test_each_distinguishability_route_is_one_predicate():
+    # each route is one _masks predicate on two patterns: only share_syndrome
+    # compares forced outcomes (is_consistent reads one pattern's masks), and
+    # only pairs_indistinguishable and distinguishable, which names the
+    # smallest hit, walk the conditions; no helper composes a route for its
+    # callers, so find_condition_witness and all_tests stay deleted
+    found = []
+    for path in sorted(Path(gd.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "find_condition_witness" not in text and "all_tests" not in text, path.name
+        tree = ast.parse(text, filename=str(path))
+        found += [(path.name, *call) for call in _calls(tree, {"forced_masks", "condition_hits"})]
+    assert sorted(found) == [
+        ("_masks.py", "pairs_indistinguishable", "condition_hits"),
+        ("_masks.py", "share_syndrome", "forced_masks"),
+        ("_masks.py", "share_syndrome", "forced_masks"),
+        ("distinguish.py", "distinguishable", "condition_hits"),
+        ("faults.py", "is_consistent", "forced_masks")]
