@@ -221,6 +221,12 @@ INSTANCES = {
             "75496364503167172773161378819486772360884574306046370541971299"
             "1986713310509350120632675")},
         {"value": 6, "witness": "49058f2320c95319", "structures_examined": 1132910338754586123}),
+    "hypercube15-t1": (
+        "t_1 of Q_15, from the single seed 0", _hypercube_th, (15, 1), (8, 1),
+        {"value": 14, "witness": "dbf646605f379441", "structures_examined": int(
+            "15059362450832205664744052375990069735664342649783330274562987579230"
+            "7693427354752051267901195254828900")},
+        {"value": 7, "witness": "7e6bc0133841d6d7", "structures_examined": 4110971536780153382365943}),
     "relabelled-q8-t0": (
         "t_0 of Q_8 relabelled, every seed swept", _relabelled_hypercube_t0, (8,), (4,),
         {"value": 8, "witness": "29a60831ad3b4668",
@@ -291,6 +297,9 @@ def child(name: str, passes: int, smoke: bool, src: str):
         else:
             answers.append({"value": result.value, "witness": _digest(result.witness),
                             "structures_examined": result.stats["structures_examined"]})
+        # a witness holds its graph and the graph's layout: freed before the
+        # next pass builds its own, so the peak does not grow with the passes
+        del result
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"wall_s": walls, "maxrss_mb": round(maxrss, 1), "answers": answers}))
 

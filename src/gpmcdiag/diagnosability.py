@@ -34,8 +34,10 @@ relations on graphs of up to 30 vertices (``tests/test_metamorphic.py``).
 Vertex-transitive graphs are searched from the single seed vertex 0, since
 any witness can be translated to one whose smallest difference vertex is 0.
 Their s = 0 levels up to t_0 are proven by one closure cut, a flow cached on
-the graph (``_first_size``), so an s = 0 ascent walks only level t_0 + 1.
-``audit=True`` disables both shortcuts and sweeps every seed at every
+the graph (``_first_size``), so an s = 0 ascent walks only level t_0 + 1;
+at s > 0, warm-started flows with a second seed prove the levels with
+t <= delta - s, so an s > 0 ascent of Q_n (n >= 4) walks only its failing one.
+``audit=True`` disables these shortcuts and sweeps every seed at every
 level; ``audit`` must be a bool.  Seeds are searched one after another
 in-process; the public ``jobs`` keyword must be an int of at least 1, and
 is then ignored.
@@ -252,30 +254,57 @@ def _first_size(g: Graph, t: int, s: int, seed: int, alone: bool) -> int:
       |N(X1) - X1| <= t + s (``_search_seed``'s boundary cut).  N(seed)
       loses at most |X1| - 1 vertices to X1, so deg(seed) - (|X1| - 1) <=
       t + s: |X1| >= deg(seed) - t - s + 1.
-    - Closure cut, at s = 0 for seed 0 when ``alone``.  A witness
-      (X1, X2, C) at s = 0 sends no edge from D = X1 | X2 past C, so C holds
-      N[D] - D (N[D] is D with its neighbors), and the larger of X1, X2 has
-      at least ceil(|D|/2) vertices: t >= ceil(|D|/2) + |N[D]| - |D|.  Doubled,
-      2t >= f(D) = 2|N[D]| - |D|.  Every witness of seed 0 has 0 in D, so
-      with f* the least f(D) over the D that hold 0 (``_closure_value``,
-      one flow, cached on the graph), seed 0 has no witness while 2t < f*,
-      that is, at every level up to t_0 = ceil(f*/2) - 1.  Conversely, a D
-      with f(D) <= 2t, split into ceil(|D|/2) and floor(|D|/2) vertices
-      with C = N[D] - D, is a witness (for odd |D|, f(D) is odd and so at
-      most 2t - 1).  On a vertex-transitive graph an automorphism carries
-      any D to one that holds 0, and on a one-vertex graph 0 is the only
-      vertex, so there t_0 is exact and level t_0 + 1 fails; as f(V) = |V|,
-      that level lies inside every ascent's range.  The flow runs only at
-      the first s = 0 level whose root is not cut, and its network is freed
-      before that level's walk lays out masks.
+    - Closure cuts, for seed 0 when ``alone`` and t <= delta - s, with
+      delta the least degree.  Write D = X1 | X2, which holds 0 in every
+      witness of seed 0, and f(D) = 2|N[D]| - |D| (N[D] is D with its
+      neighbors).  In a witness the vertices of N(D) - D lie in C or in R,
+      the vertices outside D | C, and each one in R is the far end of an
+      edge from X1 or X2 into R, of which each side has at most s.
+      - One-sided (X2 empty): C holds all but s of N(X1) - X1, so
+        t >= |N[X1]| - s >= delta + 1 - s.  None exists at t <= delta - s.
+      - Two-sided: C holds all but 2s of N(D) - D, and the larger of X1, X2
+        has at least ceil(|D|/2) vertices, so t >= ceil(|D|/2) +
+        |N(D) - D| - 2s; doubled, 2t + 4s >= f(D).  A one-sided witness
+        obeys it too.
+      - So seed 0 has no witness while 2t + 4s < f(D) for every D that
+        holds 0 (with |D| >= 2 when s > 0).  f*, the least f(D) over the D
+        that hold 0, is one flow (``_closure_value``, cached on the graph).
+        At s = 0 it proves every level up to t_0 = ceil(f*/2) - 1.
+        Conversely, a D with f(D) <= 2t, split into ceil(|D|/2) and
+        floor(|D|/2) vertices with C = N[D] - D, is a witness at s = 0 (for
+        odd |D|, f(D) is odd and so at most 2t - 1).  On a
+        vertex-transitive graph an automorphism carries any D to one that
+        holds 0, and on a one-vertex graph 0 is the only vertex, so there
+        t_0 is exact and level t_0 + 1 fails; as f(V) = |V|, that level lies
+        inside every ascent's range.
+      - At s > 0 a D with |D| >= 2 either holds a b at distance 1 or 2
+        from 0, and then f(D) >= F(0, b), the least f(D) over the D that
+        hold 0 and b (``_pair_closure``, warm flows from seed 0's), or
+        N[0] and N[D - {0}] are disjoint.  Then |N[D]| >= 2(delta + 1),
+        and |D| <= 2t, so 2t + 4s >= f(D) >= 4 delta + 4 - 2t gives
+        t + s >= delta + 1: no such witness at t <= delta - s.  So seed 0
+        has none while 2t + 4s is below every F(0, b).  F(0, b) >= f*, so
+        the pair flows run only where f* proves nothing.  Every level they
+        serve has 2t + 4s <= 2 delta + 2s, so they stop at 2 delta + 2s + 1;
+        the least value and that cap are cached on the graph, and run again
+        only at a level that needs more than a value stopped at its cap.
+      The flows run only at levels whose root is not cut, and their networks
+      are freed before the level's walk lays out masks.
     """
     first = max(1, len(g._nbrs[seed]) - t - s + 1)
     if first > t:   # deg(seed) < |V|, so first <= |V|: this is first > min(t, |V|)
         return g.vertex_count + 1
-    if alone and s == 0 and seed == 0:
+    if alone and seed == 0 and t <= _min_degree(g) - s:
         if g._closure is None:
             g._closure = _closure_value(g, 0)
-        if 2 * t < g._closure:
+        least = g._closure
+        if s and 2 * t + 4 * s >= least:
+            pair = g._pair_closure      # (least F(0, b) or the cap, the cap)
+            if pair is None or pair[0] == pair[1] <= 2 * t + 4 * s:
+                cap = 2 * _min_degree(g) + 2 * s + 1
+                g._pair_closure = pair = (_pair_closure(g, cap), cap)
+            least = pair[0]
+        if 2 * t + 4 * s < least:
             return g.vertex_count + 1
     return first
 
@@ -474,91 +503,166 @@ def _blocking_edges(g: Graph, side, umask: int) -> int:
     return smask
 
 
-def _closure_value(g: Graph, seed: int) -> int:
-    """The least f(D) = 2|N[D]| - |D| over the vertex sets D that hold ``seed``.
+_SEED = -2     # ``_Closure.into`` of a seed, whose units go to its own row of ``sent``
 
-    N[D] is D with its neighbors.  At s = 0 it proves every level of seed 0
-    up to t_0 at once: the closure cut of ``_first_size``.
 
-    The least f(D) with ``seed`` in D is a maximum-weight closure (J.-C.
-    Picard, Management Science 22, 1976; compare G. F. Sullivan, FOCS 1984,
-    on PMC diagnosability in polynomial time).  In the network, the source
-    sends 1 unit to each vertex u (without limit to the seed), u reaches
-    w' for each w in N[u] without limit, and each w' sends 2 units to the
-    sink.  A finite cut with the vertices D on the source side must hold
-    N[D]' there too, and the cheapest does so and no more, at the price
-    |V| - |D| + 2|N[D]|; so the least cut, the largest flow, is
-    |V| + min f(D).
+class _Closure:
+    """A largest closure flow: the least f(D) = 2|N[D]| - |D| over the D that hold its seeds.
 
-    The flow needs no arc list.  Each vertex u other than the seed carries
-    its one unit to one w' (``into[u]``), and the seed up to 2 units to
-    each w' of N[seed] (``sent``); the senders of w' lie in N[w], since
-    closed neighborhoods are symmetric, so the residual arcs back from w'
-    are found by scanning N[w].  The seed first fills N[seed]; then each
-    other vertex, and last the seed until it fails, sends one unit along a
-    breadth-first augmenting path.  A path only moves a placed vertex's
-    unit, so each vertex other than the seed needs one search.  A search
-    that fails leaves every node it reached unable to reach the sink for
-    good: no residual arc leaves that set except into the source, so no
-    later augmenting path enters it and none of its arcs change.  Its nodes
-    stay marked and are skipped, so failed searches cost O(|V| + |E|) in
-    all.
+    N[D] is D with its neighbors.  The least f(D) over the D that hold given
+    seeds is a maximum-weight closure (J.-C. Picard, Management Science 22,
+    1976; compare G. F. Sullivan, FOCS 1984, on PMC diagnosability in
+    polynomial time).  In the network, the source sends 1 unit to each
+    vertex u and without limit to each seed, u reaches w' for each w in N[u]
+    without limit, and each w' sends 2 units to the sink.  A finite cut with
+    the vertices D on the source side holds the seeds, and N[D]' too, and
+    the cheapest does so and no more, at the price |V| - |D| + 2|N[D]|; so
+    the least cut, the largest flow, is |V| + min f(D), and ``value`` is the
+    flow less |V|.  ``_Closure(g, *seeds)`` is that largest flow, a cold
+    one.
+
+    The flow needs no arc list.  Each vertex u other than a seed carries its
+    one unit to one w' (``into[u]``), and each seed up to 2 units to each w'
+    of its N[seed] (its row of ``sent``); the senders of w' lie in N[w],
+    since closed neighborhoods are symmetric, so the residual arcs back from
+    w' are found by scanning N[w].  The first seed fills its N[seed]; then
+    each vertex in turn sends units along breadth-first augmenting paths
+    (``augment``), a seed until its search fails.  A path only moves a
+    placed vertex's unit, so each vertex other than a seed needs one search.
+    A search that fails leaves every node it reached unable to reach the
+    sink for good: no residual arc leaves that set except into the source,
+    so no later augmenting path enters it and none of its arcs change.  Its
+    nodes stay marked (``seen``, ``reached``) and are skipped, so failed
+    searches cost O(|V| + |E|) in all.
+
+    A warm start is exact for the same reason.  ``add_seed(b)`` lifts the
+    source's arc to b from 1 to no limit, and b's one unit becomes b's row
+    of ``sent``.  No arc on any path from a node to the sink changes, so the
+    flow stays a valid flow, every node a failed search marked still cannot
+    reach the sink, and every new augmenting path starts at b.  So seed a's
+    largest flow, copied (``copy``), given the seed b and augmented from b
+    alone, is the largest flow of the seeds a and b, and its value is
+    F(a, b), the least f(D) over the D that hold a and b.
     """
-    nbrs = g._nbrs
-    n = g.vertex_count
-    load = [0] * n      # units on w' -> sink, at most 2
-    into = [-1] * n     # per vertex other than the seed: the w' its unit reaches, or -1
-    sent = [0] * n      # units from the seed to w'
-    for w in (seed, *nbrs[seed]):
-        sent[w] = load[w] = 2
-    seen = bytearray(n)     # vertices reached by this search, or by a failed one
-    reached = bytearray(n)  # w' nodes, likewise
-    via = [0] * n           # per w': the vertex that reached it
-    gave = [0] * n          # per vertex: the w' it was reached from, which it gives up
 
-    def augment(source) -> bool:
-        # one unit from ``source`` to the sink along a shortest residual path
-        lefts = [source]
-        rights = []
-        seen[source] = 1
-        for u in lefts:
-            for w in (u, *nbrs[u]):
-                if reached[w]:
-                    continue
-                reached[w] = 1
-                rights.append(w)
-                via[w] = u
-                if load[w] < 2:
-                    load[w] += 1
-                    while True:
-                        x = via[w]
-                        if x == seed:
-                            sent[w] += 1
-                        else:
-                            into[x] = w
-                        if x == source:
-                            break
-                        w = gave[x]
-                        if x == seed:
-                            sent[w] -= 1
-                    for x in lefts:
-                        seen[x] = 0
-                    for x in rights:
-                        reached[x] = 0
-                    return True
-                for x in (w, *nbrs[w]):
-                    if not seen[x] and (into[x] == w or x == seed and sent[w]):
-                        seen[x] = 1
-                        gave[x] = w
-                        lefts.append(x)
-        return False
+    def __init__(self, g: Graph, *seeds: int):
+        n = g.vertex_count
+        self.nbrs = g._nbrs
+        self.load = [0] * n     # units on w' -> sink, at most 2
+        self.into = [-1] * n    # per vertex: the w' its unit reaches, -1, or _SEED
+        self.sent = {}          # per seed: the units it sends to each w' of N[seed]
+        self.seen = bytearray(n)        # vertices reached by this search, or by a failed one
+        self.reached = bytearray(n)     # w' nodes, likewise
+        self.via = [0] * n      # per w': the vertex that reached it
+        self.gave = [0] * n     # per vertex: the w' it was reached from, which it gives up
+        for seed in seeds:
+            self.add_seed(seed)
+        first = self.sent[seeds[0]]
+        for w in first:
+            first[w] = self.load[w] = 2
+        self.units = 2 * len(first)     # the flow, the sum of ``load``
+        self.augment(range(n))
 
-    for u in range(n):
-        if u != seed:
-            augment(u)
-    while not seen[seed] and augment(seed):
-        pass
-    return sum(load) - n
+    @property
+    def value(self) -> int:
+        return self.units - len(self.load)
+
+    def copy(self) -> _Closure:
+        """An independent copy of the flow; the two share only their scratch rows."""
+        other = object.__new__(_Closure)
+        other.nbrs, other.via, other.gave, other.units = self.nbrs, self.via, self.gave, self.units
+        other.load, other.into = self.load[:], self.into[:]
+        other.seen, other.reached = self.seen[:], self.reached[:]
+        other.sent = {seed: dict(row) for seed, row in self.sent.items()}
+        return other
+
+    def add_seed(self, b: int) -> None:
+        """Lift the source's arc to b to no limit; b's one unit, if placed, joins b's row."""
+        row = self.sent[b] = dict.fromkeys((b, *self.nbrs[b]), 0)
+        if self.into[b] >= 0:
+            row[self.into[b]] = 1
+        self.into[b] = _SEED
+
+    def augment(self, sources, cap: float = float("inf")) -> None:
+        """Send units from each source in turn along shortest residual paths.
+
+        A vertex other than a seed sends its one unit if it can, and a seed
+        sends until its search fails or ``value`` reaches ``cap``.  So a
+        flow augmented from its seeds has the largest value, or at least
+        ``cap``.
+        """
+        nbrs, load, into, sent = self.nbrs, self.load, self.into, self.sent
+        seen, reached, via, gave = self.seen, self.reached, self.via, self.gave
+        limit = len(load) + min(cap, len(load))     # the value never exceeds f(V) = |V|
+        seed_mark = _SEED     # a local: the innermost loop reads it
+
+        def search(source) -> bool:
+            # one unit from ``source`` to the sink along a shortest residual path
+            lefts = [source]
+            rights = []
+            seen[source] = 1
+            for u in lefts:
+                for w in (u, *nbrs[u]):
+                    if reached[w]:
+                        continue
+                    reached[w] = 1
+                    rights.append(w)
+                    via[w] = u
+                    if load[w] < 2:
+                        load[w] += 1
+                        while True:
+                            x = via[w]
+                            if into[x] == seed_mark:
+                                sent[x][w] += 1
+                            else:
+                                into[x] = w
+                            if x == source:
+                                break
+                            w = gave[x]
+                            if into[x] == seed_mark:
+                                sent[x][w] -= 1
+                        for x in lefts:
+                            seen[x] = 0
+                        for x in rights:
+                            reached[x] = 0
+                        return True
+                    for x in (w, *nbrs[w]):
+                        if not seen[x] and ((ix := into[x]) == w or ix == seed_mark and sent[x][w]):
+                            seen[x] = 1
+                            gave[x] = w
+                            lefts.append(x)
+            return False
+
+        units = self.units
+        for source in sources:
+            if into[source] != seed_mark:
+                units += search(source)     # its one unit, at most
+            else:
+                while units < limit and search(source):
+                    units += 1
+        self.units = units
+
+
+def _closure_value(g: Graph, seed: int) -> int:
+    """The least f(D) over the D that hold ``seed``: f*, read off one cold flow."""
+    return _Closure(g, seed).value
+
+
+def _pair_closure(g: Graph, cap: int) -> int:
+    """The least of ``cap`` and F(0, b) over the b at distance 1 or 2 from vertex 0.
+
+    F(0, b) is the least f(D) over the D that hold 0 and b, from seed 0's
+    flow, copied and augmented from b alone, and stopped at the least value
+    found so far (``_Closure``).
+    """
+    zero = _Closure(g, 0)
+    least = cap
+    for b in {w for v in g._nbrs[0] for w in (v, *g._nbrs[v])} - {0}:
+        flow = zero.copy()
+        flow.add_seed(b)
+        flow.augment((b,), least)
+        least = min(least, flow.value)
+    return least
 
 
 def _local_search(g: Graph, t: int, s: int, audit: bool):

@@ -76,6 +76,7 @@ class Graph:
         "_layout",
         "_min_degree",
         "_closure",
+        "_pair_closure",
     )
 
     def __init__(self, vertex_count, edges, labels=None, name="graph"):
@@ -153,6 +154,7 @@ class Graph:
         self._layout = None  # neighbor-bits cache, built on demand by _masks.layout_of
         self._min_degree = None  # delta(G) cache, set on first use by _min_degree
         self._closure = None  # seed 0's closure value f*, cached by diagnosability._first_size
+        self._pair_closure = None  # (least F(0, b) or the cap, the cap), likewise
 
     @property
     def edges(self) -> tuple:

@@ -17,7 +17,9 @@ them.  ``forced_masks`` and ``reference_syndrome_mask`` are the shift-or
 references for the library's one-step test-mask builders.  ``reference_inject_render`` writes an inject
 report row by row from ``Syndrome.to_triples``, as the CLI's renderers did
 before they read the syndrome's columns.  ``reference_girth`` runs a BFS
-from every vertex, the reference for ``girth``'s cuts.
+from every vertex, the reference for ``girth``'s cuts.  ``reference_closure_value``
+and ``reference_pair_closure`` enumerate every vertex set D that holds one
+or two given vertices, the references for the closure flows.
 """
 
 from __future__ import annotations
@@ -434,15 +436,30 @@ def pmc_brute_diagnosability(g) -> int:
 def reference_closure_value(g, seed: int) -> int:
     """The least 2|N[D]| - |D| over every vertex set D holding ``seed``, by
     enumerating the sets; N[D] is D with its neighbors."""
-    others = [v for v in range(g.vertex_count) if v != seed]
-    best = None
-    for size in range(len(others) + 1):
-        for rest in combinations(others, size):
-            d = {seed, *rest}
-            closed = d.union(*(gd.neighbors(g, v) for v in d))
-            value = 2 * len(closed) - len(d)
-            best = value if best is None else min(best, value)
-    return best
+    return _least_closure(g, {seed})
+
+
+def reference_pair_closure(g, a: int, b: int) -> int:
+    """The least 2|N[D]| - |D| over every vertex set D holding ``a`` and ``b``."""
+    return _least_closure(g, {a, b})
+
+
+def _least_closure(g, held: set) -> int:
+    # every D is ``held`` plus a subset of the other vertices, chosen one by
+    # one; ``covered`` is N[D] of the choices so far, as a vertex bit set
+    closed = [sum(1 << w for w in {v, *gd.neighbors(g, v)}) for v in range(g.vertex_count)]
+    others = [v for v in range(g.vertex_count) if v not in held]
+
+    def least(i, size, covered):
+        if i == len(others):
+            return 2 * covered.bit_count() - size
+        return min(least(i + 1, size, covered),
+                   least(i + 1, size + 1, covered | closed[others[i]]))
+
+    covered = 0
+    for v in held:
+        covered |= closed[v]
+    return least(0, len(held), covered)
 
 
 def reference_girth(g):

@@ -22,7 +22,8 @@ def test_every_instance_matches_its_pins(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     results = json.loads(out.read_text())["runs"]["smoke"]["results"]
     assert set(results) == {"random30-t3", "random40-t3", "hypercube13-t0", "hypercube14-t0",
-                            "hypercube14-t1", "relabelled-q8-t0", "relabelled-q9-t0",
+                            "hypercube14-t1", "hypercube15-t1",
+                            "relabelled-q8-t0", "relabelled-q9-t0",
                             "roundtrip-q4", "roundtrip-q8", "diagnose-q12", "inject-q15",
                             "edge-list-q15", "cli-q4", "cli-inject-q12"}
     for name, row in results.items():

@@ -114,14 +114,19 @@ def test_one_scan_names_a_refused_edge_list():
 
 def test_one_bound_layer_decides_where_the_search_starts():
     # whether a seed is walked at a level, and from which |X1|, is answered
-    # once: only _local_search asks _first_size, and only _first_size runs
-    # the closure flow, so no walk works out its own start again
+    # once: only _local_search asks _first_size, only _first_size reads the
+    # closure flows, and both readers build the one flow state, so no walk
+    # works out its own start again and no rule keeps its own flow
+    names = {"_first_size", "_closure_value", "_pair_closure", "_Closure"}
     found = []
     for path in sorted(Path(gd.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [(path.name, *call) for call in _calls(tree, {"_first_size", "_closure_value"})]
-    assert sorted(found) == [("diagnosability.py", "_first_size", "_closure_value"),
-                             ("diagnosability.py", "_local_search", "_first_size")]
+        found += [(path.name, *call) for call in _calls(tree, names)]
+    assert sorted(found) == [("diagnosability.py", "_closure_value", "_Closure"),
+                             ("diagnosability.py", "_first_size", "_closure_value"),
+                             ("diagnosability.py", "_first_size", "_pair_closure"),
+                             ("diagnosability.py", "_local_search", "_first_size"),
+                             ("diagnosability.py", "_pair_closure", "_Closure")]
 
 
 def test_one_witness_layer_builds_pairs_and_counts_seeds():
